@@ -8,7 +8,6 @@ from .chamber import (
     is_newton_point,
     newton_points_below,
     retract,
-    retract_closest,
     stratum_of,
 )
 from .rationals import NEG_INF, Q
@@ -24,7 +23,6 @@ __all__ = [
     "build_group",
     "NewtonPoint",
     "retract",
-    "retract_closest",
     "is_newton_point",
     "stratum_of",
     "newton_points_below",

@@ -1,10 +1,12 @@
 """Extended affine Weyl group: alcove reduction, the base-alcove section,
 defect, and the character decomposition of the reflection representation."""
 
+import math
 from dataclasses import dataclass
 
 from . import dynkin, exactlinalg
 from .rationals import Q, frac_part
+from .rootdata import WeylElement
 from .strata import d_G
 
 
@@ -40,16 +42,23 @@ class LambdaGElement:
         return cls(lift[datum.l:], lift)
 
 
+def _as_class(datum, nu):
+    if isinstance(nu, LambdaGElement):
+        return nu
+    return LambdaGElement.from_lift(datum, nu)
+
+
 def translation(datum, lift):
     return AffineWeylElement(tuple(int(m) for m in lift), datum.identity_weyl())
 
 
 def _factor_tables(datum):
     """Per-factor affine data: highest root, its coroot, simple affine roots,
-    and the interior sample point of the base alcove."""
-    cache = getattr(datum, "_affine_tables", None)
-    if cache is not None:
-        return cache
+    and the interior sample point of the base alcove; built once per datum."""
+    return datum.memo("affine_tables", _build_factor_tables)
+
+
+def _build_factor_tables(datum):
     n = datum.n
     tables = []
     p0 = [Q(0)] * n
@@ -96,8 +105,7 @@ def _factor_tables(datum):
                 "affine_roots": roots,
             }
         )
-    datum._affine_tables = (tables, tuple(p0))
-    return datum._affine_tables
+    return tables, tuple(p0)
 
 
 def _generator(datum, gen_id):
@@ -114,8 +122,6 @@ def _generator(datum, gen_id):
     for i in range(n):
         row = [int(i == k) - theta_check[i] * theta[k] for k in range(n)]
         rows.append(tuple(row))
-    from .rootdata import WeylElement
-
     linear = WeylElement(tuple(rows), ())
     return AffineWeylElement(theta_check, linear)
 
@@ -144,10 +150,12 @@ def alcove_reduce(datum, x):
                 word.append(gid)
                 steps += 1
                 break
-            assert val != 0, "sample point hit an affine wall"
+            if val == 0:
+                raise RuntimeError("sample point hit an affine wall")
         else:
             break
-        assert steps < 100000, "alcove reduction failed to terminate"
+        if steps >= 100000:
+            raise RuntimeError("alcove reduction failed to terminate")
     return x, word
 
 
@@ -178,11 +186,12 @@ def stabilizes_base_alcove(datum, x):
 
 def section_s(datum, nu):
     """The base-alcove section of the quotient map, evaluated at nu."""
-    if not isinstance(nu, LambdaGElement):
-        nu = LambdaGElement.from_lift(datum, nu)
+    nu = _as_class(datum, nu)
     x0, _word = alcove_reduce(datum, translation(datum, nu.lift))
-    assert tuple(x0.translation[datum.l:]) == tuple(nu.class_coords)
-    assert stabilizes_base_alcove(datum, x0)
+    if tuple(x0.translation[datum.l:]) != tuple(nu.class_coords):
+        raise RuntimeError("alcove reduction changed the class of nu")
+    if not stabilizes_base_alcove(datum, x0):
+        raise RuntimeError("reduced element does not stabilize the base alcove")
     return x0
 
 
@@ -210,37 +219,37 @@ def weyl_word(datum, w):
     return word
 
 
+def _fixed_corank(w):
+    """rank(w - 1): the corank of the fixed space of a Weyl element."""
+    n = len(w.matrix)
+    return exactlinalg.rank(
+        [[w.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
+    )
+
+
 def defect(datum, nu):
     """Corank of the fixed space of w_nu, exact over the rationals."""
-    w = w_nu(datum, nu)
-    n = datum.n
-    m = [
-        [w.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)
-    ]
-    return exactlinalg.rank(m)
+    return _fixed_corank(w_nu(datum, nu))
+
+
+def _central(datum, nu):
+    """p_M(lift, all simple roots): its coordinates carry the characters."""
+    return datum.p_M(nu.lift, frozenset(range(datum.l)))
 
 
 def chi(datum, i, nu):
     """The i-th character of the class group, as a rational in [0, 1)."""
-    if not isinstance(nu, LambdaGElement):
-        nu = LambdaGElement.from_lift(datum, nu)
-    central = datum.p_M(nu.lift, frozenset(range(datum.l)))
-    return frac_part(Q(central[i]))
+    return frac_part(Q(_central(datum, _as_class(datum, nu))[i]))
 
 
 def verify_defect_identity(datum, nu):
     """Report comparing d_G, half the defect, and the character sum."""
-    if not isinstance(nu, LambdaGElement):
-        nu = LambdaGElement.from_lift(datum, nu)
-    x0 = section_s(datum, nu)
-    w = x0.linear
-    n = datum.n
-    dfct = exactlinalg.rank(
-        [[w.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
-    )
-    central = datum.p_M(nu.lift, frozenset(range(datum.l)))
+    nu = _as_class(datum, nu)
+    w = section_s(datum, nu).linear
+    dfct = _fixed_corank(w)
+    central = _central(datum, nu)
     dg = d_G(datum, central)
-    chi_sum = sum((chi(datum, i, nu) for i in range(n)), Q(0))
+    chi_sum = sum((frac_part(Q(c)) for c in central), Q(0))
     ok = dg == Q(dfct, 2) and 2 * chi_sum == dfct
     return {
         "nu": [int(c) for c in nu.class_coords],
@@ -270,8 +279,7 @@ def reflection_char_multiset_check(datum, nu):
     matches, order by order, the multiplicities against the denominators
     of the characters chi_i, requiring full unit-group orbits.
     """
-    if not isinstance(nu, LambdaGElement):
-        nu = LambdaGElement.from_lift(datum, nu)
+    nu = _as_class(datum, nu)
     w = w_nu(datum, nu)
     m = [list(r) for r in w.matrix]
     order = _matrix_order(m)
@@ -288,10 +296,10 @@ def reflection_char_multiset_check(datum, nu):
             if poly == [1]:
                 break
     fully_factored = poly == [1]
-    chis = [chi(datum, i, nu) for i in range(datum.n)]
+    chis = [frac_part(Q(c)) for c in _central(datum, nu)]
     by_denom = {}
     for c in chis:
-        by_denom.setdefault(int(c.denominator), []).append(c)
+        by_denom.setdefault(c.denominator, []).append(c)
     ok = fully_factored
     details = []
     for d in sorted(set(mults) | set(by_denom)):
@@ -299,7 +307,7 @@ def reflection_char_multiset_check(datum, nu):
         expected = mult * exactlinalg.euler_phi(d)
         have = sorted(by_denom.get(d, []))
         want = sorted(
-            Q(k, d) for k in range(d) if _gcd(k if k else d, d) == 1
+            Q(k, d) for k in range(d) if math.gcd(k, d) == 1
         ) * mult
         match = len(have) == expected and have == sorted(want)
         ok = ok and match
@@ -313,9 +321,3 @@ def reflection_char_multiset_check(datum, nu):
         "orders": details,
         "pass": ok,
     }
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -2,15 +2,13 @@
 
 `retract` is the order-theoretic map: r(d) is the unique dominant point y
 with p_M(d') = y and d' <= y, where M is the Levi attached to the face of
-y and d' is the finite-ization of d.  The Euclidean companion
-`retract_closest` recomputes the same point as a nearest-point projection
-under the invariant inner product and exists purely as a cross-check.
+y and d' is the finite-ization of d.
 """
 
 from dataclasses import dataclass
 
-from . import dynkin, exactlinalg
 from .rationals import NEG_INF, Q, fmt_point, is_finite, qfloor, qceil
+from .rootdata import OrbitGuardError
 
 
 class RetractionError(RuntimeError):
@@ -120,115 +118,6 @@ def retract(datum, d):
     return retract_exhaustive(datum, d)  # pragma: no cover - safety net
 
 
-def _invariant_form(datum):
-    """Gram matrix of the W-invariant form in omega-coordinates.
-
-    Bourbaki root-length normalization on each semisimple factor,
-    orthogonal identity form on the torus coordinates.
-    """
-    if datum._form is not None:
-        return datum._form
-    n, l = datum.n, datum.l
-    gram_ss = [[Q(0)] * l for _ in range(l)]
-    for f in datum.factors:
-        norms = dynkin.root_norms(f.letter, f.rank)
-        cm = dynkin.cartan_matrix(f.letter, f.rank)
-        for a in range(f.rank):
-            for b in range(f.rank):
-                # (alpha_a^vee, alpha_b^vee) = 2 C[a][b] / norm_b
-                gram_ss[f.indices[a]][f.indices[b]] = 2 * Q(cm[a][b]) / norms[b]
-    # semisimple components of the basis vectors
-    ss_parts = []
-    for i in range(n):
-        if i < l:
-            ss_parts.append(tuple(Q(int(i == k)) for k in range(l)))
-        else:
-            z = datum.central_part(
-                tuple(Q(int(i - l == t)) for t in range(n - l))
-            )
-            e = [Q(0)] * n
-            e[i] = Q(1)
-            ss_parts.append(tuple(e[k] - z[k] for k in range(l)))
-    form = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            val = sum(
-                ss_parts[i][a] * gram_ss[a][b] * ss_parts[j][b]
-                for a in range(l)
-                for b in range(l)
-                if ss_parts[i][a] and gram_ss[a][b]
-            )
-            if i >= l and j >= l:
-                val += Q(int(i == j))
-            form[i][j] = val
-    datum._form = form
-    return form
-
-
-def _kkt_solver(datum, subset):
-    cached = datum._kkt_cache.get(subset)
-    if cached is not None:
-        return cached
-    form = _invariant_form(datum)
-    if datum._form_dual is None:
-        forminv = exactlinalg.inverse(form)
-        # dual vectors v_j with B(v_j, .) = <alpha_j, .>
-        duals = []
-        for j in range(datum.l):
-            a = datum.root_coords(j)
-            duals.append(exactlinalg.mat_vec(forminv, a))
-        datum._form_dual = duals
-    duals = datum._form_dual
-    idx = sorted(subset)
-    mat = [[datum.root_pairing(j, duals[jp]) for jp in idx] for j in idx]
-    inv = exactlinalg.inverse(mat) if idx else []
-    cached = (idx, inv)
-    datum._kkt_cache[subset] = cached
-    return cached
-
-
-def retract_closest(datum, x):
-    """Nearest dominant point under the invariant Euclidean form.
-
-    Face enumeration: for each candidate active set solve the equality
-    constrained projection and accept when the KKT conditions hold.
-    Independent of `retract` (and must agree with it).
-    """
-    if datum.l > 8:
-        raise ValueError("semisimple rank too large for face enumeration")
-    if any(not is_finite(c) for c in x):
-        raise ValueError("retract_closest needs finite coordinates")
-    x = tuple(Q(c) for c in x)
-    duals = None
-    accepted = []
-    for mask in range(1 << datum.l):
-        subset = frozenset(j for j in range(datum.l) if mask >> j & 1)
-        idx, inv = _kkt_solver(datum, subset)
-        duals = datum._form_dual
-        b = [datum.root_pairing(j, x) for j in idx]
-        lam = [
-            -sum(inv[r][k] * b[k] for k in range(len(b))) for r in range(len(b))
-        ]
-        if any(v < 0 for v in lam):
-            continue
-        y = list(x)
-        for pos, j in enumerate(idx):
-            if lam[pos]:
-                vj = duals[j]
-                for k in range(datum.n):
-                    y[k] += lam[pos] * vj[k]
-        y = tuple(y)
-        if all(
-            datum.root_pairing(j, y) >= 0
-            for j in range(datum.l)
-            if j not in subset
-        ):
-            accepted.append(y)
-    if not accepted or any(y != accepted[0] for y in accepted):
-        raise RetractionError("KKT face enumeration did not pin a unique point")
-    return accepted[0]
-
-
 def is_newton_point(datum, y):
     """Certify y as a Newton point, or return None.
 
@@ -250,7 +139,8 @@ def is_newton_point(datum, y):
                 return None
             lift.append(int(c))
     lift = tuple(lift)
-    assert datum.p_M(lift, face) == y
+    if datum.p_M(lift, face) != y:
+        raise RuntimeError(f"lift {lift!r} does not project to {y!r}")
     return NewtonPoint(y, face, lift)
 
 
@@ -288,7 +178,8 @@ def newton_points_below(datum, mu, guard=10**6):
         for i in free:
             total *= max(0, hi[i] - lo[i] + 1)
             if total > guard:
-                raise rootdata_guard(guard)
+                raise OrbitGuardError(
+                    f"lattice enumeration exceeds guard {guard}")
         def rec(pos, m):
             if pos == len(free):
                 nu = datum.p_M(tuple(m), subset)
@@ -314,12 +205,6 @@ def newton_points_below(datum, mu, guard=10**6):
         base = [0] * datum.l + [int(c) for c in point[datum.l:]]
         rec(0, base)
     return sorted(found.values(), key=lambda np: tuple(np.point))
-
-
-def rootdata_guard(guard):
-    from .rootdata import OrbitGuardError
-
-    return OrbitGuardError(f"lattice enumeration exceeds guard {guard}")
 
 
 def hasse(datum, points):

@@ -4,11 +4,11 @@ Everything here works on plain lists/tuples of scalars; matrices are
 row-major sequences of rows.  No floating point anywhere.
 """
 
-from .rationals import Q, ZERO
+from .rationals import Q
 
 
-def identity(n, one=1):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(m, v):
@@ -23,51 +23,20 @@ def mat_mul(a, b):
     ]
 
 
-def solve(mat, rhs):
-    """Solve mat * x = rhs exactly.  Raises ValueError on a singular system."""
-    n = len(mat)
-    a = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+def row_reduce(mat):
+    """Reduced row echelon form over the rationals (Gauss-Jordan).
 
-
-def inverse(mat):
-    """Exact inverse of a square rational matrix."""
-    n = len(mat)
-    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def rank(mat):
-    """Rank over the rationals."""
-    if not mat:
-        return 0
+    Returns (rows, pivots): the reduced rows as lists of Q, and the pivot
+    column of each nonzero row in order, so len(pivots) is the rank.
+    """
     a = [[Q(x) for x in row] for row in mat]
-    nr, nc = len(a), len(a[0])
-    r = 0
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivots = []
     for col in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
         piv = next((i for i in range(r, nr) if a[i][col] != 0), None)
         if piv is None:
             continue
@@ -78,10 +47,31 @@ def rank(mat):
             if i != r and a[i][col] != 0:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+        pivots.append(col)
+    return a, pivots
+
+
+def solve(mat, rhs):
+    """Solve mat * x = rhs exactly.  Raises ValueError on a singular system."""
+    n = len(mat)
+    a, pivots = row_reduce([list(row) + [b] for row, b in zip(mat, rhs)])
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return tuple(row[n] for row in a)
+
+
+def inverse(mat):
+    """Exact inverse of a square rational matrix."""
+    n = len(mat)
+    a, pivots = row_reduce([list(row) + e for row, e in zip(mat, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in a]
+
+
+def rank(mat):
+    """Rank over the rationals."""
+    return len(row_reduce(mat)[1])
 
 
 def charpoly(mat):
@@ -101,11 +91,9 @@ def charpoly(mat):
             a = mat_mul(m, a)
         ck = -sum(a[i][i] for i in range(n)) / k
         coeffs.append(ck)
-    out = []
-    for c in reversed(coeffs):  # constant term first
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    if any(c.denominator != 1 for c in coeffs):
+        raise RuntimeError("characteristic polynomial is not integral")
+    return [int(c) for c in reversed(coeffs)]  # constant term first
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +190,9 @@ def integer_kernel(mat):
 def unimodular_inverse(v):
     """Inverse of a unimodular integer matrix, returned with int entries."""
     inv = inverse(v)
-    out = []
-    for row in inv:
-        assert all(x.denominator == 1 for x in row)
-        out.append([int(x) for x in row])
-    return out
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise RuntimeError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +244,8 @@ def cyclotomic(d):
     num[0] = -1  # x^d - 1
     for e in divisors(d)[:-1]:
         num, rem = poly_divmod(num, cyclotomic(e))
-        assert rem == [0]
+        if rem != [0]:
+            raise RuntimeError(f"cyclotomic division left a remainder at d={d}")
     _CYCLO_CACHE[d] = num
     return num
 

@@ -1,9 +1,6 @@
 """Exact rational scalars, extended by a -infinity element for valuations."""
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency in practice
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 
 class _NegInf:
@@ -34,9 +31,6 @@ class _NegInf:
 
 
 NEG_INF = _NegInf()
-
-ZERO = Q(0)
-ONE = Q(1)
 
 
 def is_finite(x):

@@ -9,10 +9,11 @@ Indices are 0-based everywhere in this module; serialization to the CLI
 formats shifts to 1-based.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import dynkin, exactlinalg
-from .rationals import NEG_INF, Q, frac_part, is_finite
+from .rationals import NEG_INF, Q, is_finite
 
 
 class GroupSpecError(ValueError):
@@ -62,7 +63,17 @@ class WeylElement:
 
 class RootDatum:
     """Combinatorial skeleton of a split group: rank n, semisimple rank l,
-    and the simple roots as integer columns in the omega-basis."""
+    and the simple roots as integer columns in the omega-basis.
+
+    The datum owns every cache derived from it.  Other modules keep their
+    per-datum tables in it through `memo`; nothing else can be attached.
+    """
+
+    __slots__ = (
+        "n", "l", "alpha", "factors", "label", "_root_support",
+        "_pm_cache", "_refl_cache", "_central_solver", "_central_cache",
+        "_memo",
+    )
 
     def __init__(self, n, l, alpha, factors, label=""):
         self.n = n
@@ -71,18 +82,16 @@ class RootDatum:
         self.factors = tuple(factors)
         self.label = label
         self._validate()
-        self._pm_cache = {}
-        self._refl_cache = {}
-        self._central_solver = None
-        self._central_cache = {}
         self._root_support = tuple(
             tuple((i, self.alpha[i][j]) for i in range(self.n)
                   if self.alpha[i][j])
             for j in range(self.l)
         )
-        self._form = None
-        self._form_dual = None
-        self._kkt_cache = {}
+        self._pm_cache = {}  # Levi subset -> (indices, inverse Cartan block)
+        self._refl_cache = {}  # j -> simple reflection s_j
+        self._central_solver = None  # inverse of the semisimple Cartan block
+        self._central_cache = {}  # torus coordinates -> central point
+        self._memo = {}  # key -> table built by `memo`
 
     def _validate(self):
         if not (1 <= self.n and 0 <= self.l <= self.n):
@@ -104,6 +113,13 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.label or self.factors}, n={self.n}, l={self.l})"
+
+    def memo(self, key, build):
+        """The table stored under `key`, built as build(self) on first use."""
+        table = self._memo.get(key)
+        if table is None:
+            table = self._memo[key] = build(self)
+        return table
 
     # -- pairings and the partial order ------------------------------------
 
@@ -321,7 +337,8 @@ class RootDatum:
         gens = [v[self.l:] for v in self._central_kernel()]
         d, _u, _v = exactlinalg.smith_normal_form(gens)
         facs = [d[i][i] for i in range(min(len(gens), m))]
-        assert all(f != 0 for f in facs) and len(facs) == m, "quotient not finite"
+        if len(facs) != m or 0 in facs:
+            raise RuntimeError("component group is not finite")
         return tuple(f for f in facs if f != 1)
 
     def component_classes(self):
@@ -332,19 +349,8 @@ class RootDatum:
         gens = [v[self.l:] for v in self._central_kernel()]
         d, _u, v = exactlinalg.smith_normal_form(gens)
         vinv = exactlinalg.unimodular_inverse(v)
-        diag = [d[i][i] for i in range(m)]
-        reps = []
-
-        def rec(pos, acc):
-            if pos == m:
-                reps.append(tuple(acc))
-                return
-            for k in range(diag[pos]):
-                rec(pos + 1, acc + [k])
-
-        rec(0, [])
         out = []
-        for t in reps:
+        for t in itertools.product(*(range(d[i][i]) for i in range(m))):
             coords = tuple(
                 sum(t[k] * vinv[k][i] for k in range(m)) for i in range(m)
             )
@@ -384,11 +390,6 @@ class RootDatum:
             return tuple(out)
 
         return datum, convert
-
-
-def fractional_weight_sum(datum, x):
-    """Sum of fractional parts of the first l coordinates (the d_G kernel)."""
-    return sum((frac_part(x[i]) for i in range(datum.l)), Q(0))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +434,8 @@ def _parse_factor(tok):
             raise GroupSpecError(f"bad factor {tok!r}") from exc
         if n < 1:
             raise GroupSpecError("GLn needs n >= 1")
+        if n > 1:  # the derived group of GLn is A_{n-1}
+            _check_rank("A", n - 1, tok)
         return ("gl", n)
     if tok.startswith("T"):
         try:
@@ -454,10 +457,14 @@ def _parse_sctype(tok):
         rank = int(tok[1:])
     except ValueError as exc:
         raise GroupSpecError(f"bad simple type {tok!r}") from exc
-    lo, hi = dynkin.RANK_BOUNDS[tok[0]]
+    _check_rank(tok[0], rank, tok)
+    return tok[0], rank
+
+
+def _check_rank(letter, rank, tok):
+    lo, hi = dynkin.RANK_BOUNDS[letter]
     if not lo <= rank <= hi:
         raise GroupSpecError(f"rank out of bounds for {tok!r}")
-    return tok[0], rank
 
 
 def _gext_preset_row(letter, rank):
@@ -475,9 +482,6 @@ def _gext_preset_row(letter, rank):
 
 
 def _assemble(parts, label):
-    semis = []  # (letter, rank, mvec or None)
-    torus_total = 0
-    gext_rows = []  # (torus slot, factor slot) pairs resolved later
     plan = []
     for part in parts:
         if part[0] == "simple":

@@ -5,6 +5,7 @@ valuation convention is val(pi) = -1, val(0) = -inf, so the valuation of
 a sum is the negated minimum exponent.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -41,10 +42,7 @@ class LaurentPoly:
 
     @property
     def denominator(self):
-        n = 1
-        for v in self.terms:
-            n = n * v.denominator // _gcd(n, int(v.denominator))
-        return n
+        return math.lcm(*(v.denominator for v in self.terms))
 
     def val(self):
         """-min exponent, or -inf for zero."""
@@ -101,12 +99,6 @@ class LaurentPoly:
         )
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """Point of the torus given by its tuple of omega-character values,
@@ -121,10 +113,7 @@ class TorusPoint:
 
     @property
     def denominator(self):
-        n = 1
-        for v in self.values:
-            n = n * v.denominator // _gcd(n, v.denominator)
-        return n
+        return math.lcm(*(v.denominator for v in self.values))
 
 
 _TOKEN = re.compile(

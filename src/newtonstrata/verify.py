@@ -3,7 +3,7 @@
 import random
 
 from . import affine, toruseval
-from .rationals import Q
+from .rationals import NEG_INF, Q, fmt_scalar, is_finite
 
 
 def random_lift(datum, class_lift, rng, spread=3):
@@ -13,6 +13,11 @@ def random_lift(datum, class_lift, rng, spread=3):
         # simple coroots are the standard basis vectors in omega-coordinates
         lift[j] += rng.randint(-spread, spread)
     return tuple(lift)
+
+
+def _report(suite, datum, count, failures):
+    return {"suite": suite, "group": datum.label, "count": count,
+            "failures": failures, "pass": not failures}
 
 
 def suite_rnu(datum, seed=0, count=1000, denominator=None):
@@ -29,13 +34,7 @@ def suite_rnu(datum, seed=0, count=1000, denominator=None):
         rep = toruseval.check_thm_rnu(datum, a)
         if not rep["pass"]:
             failures.append({"case": k, "report": _jsonable(rep)})
-    return {
-        "suite": "rnu",
-        "group": datum.label,
-        "count": count,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return _report("rnu", datum, count, failures)
 
 
 def suite_defect(datum, seed=0, lifts=3):
@@ -55,13 +54,7 @@ def suite_defect(datum, seed=0, lifts=3):
                 base = rep["defect"]
             if not rep["pass"] or rep["defect"] != base:
                 failures.append({"lift": list(lift), "report": _jsonable(rep)})
-    return {
-        "suite": "defect",
-        "group": datum.label,
-        "count": cases,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return _report("defect", datum, cases, failures)
 
 
 def suite_chars(datum, seed=0):
@@ -73,13 +66,7 @@ def suite_chars(datum, seed=0):
         rep = affine.reflection_char_multiset_check(datum, class_lift)
         if not rep["pass"]:
             failures.append({"lift": list(class_lift), "report": _jsonable(rep)})
-    return {
-        "suite": "chars",
-        "group": datum.label,
-        "count": cases,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return _report("chars", datum, cases, failures)
 
 
 SUITES = {
@@ -94,8 +81,6 @@ def run_suites(datum, names, seed=0, count=1000):
 
 
 def _jsonable(obj):
-    from .rationals import NEG_INF, fmt_scalar, is_finite
-
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,0 +1,114 @@
+"""Cross-check oracles that live with the tests, not in the library.
+
+`retract_closest` recomputes the retraction as the nearest dominant point
+under the W-invariant Euclidean form.  It shares nothing with
+`chamber.retract` beyond the root datum, so agreement between the two is
+an independent check.  Its per-datum tables are cached in this module.
+"""
+
+import functools
+
+from newtonstrata import dynkin, exactlinalg
+from newtonstrata.chamber import RetractionError
+from newtonstrata.rationals import Q, is_finite
+
+
+@functools.cache
+def invariant_form(datum):
+    """Gram matrix of the W-invariant form in omega-coordinates.
+
+    Bourbaki root-length normalization on each semisimple factor,
+    orthogonal identity form on the torus coordinates.
+    """
+    n, l = datum.n, datum.l
+    gram_ss = [[Q(0)] * l for _ in range(l)]
+    for f in datum.factors:
+        norms = dynkin.root_norms(f.letter, f.rank)
+        cm = dynkin.cartan_matrix(f.letter, f.rank)
+        for a in range(f.rank):
+            for b in range(f.rank):
+                # (alpha_a^vee, alpha_b^vee) = 2 C[a][b] / norm_b
+                gram_ss[f.indices[a]][f.indices[b]] = 2 * Q(cm[a][b]) / norms[b]
+    # semisimple components of the basis vectors
+    ss_parts = []
+    for i in range(n):
+        if i < l:
+            ss_parts.append(tuple(Q(int(i == k)) for k in range(l)))
+        else:
+            z = datum.central_part(
+                tuple(Q(int(i - l == t)) for t in range(n - l))
+            )
+            e = [Q(0)] * n
+            e[i] = Q(1)
+            ss_parts.append(tuple(e[k] - z[k] for k in range(l)))
+    form = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            val = sum(
+                ss_parts[i][a] * gram_ss[a][b] * ss_parts[j][b]
+                for a in range(l)
+                for b in range(l)
+                if ss_parts[i][a] and gram_ss[a][b]
+            )
+            if i >= l and j >= l:
+                val += Q(int(i == j))
+            form[i][j] = val
+    return form
+
+
+@functools.cache
+def form_duals(datum):
+    """Dual vectors v_j with B(v_j, .) = <alpha_j, .>."""
+    forminv = exactlinalg.inverse(invariant_form(datum))
+    return [exactlinalg.mat_vec(forminv, datum.root_coords(j))
+            for j in range(datum.l)]
+
+
+@functools.cache
+def kkt_solver(datum, subset):
+    """Sorted face indices and the inverse of the KKT matrix on that face."""
+    duals = form_duals(datum)
+    idx = sorted(subset)
+    mat = [[datum.root_pairing(j, duals[jp]) for jp in idx] for j in idx]
+    return idx, exactlinalg.inverse(mat) if idx else []
+
+
+def retract_closest(datum, x):
+    """Nearest dominant point under the invariant Euclidean form.
+
+    Face enumeration: for each candidate active set solve the equality
+    constrained projection and accept when the KKT conditions hold.
+    Independent of `retract` (and must agree with it).
+    """
+    if datum.l > 8:
+        raise ValueError("semisimple rank too large for face enumeration")
+    if any(not is_finite(c) for c in x):
+        raise ValueError("retract_closest needs finite coordinates")
+    x = tuple(Q(c) for c in x)
+    duals = form_duals(datum)
+    accepted = []
+    for mask in range(1 << datum.l):
+        subset = frozenset(j for j in range(datum.l) if mask >> j & 1)
+        idx, inv = kkt_solver(datum, subset)
+        b = [datum.root_pairing(j, x) for j in idx]
+        lam = [
+            -sum(inv[r][k] * b[k] for k in range(len(b))) for r in range(len(b))
+        ]
+        if any(v < 0 for v in lam):
+            continue
+        y = list(x)
+        for pos, j in enumerate(idx):
+            if lam[pos]:
+                vj = duals[j]
+                for k in range(datum.n):
+                    y[k] += lam[pos] * vj[k]
+        y = tuple(y)
+        if all(
+            datum.root_pairing(j, y) >= 0
+            for j in range(datum.l)
+            if j not in subset
+        ):
+            accepted.append(y)
+    if not accepted or any(y != accepted[0] for y in accepted):
+        raise RetractionError("KKT face enumeration did not pin a unique point")
+    return accepted[0]

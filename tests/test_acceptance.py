@@ -17,7 +17,6 @@ from newtonstrata.chamber import (
     finite_ize,
     newton_points_below,
     retract,
-    retract_closest,
     stratum_of,
 )
 from newtonstrata.rationals import NEG_INF, Q
@@ -35,6 +34,7 @@ from newtonstrata.toruseval import (
     slopes_to_coords,
 )
 from newtonstrata.verify import random_lift
+from oracles import retract_closest
 
 
 def _gcd(a, b):

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from newtonstrata import affine
 from newtonstrata.affine import (
     AffineWeylElement,
     LambdaGElement,
@@ -49,6 +52,13 @@ def test_section_gl2_half_slope():
     assert not x0.linear.is_identity()
     assert weyl_word(g, x0.linear) == [0]
     assert stabilizes_base_alcove(g, x0)
+
+
+def test_section_raises_if_base_alcove_moves(monkeypatch):
+    # a real raise, not an assert that python -O would strip
+    monkeypatch.setattr(affine, "stabilizes_base_alcove", lambda d, x: False)
+    with pytest.raises(RuntimeError):
+        section_s(build_group("GL2"), (1, 1))
 
 
 def test_section_gl3_coxeter():

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from newtonstrata import chamber
 from newtonstrata.chamber import (
     RetractionError,
     finite_ize,
@@ -13,12 +16,12 @@ from newtonstrata.chamber import (
     neg_inf_bound,
     newton_points_below,
     retract,
-    retract_closest,
     retract_exhaustive,
     stratum_of,
 )
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import build_group
+from oracles import retract_closest
 
 
 def slopes(coords):
@@ -172,7 +175,13 @@ def test_hasse_dot_output():
     assert dot.startswith("digraph") and "->" in dot
 
 
-def test_retract_properties_random():
+def _no_fallback(datum, d):
+    raise AssertionError(f"retract fell back to subset enumeration on {d!r}")
+
+
+def test_retract_properties_random(monkeypatch):
+    # the active-set path must settle every input without the safety net
+    monkeypatch.setattr(chamber, "retract_exhaustive", _no_fallback)
     rng = random.Random(23)
     for spec in ("GL3", "B2", "C3"):
         g = build_group(spec)
@@ -204,3 +213,24 @@ def test_integral_retract_is_newton():
         assert g.p_M(np.lift, np.levi) == np.point
         for j in np.levi:
             assert g.root_pairing(j, np.point) == 0
+
+
+ORACLE_GROUPS = {spec: build_group(spec) for spec in ("GL3", "B2*T1", "G2")}
+_SCALARS = st.builds(Q, st.integers(-12, 12), st.integers(1, 4))
+
+
+def _valuation_vector(spec):
+    g = ORACLE_GROUPS[spec]
+    head = st.one_of(_SCALARS, st.just(NEG_INF))
+    return st.tuples(
+        st.just(g),
+        st.tuples(*[head] * g.l, *[_SCALARS] * (g.n - g.l)),
+    )
+
+
+@given(st.sampled_from(sorted(ORACLE_GROUPS)).flatmap(_valuation_vector))
+def test_retract_agrees_with_oracles(case):
+    g, d = case
+    y, s = retract(g, d)
+    assert retract_exhaustive(g, d) == (y, s)
+    assert retract_closest(g, finite_ize(g, d)) == y

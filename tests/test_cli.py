@@ -140,8 +140,9 @@ def test_roundtrip_mu(capsys):
 
 
 def test_bad_group_exit_2(capsys):
-    code, _, err = run(capsys, "describe", "--group", "Q9")
-    assert code == 2 and "error" in err
+    for bad in ("Q9", "GL10"):
+        code, _, err = run(capsys, "describe", "--group", bad)
+        assert code == 2 and "error" in err
 
 
 def test_bad_point_exit_2(capsys):

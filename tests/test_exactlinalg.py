@@ -2,11 +2,16 @@
 
 import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from newtonstrata.exactlinalg import (
     charpoly,
     cyclotomic,
     divisors,
     euler_phi,
+    identity,
     integer_kernel,
     inverse,
     mat_mul,
@@ -90,3 +95,51 @@ def test_euler_phi():
 
 def test_mat_vec():
     assert tuple(mat_vec([[1, 2], [3, 4]], [5, 6])) == (17, 39)
+
+
+# Random small integer matrices.  The Smith-form kernel (integer_kernel)
+# is an elimination-free oracle for rank and singularity.
+
+_ENTRY = st.integers(-5, 5)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+_SQUARE = st.integers(1, 4).flatmap(lambda n: _matrix(n, n))
+_RECT = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: _matrix(*shape))
+_WIDE = st.integers(2, 4).flatmap(
+    lambda n: st.integers(1, n - 1).flatmap(lambda r: _matrix(r, n)))
+
+
+@given(_SQUARE, st.data())
+def test_inverse_and_solve_on_nonsingular(a, data):
+    n = len(a)
+    if integer_kernel(a):  # singular: covered by the test below
+        return
+    assert mat_mul(inverse(a), a) == identity(n)
+    b = data.draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    assert list(mat_vec(a, solve(a, b))) == b
+
+
+@given(_RECT)
+def test_rank_nullity_against_smith_kernel(a):
+    assert rank(a) + len(integer_kernel(a)) == len(a[0])
+
+
+@given(_WIDE, st.data())
+def test_singular_raises(a, data):
+    # append integer combinations of the rows until square: rank < n
+    n = len(a[0])
+    while len(a) < n:
+        coeffs = data.draw(st.lists(_ENTRY, min_size=len(a), max_size=len(a)))
+        a = a + [[sum(c * row[j] for c, row in zip(coeffs, a))
+                  for j in range(n)]]
+    assert integer_kernel(a)
+    with pytest.raises(ValueError):
+        inverse(a)
+    with pytest.raises(ValueError):
+        solve(a, [1] * n)

@@ -45,9 +45,15 @@ def test_gext_preset_picks_full_quotient():
 
 
 def test_parse_errors():
-    for bad in ("H3", "GL0", "Gext(E6;m=1)", "A9", "E5", ""):
+    for bad in ("H3", "GL0", "GL10", "Gext(E6;m=1)", "A9", "E5", ""):
         with pytest.raises(GroupSpecError):
             build_group(bad)
+
+
+def test_datum_takes_no_new_attributes():
+    g = build_group("GL2")
+    with pytest.raises(AttributeError):
+        g.extra_table = {}
 
 
 def test_products():
