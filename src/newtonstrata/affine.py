@@ -52,26 +52,25 @@ def translation(datum, lift):
     return AffineWeylElement(tuple(int(m) for m in lift), datum.identity_weyl())
 
 
-def _factor_tables(datum):
-    """Per-factor affine data: highest root, its coroot, simple affine roots,
-    and the interior sample point of the base alcove; built once per datum."""
-    return datum.memo("affine_tables", _build_factor_tables)
+def _affine_tables(datum):
+    """The simple affine roots and the interior sample point of the base
+    alcove; built once per datum."""
+    return datum.memo("affine_tables", _build_affine_tables)
 
 
-def _build_factor_tables(datum):
+def _build_affine_tables(datum):
     n = datum.n
-    tables = []
+    roots = []
     p0 = [Q(0)] * n
     for fidx, f in enumerate(datum.factors):
         cm = dynkin.cartan_matrix(f.letter, f.rank)
         norms = dynkin.root_norms(f.letter, f.rank)
         marks = dynkin.highest_root(cm)
-        h = sum(marks) + 1  # Coxeter number
-        theta = [0] * n
-        for a in range(f.rank):
-            col = datum.root_coords(f.indices[a])
-            for i in range(n):
-                theta[i] += marks[a] * col[i]
+        cox = sum(marks) + 1  # Coxeter number
+        theta = [
+            sum(marks[a] * datum.alpha[i][f.indices[a]] for a in range(f.rank))
+            for i in range(n)
+        ]
         theta_norm = sum(
             Q(marks[a]) * marks[b] * cm[a][b] * norms[a] / 2
             for a in range(f.rank)
@@ -83,105 +82,89 @@ def _build_factor_tables(datum):
             co = Q(marks[a]) * norms[a] / theta_norm
             assert co.denominator == 1
             theta_check[f.indices[a]] = int(co)
-        # rho^vee / (h + 1) within this factor's coroot span
+        # rho^vee / (cox + 1) within this factor's coroot span
         mat = [
             [datum.alpha[f.indices[b]][f.indices[a]] for b in range(f.rank)]
             for a in range(f.rank)
         ]
-        sol = exactlinalg.solve(mat, [Q(1, h + 1)] * f.rank)
+        sol = exactlinalg.solve(mat, [Q(1, cox + 1)] * f.rank)
         for b in range(f.rank):
             p0[f.indices[b]] += sol[b]
-        # simple affine roots: (functional coords, constant, generator id)
-        roots = [
-            (datum.root_coords(j), 0, j) for j in f.indices
-        ]
-        roots.append((tuple(-c for c in theta), 1, -(fidx + 1)))
-        tables.append(
-            {
-                "factor": f,
-                "theta": tuple(theta),
-                "theta_check": tuple(theta_check),
-                "coxeter": h,
-                "affine_roots": roots,
-            }
-        )
-    return tables, tuple(p0)
-
-
-def _generator(datum, gen_id):
-    """The affine reflection for a generator id (j >= 0 finite, -f affine)."""
-    tables, _p0 = _factor_tables(datum)
-    if gen_id >= 0:
-        return AffineWeylElement(
-            tuple([0] * datum.n), datum.simple_reflection(gen_id)
-        )
-    tab = tables[-gen_id - 1]
-    theta, theta_check = tab["theta"], tab["theta_check"]
-    n = datum.n
-    rows = []
-    for i in range(n):
-        row = [int(i == k) - theta_check[i] * theta[k] for k in range(n)]
-        rows.append(tuple(row))
-    linear = WeylElement(tuple(rows), ())
-    return AffineWeylElement(theta_check, linear)
+        # simple affine roots (lam, k, generator id, coroot h): the
+        # functional v -> <lam, v> + k and its reflection
+        # v -> v - (<lam, v> + k) h; h is e_j for a finite root
+        for j in f.indices:
+            unit = tuple(int(i == j) for i in range(n))
+            roots.append((datum.root_coords(j), 0, j, unit))
+        roots.append((tuple(-c for c in theta), 1, -(fidx + 1),
+                      tuple(-c for c in theta_check)))
+    return roots, tuple(p0)
 
 
 def simple_affine_roots(datum):
-    tables, _p0 = _factor_tables(datum)
-    return [r for tab in tables for r in tab["affine_roots"]]
+    """(lam, k, generator id, coroot h) for every simple affine root."""
+    return _affine_tables(datum)[0]
+
+
+def _reflect_rows(rows, lam, h):
+    """Left-multiply the matrix `rows` by v -> v - <lam, v> h, in place:
+    only the rows in the support of h change."""
+    lam_row = [0] * len(rows[0])
+    for c, r in zip(lam, rows):
+        if c:
+            lam_row = [a + c * b for a, b in zip(lam_row, r)]
+    for i, c in enumerate(h):
+        if c:
+            rows[i] = [a - c * b for a, b in zip(rows[i], lam_row)]
 
 
 def alcove_reduce(datum, x):
     """Left-multiply by simple affine reflections until the element carries
     the base alcove to itself.  Returns (x0, word) with x0 = prod(word) * x,
-    the word listing generator ids in application order."""
-    tables, p0 = _factor_tables(datum)
-    roots = simple_affine_roots(datum)
+    the word listing generator ids in application order.
+
+    Each reflection s(v) = v - (<lam, v> + k) h is applied by formula to
+    the sample point, to the translation and to the linear part of x.
+    """
+    roots, p0 = _affine_tables(datum)
+    point = list(x.act(p0))
+    t = list(x.translation)
+    rows = [list(r) for r in x.linear.matrix]
     word = []
-    point = x.act(p0)
-    steps = 0
     while True:
-        for lam, k, gid in roots:
-            val = sum(lam[i] * point[i] for i in range(datum.n) if lam[i]) + k
+        for lam, k, gid, h in roots:
+            val = sum(c * p for c, p in zip(lam, point) if c) + k
             if val < 0:
-                refl = _generator(datum, gid)
-                x = refl * x
-                point = refl.act(point)
+                shift = sum(c * s for c, s in zip(lam, t) if c) + k
+                for i, c in enumerate(h):
+                    if c:
+                        point[i] -= val * c
+                        t[i] -= shift * c
+                _reflect_rows(rows, lam, h)
                 word.append(gid)
-                steps += 1
                 break
             if val == 0:
                 raise RuntimeError("sample point hit an affine wall")
         else:
             break
-        if steps >= 100000:
+        if len(word) >= 100000:
             raise RuntimeError("alcove reduction failed to terminate")
-    return x, word
+    linear = WeylElement(tuple(tuple(r) for r in rows), ())
+    return AffineWeylElement(tuple(t), linear), word
 
 
 def stabilizes_base_alcove(datum, x):
-    """True iff x permutes the set of simple affine roots."""
+    """True iff x permutes the set of simple affine roots, tested on the
+    roots pulled back along x: (lam, k) -> (lam o linear, <lam, t> + k)."""
     roots = simple_affine_roots(datum)
-    keyset = {(lam, k) for lam, k, _g in roots}
-    w = x.linear.matrix
-    n = datum.n
-    # functional transport: (lam, k) -> (lam o x^{-1}) needs x^{-1}
-    inv_lin = exactlinalg.inverse([list(r) for r in w])
-    for lam, k, _g in roots:
-        new_lam = tuple(
-            sum(lam[i] * inv_lin[i][j] for i in range(n)) for j in range(n)
-        )
-        shift = sum(
-            lam[i] * sum(inv_lin[i][j] * x.translation[j] for j in range(n))
-            for i in range(n)
-        )
-        new_k = k - shift
-        if any(c.denominator != 1 for c in new_lam) or new_k.denominator != 1:
-            return False
-        key = (tuple(int(c) for c in new_lam), int(new_k))
-        if key not in keyset:
-            return False
-    return True
+    rows, t = x.linear.matrix, x.translation
+    pulled = {
+        (tuple(sum(c * r[j] for c, r in zip(lam, rows) if c)
+               for j in range(datum.n)),
+         sum(c * s for c, s in zip(lam, t) if c) + k)
+        for lam, k, _g, _h in roots
+    }
+    return pulled == {(lam, k) for lam, k, _g, _h in roots}
 
 
 def section_s(datum, nu):
@@ -201,21 +184,30 @@ def w_nu(datum, nu):
 
 
 def weyl_word(datum, w):
-    """Express a Weyl element as a product of simple reflections."""
-    _tables, p0 = _factor_tables(datum)
+    """Express a Weyl element as a product of simple reflections.
+
+    Descends the image of the base-alcove point to the dominant chamber,
+    applying each s_j to a copy of w as an update of row j; w is a Weyl
+    group element exactly when the descended matrix is the identity.
+    """
+    _roots, p0 = _affine_tables(datum)
+    n = datum.n
+    point = list(w.act(p0))
+    rows = [list(r) for r in w.matrix]
     word = []
-    cur = w
-    point = cur.act(p0)
-    while not cur.is_identity():
+    while True:
         for j in range(datum.l):
-            if datum.root_pairing(j, point) < 0:
-                s = datum.simple_reflection(j)
-                cur = s * cur
-                point = s.act(point)
+            p = datum.root_pairing(j, point)
+            if p < 0:
+                point[j] -= p  # s_j in coordinates
+                _reflect_rows(rows, datum.root_coords(j),
+                              [int(i == j) for i in range(n)])
                 word.append(j)
                 break
         else:
-            raise RuntimeError("descent failed: not a Weyl group element")
+            break
+    if rows != [[int(i == k) for k in range(n)] for i in range(n)]:
+        raise RuntimeError("descent failed: not a Weyl group element")
     return word
 
 

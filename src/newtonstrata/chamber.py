@@ -167,6 +167,8 @@ def newton_points_below(datum, mu, guard=10**6):
     pinched between the central part of mu and mu itself.
     """
     point = mu.point if isinstance(mu, NewtonPoint) else tuple(Q(c) for c in mu)
+    if is_newton_point(datum, point) is None:
+        raise ValueError(f"mu {fmt_point(point)} is not a Newton point")
     z = datum.central_part(point[datum.l:])
     lo = [qceil(z[i]) for i in range(datum.l)]
     hi = [qfloor(point[i]) for i in range(datum.l)]

@@ -8,7 +8,7 @@ import sys
 
 from . import affine, chamber, strata, toruseval, verify
 from .rationals import NEG_INF, Q, fmt_point, fmt_scalar, parse_point
-from .rootdata import GroupSpecError, build_group
+from .rootdata import GroupSpecError, OrbitGuardError, build_group
 
 _GLN = re.compile(r"^GL(\d+)$")
 
@@ -47,8 +47,26 @@ def _text_lines(obj, prefix):
         yield f"{prefix}{obj}"
 
 
-def _parse_integral(s):
-    return tuple(int(c) for c in s.split(","))
+def _parse_integral(datum, s, flag):
+    try:
+        lift = tuple(int(c) for c in s.split(","))
+    except ValueError:
+        lift = None
+    if lift is None or len(lift) != datum.n:
+        raise ValueError(f"{flag} must be an integral lift ({datum.n}"
+                         f" comma-separated integers), got {s!r}")
+    return lift
+
+
+def _newton_point(datum, s, flag):
+    """Parse a point and certify it as a Newton point of the datum."""
+    point = parse_point(s)
+    np = None
+    if len(point) == datum.n and NEG_INF not in point:
+        np = chamber.is_newton_point(datum, point)
+    if np is None:
+        raise ValueError(f"{flag} {s} is not a Newton point of {datum.label}")
+    return np
 
 
 def cmd_describe(datum, args):
@@ -88,21 +106,21 @@ def cmd_stratum(datum, args):
 
 
 def cmd_conditions(datum, args):
-    mu = parse_point(args.mu)
+    mu = _newton_point(datum, args.mu, "--mu")
     conds = strata.stratum_conditions(datum, mu, closed=args.closed)
     _emit(args, conds.to_json())
     return 0
 
 
 def cmd_dim(datum, args):
-    mu = parse_point(args.mu)
+    mu = _newton_point(datum, args.mu, "--mu")
     _emit(args, {"dim": strata.dim_leq(datum, mu)})
     return 0
 
 
 def cmd_codim(datum, args):
-    nu = parse_point(args.nu)
-    mu = parse_point(args.mu)
+    nu = _newton_point(datum, args.nu, "--nu")
+    mu = _newton_point(datum, args.mu, "--mu")
     if args.chai:
         c = strata.codim_chai(datum, nu, mu)
     else:
@@ -112,7 +130,7 @@ def cmd_codim(datum, args):
 
 
 def cmd_newton_points(datum, args):
-    mu = parse_point(args.mu)
+    mu = _newton_point(datum, args.mu, "--mu")
     points = chamber.newton_points_below(datum, mu)
     if args.dot:
         print(chamber.hasse_dot(datum, points))
@@ -122,7 +140,7 @@ def cmd_newton_points(datum, args):
 
 
 def cmd_defect(datum, args):
-    nu = _parse_integral(args.nu)
+    nu = _parse_integral(datum, args.nu, "--nu")
     rep = affine.verify_defect_identity(datum, nu)
     payload = {
         "nu": rep["nu"],
@@ -230,7 +248,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(datum, args)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, OrbitGuardError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -57,7 +57,7 @@ def root_norms(letter, l):
 
 
 def cartan_matrix(letter, l):
-    """l x l integer matrix C[i][j] = <alpha_j, alpha_i^vee>."""
+    """The l x l integer Cartan matrix, in the convention stated above."""
     lo, hi = RANK_BOUNDS[letter]
     if not lo <= l <= hi:
         raise ValueError(f"rank {l} out of range for type {letter}")

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from .chamber import NewtonPoint, is_newton_point, stratum_of  # noqa: F401
-from .rationals import NEG_INF, Q, fmt_scalar, frac_part, qceil, qfloor
+from .rationals import NEG_INF, Q, fmt_point, fmt_scalar, frac_part, qceil, qfloor
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ def stratum_conditions(datum, mu, closed):
         else:
             rels.append((i, "==", point[i]))
     mu_np = mu if isinstance(mu, NewtonPoint) else is_newton_point(datum, point)
+    if mu_np is None:
+        raise ValueError(f"mu {fmt_point(point)} is not a Newton point")
     return StratumConditions(mu_np, closed, tuple(rels))
 
 

@@ -5,7 +5,6 @@ valuation convention is val(pi) = -1, val(0) = -inf, so the valuation of
 a sum is the negated minimum exponent.
 """
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -39,10 +38,6 @@ class LaurentPoly:
 
     def is_monomial(self):
         return len(self.terms) == 1
-
-    @property
-    def denominator(self):
-        return math.lcm(*(v.denominator for v in self.terms))
 
     def val(self):
         """-min exponent, or -inf for zero."""
@@ -111,10 +106,6 @@ class TorusPoint:
             if not v.is_monomial():
                 raise ValueError("torus coordinates must be monomials")
 
-    @property
-    def denominator(self):
-        return math.lcm(*(v.denominator for v in self.values))
-
 
 _TOKEN = re.compile(
     r"^\s*(?P<c>-?\d+(?:/\d+)?)\s*\*\s*pi\^\(?(?P<v>-?\d+(?:/\d+)?)\)?\s*$"
@@ -133,12 +124,15 @@ def parse_torus_point(s):
 
 
 def eval_char(datum, lam, a):
-    """Value of the character with omega-coordinates lam at a (a monomial)."""
-    out = LaurentPoly.one()
-    for i, c in enumerate(lam):
-        if c:
-            out = out * a.values[i].power(int(c))
-    return out
+    """Value of the character with omega-coordinates lam at a: the monomial
+    prod_i c_i^lam_i * pi^(sum_i lam_i v_i) for a_i = c_i * pi^v_i."""
+    coeff, exp = Q(1), Q(0)
+    for k, x in zip(lam, a.values):
+        if k:
+            ((v, c),) = x.terms.items()
+            coeff *= c ** int(k)
+            exp += k * v
+    return LaurentPoly.monomial(coeff, exp)
 
 
 def nu_a(datum, a):
@@ -146,19 +140,26 @@ def nu_a(datum, a):
     return tuple(-next(iter(v.terms)) for v in a.values)
 
 
+def _orbit_sums(datum, a, guard):
+    """The orbit-sum coordinates at a, each orbit walked once, and for each
+    coordinate whether a single orbit term has the least exponent before
+    cancellation (the torus coordinates count as single terms)."""
+    values, unique = list(a.values), [True] * datum.n
+    for i in range(datum.l):
+        omega = tuple(int(i == k) for k in range(datum.n))
+        terms, exps = {}, []
+        for lam in datum.weyl_orbit(omega, guard=guard):
+            ((v, c),) = eval_char(datum, lam, a).terms.items()
+            terms[v] = terms.get(v, 0) + c
+            exps.append(v)
+        values[i] = LaurentPoly(terms)
+        unique[i] = exps.count(min(exps)) == 1
+    return values, tuple(v.val() for v in values), unique
+
+
 def eval_c(datum, a, guard=10**6):
     """Values of the symmetric-orbit coordinates and their valuation vector."""
-    values = []
-    for i in range(datum.n):
-        if i >= datum.l:
-            values.append(a.values[i])
-            continue
-        omega = tuple(int(i == k) for k in range(datum.n))
-        total = LaurentPoly()
-        for lam in sorted(datum.weyl_orbit(omega, guard=guard)):
-            total = total + eval_char(datum, lam, a)
-        values.append(total)
-    d_c = tuple(v.val() for v in values)
+    values, d_c, _unique = _orbit_sums(datum, a, guard)
     return values, d_c
 
 
@@ -166,32 +167,18 @@ def check_thm_rnu(datum, a, guard=10**6):
     """End-to-end check: the retraction of the valuation vector of the orbit
     sums equals the dominant representative of nu_a, with the expected
     inequalities and strictness pattern."""
-    values, d_c = eval_c(datum, a, guard=guard)
+    _values, d_c, unique = _orbit_sums(datum, a, guard)
     y, _face = retract(datum, d_c)
-    nu = nu_a(datum, a)
-    dom, _w = datum.dominant_rep(nu)
+    dom, _w = datum.dominant_rep(nu_a(datum, a))
     imu = index_set(datum, dom)
-    ineq_ok = True
-    strict_ok = True
-    for i in range(datum.n):
-        bound = dom[i]
-        v = d_c[i]
-        if v is not NEG_INF and v > bound:
-            ineq_ok = False
-        if i >= datum.l or i not in imu:
-            if v != bound:
-                ineq_ok = False
+    # d_c <= dom, with equality off the face (imu holds indices < l only)
+    ineq_ok = all(
+        (v is NEG_INF or v <= dom[i]) and (i in imu or v == dom[i])
+        for i, v in enumerate(d_c)
+    )
     # strictness: away from the face, a unique orbit term attains the max
-    for i in range(datum.l):
-        if i in imu:
-            continue
-        omega = tuple(int(i == k) for k in range(datum.n))
-        pairings = [
-            datum.pair(lam, nu) for lam in datum.weyl_orbit(omega, guard=guard)
-        ]
-        top = max(pairings)
-        if sum(1 for p in pairings if p == top) != 1:
-            strict_ok = False
+    # of <lam, nu_a>, i.e. the least exponent
+    strict_ok = all(unique[i] for i in range(datum.l) if i not in imu)
     ok = y == dom and ineq_ok and strict_ok
     return {
         "d_c": d_c,

@@ -4,13 +4,19 @@
 under the W-invariant Euclidean form.  It shares nothing with
 `chamber.retract` beyond the root datum, so agreement between the two is
 an independent check.  Its per-datum tables are cached in this module.
+
+`affine_generator` builds a simple affine reflection as a full
+(translation, matrix) element, with the affine coroot taken from the same
+invariant form instead of from the library's affine tables.
 """
 
 import functools
 
 from newtonstrata import dynkin, exactlinalg
+from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import RetractionError
 from newtonstrata.rationals import Q, is_finite
+from newtonstrata.rootdata import WeylElement
 
 
 @functools.cache
@@ -112,3 +118,34 @@ def retract_closest(datum, x):
     if not accepted or any(y != accepted[0] for y in accepted):
         raise RetractionError("KKT face enumeration did not pin a unique point")
     return accepted[0]
+
+
+def affine_generator(datum, gid):
+    """The simple affine reflection with generator id gid (j >= 0 the
+    finite s_j, -f the affine reflection of factor f) as a full element.
+
+    For the highest root theta of the factor, with dual v under the
+    invariant form, theta^vee = 2 v / <theta, v>; the reflection is
+    x -> x - <theta, x> theta^vee + theta^vee.
+    """
+    n = datum.n
+    if gid >= 0:
+        return AffineWeylElement((0,) * n, datum.simple_reflection(gid))
+    f = datum.factors[-gid - 1]
+    marks = dynkin.highest_root(dynkin.cartan_matrix(f.letter, f.rank))
+    duals = form_duals(datum)
+    theta = [
+        sum(m * datum.alpha[i][j] for m, j in zip(marks, f.indices))
+        for i in range(n)
+    ]
+    v = [sum(m * duals[j][i] for m, j in zip(marks, f.indices))
+         for i in range(n)]
+    scale = 2 / sum(t * x for t, x in zip(theta, v))
+    theta_check = [scale * x for x in v]
+    assert all(c.denominator == 1 for c in theta_check)
+    theta_check = tuple(int(c) for c in theta_check)
+    rows = tuple(
+        tuple(int(i == k) - theta_check[i] * theta[k] for k in range(n))
+        for i in range(n)
+    )
+    return AffineWeylElement(theta_check, WeylElement(rows, ()))

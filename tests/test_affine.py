@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newtonstrata import affine
 from newtonstrata.affine import (
@@ -21,9 +23,10 @@ from newtonstrata.affine import (
     weyl_word,
 )
 from newtonstrata.rationals import Q
-from newtonstrata.rootdata import build_group
+from newtonstrata.rootdata import WeylElement, build_group
 from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
+from oracles import affine_generator
 
 
 def _gcd(a, b):
@@ -52,6 +55,7 @@ def test_section_gl2_half_slope():
     assert not x0.linear.is_identity()
     assert weyl_word(g, x0.linear) == [0]
     assert stabilizes_base_alcove(g, x0)
+    assert not stabilizes_base_alcove(g, translation(g, (1, 0)))
 
 
 def test_section_raises_if_base_alcove_moves(monkeypatch):
@@ -218,3 +222,51 @@ def test_lambda_g_element():
     g = build_group("GL3")
     nu = LambdaGElement.from_lift(g, (5, -2, 7))
     assert nu.class_coords == (7,)
+
+
+FORMULA_GROUPS = {s: build_group(s) for s in ("GL4", "Gext(D4)", "B2*A1")}
+
+
+def _lift(g):
+    return st.tuples(st.just(g), st.lists(
+        st.integers(-6, 6), min_size=g.n, max_size=g.n).map(tuple))
+
+
+@given(st.sampled_from(sorted(FORMULA_GROUPS)).map(FORMULA_GROUPS.get)
+       .flatmap(_lift))
+def test_alcove_reduce_matches_generator_products(case):
+    # x0 = (product of the full generator matrices over the word) * t_lift
+    g, lift = case
+    x0, word = alcove_reduce(g, translation(g, lift))
+    x = translation(g, lift)
+    for gid in word:
+        x = affine_generator(g, gid) * x
+    assert x0.translation == x.translation
+    assert x0.linear.matrix == x.linear.matrix
+    assert stabilizes_base_alcove(g, x0)
+
+
+def _word(g):
+    return st.tuples(st.just(g), st.lists(st.integers(0, g.l - 1),
+                                          max_size=12))
+
+
+@given(st.sampled_from(sorted(FORMULA_GROUPS)).map(FORMULA_GROUPS.get)
+       .flatmap(_word))
+def test_weyl_word_reproduces_element(case):
+    g, word = case
+    w = g.identity_weyl()
+    for j in word:
+        w = w * g.simple_reflection(j)
+    found = weyl_word(g, w)
+    prod = g.identity_weyl()
+    for j in found:
+        prod = prod * g.simple_reflection(j)
+    assert prod.matrix == w.matrix
+    assert len(found) <= len(word)  # descent gives a reduced word
+
+
+def test_weyl_word_rejects_non_weyl_matrix():
+    g = build_group("GL2")
+    with pytest.raises(RuntimeError):
+        weyl_word(g, WeylElement(((2, 0), (0, 2)), ()))

@@ -144,6 +144,14 @@ def test_newton_points_below_gl4():
     assert {p.point for p in pts} == expect
 
 
+def test_newton_points_below_rejects_non_newton_mu():
+    g = build_group("GL3")
+    # not dominant; dominant but off the lattice away from its face
+    for mu in ((Q(0), Q(5), Q(1)), (Q(2, 3), Q(1), Q(1))):
+        with pytest.raises(ValueError):
+            newton_points_below(g, mu)
+
+
 def test_newton_points_below_central():
     g = build_group("GL2")
     mu = (Q(1), Q(2))  # slopes (1,1): central

@@ -154,3 +154,26 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["retract", "--group", "GL2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, needle", [
+    # an enumeration box over its size guard
+    (("newton-points", "--group", "A8", "--mu", "30,30,30,30,30,30,30,30"),
+     "guard"),
+    # points that are not Newton points
+    (("newton-points", "--group", "GL3", "--mu", "0,5,1"), "--mu"),
+    (("dim", "--group", "GL2", "--mu=-1/2,1"), "--mu"),
+    (("dim", "--group", "GL2", "--mu", "1,1,1"), "--mu"),
+    (("conditions", "--group", "GL2", "--mu", "1/3,1"), "--mu"),
+    (("codim", "--group", "GL2", "--nu", "0,1", "--mu", "1/3,1"), "--nu"),
+    (("codim", "--group", "GL2", "--nu", "1/2,1", "--mu", "1/3,1",
+      "--chai"), "--mu"),
+    # lifts that are not integral vectors of the right length
+    (("defect", "--group", "GL3", "--nu", "0,0,1/2"), "--nu"),
+    (("defect", "--group", "GL3", "--nu", "0,1"), "--nu"),
+])
+def test_bad_input_exit_2(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err and "Traceback" not in err

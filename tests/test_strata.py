@@ -56,6 +56,13 @@ def test_conditions_closed_vs_open():
     assert closed_sys.accepts((Q(1), Q(3), Q(3)))
 
 
+def test_conditions_reject_non_newton_mu():
+    g = build_group("GL2")
+    for mu in ((Q(1, 3), Q(1)), (Q(-1, 2), Q(1))):
+        with pytest.raises(ValueError):
+            stratum_conditions(g, mu, closed=False)
+
+
 def test_accepts_neg_inf():
     g = build_group("GL2")
     half = stratum_conditions(g, (Q(1, 2), Q(1)), closed=False)

@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newtonstrata.chamber import retract
 from newtonstrata.rationals import NEG_INF, Q
-from newtonstrata.rootdata import build_group
+from newtonstrata.rootdata import RootDatum, build_group
+from newtonstrata.strata import index_set
 from newtonstrata.toruseval import (
     LaurentPoly,
+    TorusPoint,
     check_thm_rnu,
     classical_newton_slopes,
     coords_to_slopes,
@@ -182,8 +186,6 @@ def test_nu_a_homomorphism():
         a = random_torus_point(g, rng, denominator=2)
         b = random_torus_point(g, rng, denominator=2)
         ab_vals = tuple(x * y for x, y in zip(a.values, b.values))
-        from newtonstrata.toruseval import TorusPoint
-
         ab = TorusPoint(ab_vals)
         assert nu_a(g, ab) == tuple(
             x + y for x, y in zip(nu_a(g, a), nu_a(g, b))
@@ -197,3 +199,64 @@ def test_random_suites_small():
         g = build_group(spec)
         rep = suite_rnu(g, seed=42, count=50)
         assert rep["pass"], rep["failures"][:1]
+
+
+ORBIT_GROUPS = {s: build_group(s) for s in ("GL3", "B2", "G2", "B2*T1")}
+
+
+def _torus_point(g):
+    # coefficients +-1, +-2 make orbit terms cancel; denominators 1 to 3
+    def build(den):
+        coord = st.builds(lambda c, p: mono(c, Q(p, den)),
+                          st.sampled_from((1, -1, 2, -2)),
+                          st.integers(-3 * den, 3 * den))
+        return st.tuples(*[coord] * g.n).map(TorusPoint)
+    return st.tuples(st.just(g), st.integers(1, 3).flatmap(build))
+
+
+@given(st.sampled_from(sorted(ORBIT_GROUPS)).map(ORBIT_GROUPS.get)
+       .flatmap(_torus_point))
+def test_eval_c_matches_plain_orbit_sums(case):
+    g, a = case
+    values, d_c = eval_c(g, a)
+    nu = nu_a(g, a)
+    strict = []
+    for i in range(g.l):
+        omega = tuple(int(i == k) for k in range(g.n))
+        total = LaurentPoly()
+        for lam in g.weyl_orbit(omega):
+            term = eval_char(g, lam, a)
+            # lam(a) as a product of powers of the coordinates of a
+            prod = LaurentPoly.one()
+            for k, x in zip(lam, a.values):
+                prod = prod * x.power(k)
+            assert term == prod
+            total = total + term
+        assert values[i] == total
+        pairings = [g.pair(lam, nu) for lam in g.weyl_orbit(omega)]
+        strict.append(pairings.count(max(pairings)) == 1)
+    assert values[g.l:] == list(a.values[g.l:])
+    assert d_c == tuple(v.val() for v in values)
+    # strictness: a unique orbit term maximizes <lam, nu_a> off the face
+    rep = check_thm_rnu(g, a)
+    face = index_set(g, rep["nu_dominant"])
+    assert rep["strict_max_unique"] == all(
+        strict[i] for i in range(g.l) if i not in face)
+
+
+def test_check_thm_rnu_walks_each_orbit_once(monkeypatch):
+    g = build_group("GL4")
+    # nu_a = (3, 5, 6, 6): slopes (3, 2, 1, 0), regular, so the face is empty
+    a = parse_torus_point("1*pi^(-3),-1*pi^(-5),2*pi^(-6),1*pi^(-6)")
+    calls = []
+    walk = RootDatum.weyl_orbit
+
+    def counted(self, lam, guard=10**6):
+        calls.append(lam)
+        return walk(self, lam, guard=guard)
+
+    monkeypatch.setattr(RootDatum, "weyl_orbit", counted)
+    rep = check_thm_rnu(g, a)
+    assert rep["pass"]
+    assert index_set(g, rep["nu_dominant"]) == frozenset()
+    assert len(calls) == g.l
