@@ -5,9 +5,11 @@ with p_M(d') = y and d' <= y, where M is the Levi attached to the face of
 y and d' is the finite-ization of d.
 """
 
+import itertools
 from dataclasses import dataclass
 
-from .rationals import NEG_INF, Q, fmt_point, is_finite, qfloor, qceil
+from .rationals import (
+    NEG_INF, Q, fmt_point, is_finite, qceil, qfloor, scale_to_ints)
 from .rootdata import OrbitGuardError
 
 
@@ -164,67 +166,85 @@ def newton_points_below(datum, mu, guard=10**6):
     """All Newton points nu <= mu, each with certificate.
 
     Box enumeration: the dominant points below mu are coordinatewise
-    pinched between the central part of mu and mu itself.
+    pinched between the central part of mu and mu itself.  For each face S
+    and each integral m in the box (zero on S), nu = p_M(m) is tested on
+    ints: with the solver adj / D of S, D nu is an integer vector.  An
+    accepted nu has face exactly S, so it is found under one S only.
     """
     point = mu.point if isinstance(mu, NewtonPoint) else tuple(Q(c) for c in mu)
     if is_newton_point(datum, point) is None:
         raise ValueError(f"mu {fmt_point(point)} is not a Newton point")
-    z = datum.central_part(point[datum.l:])
-    lo = [qceil(z[i]) for i in range(datum.l)]
-    hi = [qfloor(point[i]) for i in range(datum.l)]
+    l = datum.l
+    z = datum.central_part(point[l:])
+    lo = [qceil(z[i]) for i in range(l)]
+    hi = [qfloor(point[i]) for i in range(l)]
+    base = [0] * l + [int(c) for c in point[l:]]
     found = {}
-    for mask in range(1 << datum.l):
-        subset = frozenset(j for j in range(datum.l) if mask >> j & 1)
-        free = [i for i in range(datum.l) if i not in subset]
+    for mask in range(1 << l):
+        subset = frozenset(j for j in range(l) if mask >> j & 1)
+        free = [i for i in range(l) if i not in subset]
         total = 1
         for i in free:
             total *= max(0, hi[i] - lo[i] + 1)
             if total > guard:
                 raise OrbitGuardError(
                     f"lattice enumeration exceeds guard {guard}")
-        def rec(pos, m):
-            if pos == len(free):
-                nu = datum.p_M(tuple(m), subset)
-                if nu in found:
-                    return
-                if any(
-                    datum.root_pairing(j, nu) <= 0
-                    for j in range(datum.l)
-                    if j not in subset
-                ):
-                    return
-                if not datum.leq(nu, point):
-                    return
-                np = NewtonPoint(nu, subset, tuple(m))
-                assert all(datum.root_pairing(j, nu) == 0 for j in subset)
-                found[nu] = np
-            else:
-                i = free[pos]
-                for val in range(lo[i], hi[i] + 1):
-                    m[i] = val
-                    rec(pos + 1, m)
-                m[i] = 0
-        base = [0] * datum.l + [int(c) for c in point[datum.l:]]
-        rec(0, base)
+        idx, adj, den = datum.pm_solver(subset)
+        # nu <= mu on the face; off it nu_i = m_i <= floor(mu_i) by the box
+        caps = [qfloor(den * point[j]) for j in idx]
+        off = [j for j in range(l) if j not in subset]
+        for vals in itertools.product(
+                *(range(lo[i], hi[i] + 1) for i in free)):
+            m = base[:]
+            for i, v in zip(free, vals):
+                m[i] = v
+            b = [datum.root_pairing(j, m) for j in idx]
+            dc = [sum(a * v for a, v in zip(row, b)) for row in adj]
+            if any(-c > cap for c, cap in zip(dc, caps)):
+                continue
+            dnu = [den * v for v in m]
+            for j, c in zip(idx, dc):
+                dnu[j] = -c
+            if any(datum.root_pairing(j, dnu) <= 0 for j in off):
+                continue
+            if any(datum.root_pairing(j, dnu) for j in idx):
+                raise RuntimeError(
+                    f"p_M({m!r}) leaves the face {sorted(subset)}")
+            nu = list(m)
+            for j, c in zip(idx, dc):
+                nu[j] = Q(-c, den)
+            nu = tuple(nu)
+            if nu in found:
+                raise RuntimeError(f"{fmt_point(nu)} found under two faces")
+            found[nu] = NewtonPoint(nu, subset, tuple(m))
     return sorted(found.values(), key=lambda np: tuple(np.point))
 
 
 def hasse(datum, points):
-    """Covering relations of <= on a list of NewtonPoints (index pairs)."""
+    """Covering relations of <= on a list of NewtonPoints (index pairs).
+
+    The points are compared as int tuples over one common denominator; b
+    covers a when a < b and nothing lies strictly between them.
+    """
     pts = [p.point if isinstance(p, NewtonPoint) else tuple(p) for p in points]
-    order = [
-        (a, b)
+    n, l = datum.n, datum.l
+    _den, flat = scale_to_ints([c for p in pts for c in p])
+    heads = [flat[k:k + l] for k in range(0, len(flat), n)]
+    tails = [flat[k + l:k + n] for k in range(0, len(flat), n)]
+    above = [
+        {b for b in range(len(pts))
+         if b != a and tails[b] == tails[a]
+         and all(u <= v for u, v in zip(heads[a], heads[b]))}
         for a in range(len(pts))
-        for b in range(len(pts))
-        if a != b and datum.leq(pts[a], pts[b])
     ]
-    rel = set(order)
-    edges = []
-    for a, b in order:
-        if not any((a, c) in rel and (c, b) in rel for c in range(len(pts))
-                   if c != a and c != b):
-            edges.append((a, b))
-    return sorted(edges)
+    below = [set() for _ in pts]
+    for a, ups in enumerate(above):
+        for b in ups:
+            below[b].add(a)
+    return sorted(
+        (a, b) for a, ups in enumerate(above) for b in ups
+        if above[a].isdisjoint(below[b])
+    )
 
 
 def hasse_dot(datum, points, edges=None):

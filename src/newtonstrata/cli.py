@@ -155,8 +155,9 @@ def cmd_defect(datum, args):
 
 def cmd_dg(datum, args):
     nu = parse_point(args.nu)
-    if any(c is NEG_INF for c in nu):
-        raise ValueError("dg needs finite coordinates")
+    if len(nu) != datum.n or NEG_INF in nu:
+        raise ValueError(f"--nu must be {datum.n} finite comma-separated"
+                         f" coordinates, got {args.nu!r}")
     _emit(args, {"d_G": fmt_scalar(strata.d_G(datum, nu))})
     return 0
 
@@ -176,6 +177,8 @@ def cmd_eval(datum, args):
 
 
 def cmd_verify(datum, args):
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = verify.run_suites(datum, names, seed=args.seed, count=args.count)
     ok = all(r["pass"] for r in reports)

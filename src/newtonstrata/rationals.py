@@ -1,5 +1,6 @@
 """Exact rational scalars, extended by a -infinity element for valuations."""
 
+import math
 from fractions import Fraction as Q
 
 
@@ -44,6 +45,13 @@ def qfloor(x):
 
 def qceil(x):
     return -((-x.numerator) // x.denominator)
+
+
+def scale_to_ints(xs):
+    """(L, [L*x for x in xs]): L is the lcm of the denominators of the
+    rationals xs, so every L*x is an int."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def frac_part(x):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import dynkin, exactlinalg
-from .rationals import NEG_INF, Q, is_finite
+from .rationals import NEG_INF, Q, is_finite, scale_to_ints
 
 
 class GroupSpecError(ValueError):
@@ -71,8 +71,7 @@ class RootDatum:
 
     __slots__ = (
         "n", "l", "alpha", "factors", "label", "_root_support",
-        "_pm_cache", "_refl_cache", "_central_solver", "_central_cache",
-        "_memo",
+        "_pm_cache", "_refl_cache", "_central_cache", "_memo",
     )
 
     def __init__(self, n, l, alpha, factors, label=""):
@@ -87,9 +86,8 @@ class RootDatum:
                   if self.alpha[i][j])
             for j in range(self.l)
         )
-        self._pm_cache = {}  # Levi subset -> (indices, inverse Cartan block)
+        self._pm_cache = {}  # Levi subset -> pm_solver(subset)
         self._refl_cache = {}  # j -> simple reflection s_j
-        self._central_solver = None  # inverse of the semisimple Cartan block
         self._central_cache = {}  # torus coordinates -> central point
         self._memo = {}  # key -> table built by `memo`
 
@@ -227,14 +225,27 @@ class RootDatum:
 
     # -- Levi projections --------------------------------------------------
 
-    def _pm_solver(self, subset):
-        inv = self._pm_cache.get(subset)
-        if inv is None:
+    def pm_solver(self, subset):
+        """(idx, adj, den) for a frozenset of simple roots: the sorted indices
+        and the inverse of the Cartan block on them as adj / den, with adj an
+        integer matrix and den the lcm of the denominators of the inverse."""
+        solver = self._pm_cache.get(subset)
+        if solver is None:
             idx = sorted(subset)
             mat = [[self.alpha[jj][j] for jj in idx] for j in idx]
-            inv = (idx, exactlinalg.inverse(mat)) if idx else (idx, [])
-            self._pm_cache[subset] = inv
-        return inv
+            inv = exactlinalg.inverse(mat) if idx else []
+            den, flat = scale_to_ints([c for row in inv for c in row])
+            k = len(idx)
+            adj = [flat[r * k:(r + 1) * k] for r in range(k)]
+            solver = self._pm_cache[subset] = (idx, adj, den)
+        return solver
+
+    def _pm_solve(self, subset, b, scale):
+        """c with (Cartan block on subset) c = b / scale for an integer
+        vector b: adj.b on ints, one division per coefficient."""
+        _idx, adj, den = self.pm_solver(subset)
+        return [Q(sum(a * v for a, v in zip(row, b)), den * scale)
+                for row in adj]
 
     def p_M(self, x, subset):
         """Projection onto the Levi center directions: the W_M-orbit average."""
@@ -249,9 +260,10 @@ class RootDatum:
         subset = frozenset(subset)
         if not subset:
             return tuple(x), {}
-        idx, inv = self._pm_solver(subset)
-        b = [self.root_pairing(j, x) for j in idx]
-        c = [sum(inv[r][k] * b[k] for k in range(len(b))) for r in range(len(b))]
+        idx = self.pm_solver(subset)[0]
+        scale, ints = scale_to_ints(x)
+        c = self._pm_solve(
+            subset, [self.root_pairing(j, ints) for j in idx], scale)
         y = list(x)
         for pos, j in enumerate(idx):
             y[j] -= c[pos]
@@ -265,19 +277,16 @@ class RootDatum:
         cached = self._central_cache.get(key)
         if cached is not None:
             return cached
-        if self._central_solver is None:
-            mat = [[self.alpha[i][j] for i in range(self.l)] for j in range(self.l)]
-            self._central_solver = exactlinalg.inverse(mat)
-        inv = self._central_solver
+        scale, ints = scale_to_ints(torus_coords)
         rhs = [
             -sum(
-                self.alpha[i][j] * torus_coords[i - self.l]
+                self.alpha[i][j] * ints[i - self.l]
                 for i in range(self.l, self.n)
                 if self.alpha[i][j]
             )
             for j in range(self.l)
         ]
-        g = [sum(inv[r][k] * rhs[k] for k in range(self.l)) for r in range(self.l)]
+        g = self._pm_solve(frozenset(range(self.l)), rhs, scale)
         out = tuple(g) + tuple(torus_coords)
         self._central_cache[key] = out
         return out
@@ -287,11 +296,16 @@ class RootDatum:
 
         Returns (datum, to_levi, from_levi): the retained simple roots are
         reindexed to come first (in their original relative order), the
-        omega-basis is unchanged up to that permutation.
+        omega-basis is unchanged up to that permutation.  The triple is
+        built once per subset and shared; the datum is immutable.
         """
-        subset = sorted(set(subset))
+        subset = tuple(sorted(set(subset)))
         if any(not 0 <= j < self.l for j in subset):
             raise ValueError("invalid Levi subset")
+        return self.memo(("levi", subset), lambda d: d._build_levi(subset))
+
+    def _build_levi(self, subset):
+        subset = list(subset)
         rest = [i for i in range(self.n) if i not in subset]
         perm = subset + rest  # new position -> old index
         alpha = [

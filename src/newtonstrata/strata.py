@@ -72,7 +72,8 @@ def codim(datum, nu, mu):
     if not datum.leq(nu_pt, mu_pt):
         raise ValueError("codim requires nu <= mu")
     c = dim_leq(datum, mu) - dim_leq(datum, nu)
-    assert c >= 0
+    if c < 0:
+        raise RuntimeError(f"negative codimension {c} for nu <= mu")
     return c
 
 
@@ -86,7 +87,7 @@ def codim_chai(datum, nu, mu):
     mu_pt = mu.point if isinstance(mu, NewtonPoint) else tuple(Q(c) for c in mu)
     if any(Q(c).denominator != 1 for c in mu_pt):
         raise ValueError("codim_chai needs an integral dominant mu")
-    if not datum.is_dominant(mu_pt):
+    if not datum.is_dominant(tuple(int(c) for c in mu_pt)):
         raise ValueError("codim_chai needs an integral dominant mu")
     if not datum.leq(nu_pt, mu_pt):
         raise ValueError("codim_chai requires nu <= mu")
@@ -94,7 +95,8 @@ def codim_chai(datum, nu, mu):
     total = 0
     for i in range(datum.l):
         total += qceil(Q(mu_pt[i]) - nu_pt[i])
-    assert total >= 0
+    if total < 0:
+        raise RuntimeError(f"negative codimension {total} for nu <= mu")
     return int(total)
 
 

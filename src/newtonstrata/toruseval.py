@@ -119,7 +119,12 @@ def parse_torus_point(s):
         m = _TOKEN.match(tok)
         if not m:
             raise ValueError(f"bad torus coordinate {tok!r}")
-        vals.append(LaurentPoly.monomial(Q(m.group("c")), Q(m.group("v"))))
+        try:
+            c, v = Q(m.group("c")), Q(m.group("v"))
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in torus coordinate {tok!r}") from None
+        vals.append(LaurentPoly.monomial(c, v))
     return TorusPoint(tuple(vals))
 
 

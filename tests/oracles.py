@@ -5,6 +5,11 @@ under the W-invariant Euclidean form.  It shares nothing with
 `chamber.retract` beyond the root datum, so agreement between the two is
 an independent check.  Its per-datum tables are cached in this module.
 
+`newton_points_below` and `hasse` are the Fraction forms of the
+enumerator and of the covering relation in `chamber`: a recursive box
+walk that projects every candidate with the public `p_M` and compares
+points with `leq`, and an O(N^3) transitive reduction.
+
 `affine_generator` builds a simple affine reflection as a full
 (translation, matrix) element, with the affine coroot taken from the same
 invariant form instead of from the library's affine tables.
@@ -14,8 +19,8 @@ import functools
 
 from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
-from newtonstrata.chamber import RetractionError
-from newtonstrata.rationals import Q, is_finite
+from newtonstrata.chamber import NewtonPoint, RetractionError, is_newton_point
+from newtonstrata.rationals import Q, is_finite, qceil, qfloor
 from newtonstrata.rootdata import WeylElement
 
 
@@ -149,3 +154,60 @@ def affine_generator(datum, gid):
         for i in range(n)
     )
     return AffineWeylElement(theta_check, WeylElement(rows, ()))
+
+
+def newton_points_below(datum, mu):
+    """All Newton points nu <= mu, sorted by point, each with certificate."""
+    point = mu.point if isinstance(mu, NewtonPoint) else tuple(Q(c) for c in mu)
+    if is_newton_point(datum, point) is None:
+        raise ValueError("mu is not a Newton point")
+    z = datum.central_part(point[datum.l:])
+    lo = [qceil(z[i]) for i in range(datum.l)]
+    hi = [qfloor(point[i]) for i in range(datum.l)]
+    found = {}
+    for mask in range(1 << datum.l):
+        subset = frozenset(j for j in range(datum.l) if mask >> j & 1)
+        free = [i for i in range(datum.l) if i not in subset]
+
+        def rec(pos, m):
+            if pos == len(free):
+                nu = datum.p_M(tuple(m), subset)
+                if nu in found:
+                    return
+                if any(
+                    datum.root_pairing(j, nu) <= 0
+                    for j in range(datum.l)
+                    if j not in subset
+                ):
+                    return
+                if not datum.leq(nu, point):
+                    return
+                found[nu] = NewtonPoint(nu, subset, tuple(m))
+            else:
+                i = free[pos]
+                for val in range(lo[i], hi[i] + 1):
+                    m[i] = val
+                    rec(pos + 1, m)
+                m[i] = 0
+
+        base = [0] * datum.l + [int(c) for c in point[datum.l:]]
+        rec(0, base)
+    return sorted(found.values(), key=lambda np: tuple(np.point))
+
+
+def hasse(datum, points):
+    """Covering relations of <= on a list of points (index pairs)."""
+    pts = [p.point if isinstance(p, NewtonPoint) else tuple(p) for p in points]
+    order = [
+        (a, b)
+        for a in range(len(pts))
+        for b in range(len(pts))
+        if a != b and datum.leq(pts[a], pts[b])
+    ]
+    rel = set(order)
+    edges = []
+    for a, b in order:
+        if not any((a, c) in rel and (c, b) in rel for c in range(len(pts))
+                   if c != a and c != b):
+            edges.append((a, b))
+    return sorted(edges)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newtonstrata import chamber
 from newtonstrata.chamber import (
     RetractionError,
     finite_ize,
@@ -21,6 +20,7 @@ from newtonstrata.chamber import (
 )
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import build_group
+import oracles
 from oracles import retract_closest
 
 
@@ -159,6 +159,33 @@ def test_newton_points_below_central():
     assert [p.point for p in pts] == [mu]
 
 
+@given(st.data())
+def test_newton_points_below_matches_oracle(data):
+    g = build_group(data.draw(st.sampled_from(
+        ("GL3", "GL4", "B2", "G2", "B2*T1"))))
+    mus = []
+    for _ in range(2):
+        raw = data.draw(st.tuples(*[st.integers(-3, 3)] * g.n))
+        mus.append(g.dominant_rep(tuple(Q(c) for c in raw))[0])
+    pts = newton_points_below(g, mus[0])
+    expect = oracles.newton_points_below(g, mus[0])
+    assert pts == expect  # points, levi and lift, in the same order
+    assert [p.to_json() for p in pts] == [p.to_json() for p in expect]
+    assert hasse(g, pts) == oracles.hasse(g, expect)
+    # any order, repeated points, and points with other torus coordinates
+    mixed = data.draw(st.permutations(
+        pts + pts[:2] + newton_points_below(g, mus[1])[:3]))
+    assert hasse(g, mixed) == oracles.hasse(g, mixed)
+
+
+def test_newton_points_below_face_check():
+    g = build_group("GL2")
+    # a wrong solver for the face {0} that passes the cap test
+    g._pm_cache[frozenset({0})] = ([0], [[0]], 1)
+    with pytest.raises(RuntimeError):
+        newton_points_below(g, (Q(1), Q(1)))
+
+
 def test_hasse_gl4_chain():
     g = build_group("GL4")
     pts = newton_points_below(g, (Q(1), Q(1), Q(1), Q(1)))
@@ -183,13 +210,7 @@ def test_hasse_dot_output():
     assert dot.startswith("digraph") and "->" in dot
 
 
-def _no_fallback(datum, d):
-    raise AssertionError(f"retract fell back to subset enumeration on {d!r}")
-
-
-def test_retract_properties_random(monkeypatch):
-    # the active-set path must settle every input without the safety net
-    monkeypatch.setattr(chamber, "retract_exhaustive", _no_fallback)
+def test_retract_properties_random(no_retract_fallback):
     rng = random.Random(23)
     for spec in ("GL3", "B2", "C3"):
         g = build_group(spec)

@@ -171,6 +171,12 @@ def test_usage_error_exit_2():
     # lifts that are not integral vectors of the right length
     (("defect", "--group", "GL3", "--nu", "0,0,1/2"), "--nu"),
     (("defect", "--group", "GL3", "--nu", "0,1"), "--nu"),
+    # a zero denominator in a torus exponent
+    (("eval", "--group", "GL2", "--a", "1*pi^(1/0),1*pi^(0)"), "denominator"),
+    # a --nu of the wrong length, a negative --count
+    (("dg", "--group", "GL2", "--nu", "1"), "--nu"),
+    (("dg", "--group", "GL2", "--nu", "1,2,3"), "--nu"),
+    (("verify", "--group", "GL2", "--count", "-3"), "--count"),
 ])
 def test_bad_input_exit_2(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

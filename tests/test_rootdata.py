@@ -192,6 +192,13 @@ def test_levi_of_gext_e6():
     assert levi.factors[0].rank == 4
 
 
+def test_levi_is_cached():
+    g = build_group("GL4")
+    first = g.levi(frozenset({0, 2}))
+    assert g.levi([2, 0, 2]) is first
+    assert first[1]((1, 2, 3, 4)) == (1, 3, 2, 4)
+
+
 def test_levi_full_is_same_group():
     g = build_group("B2")
     levi, to_levi, from_levi = g.levi(frozenset(range(g.l)))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from newtonstrata import strata
 from newtonstrata.chamber import newton_points_below, stratum_of
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import build_group
@@ -97,6 +98,18 @@ def test_codim_requires_leq():
     g = build_group("GL2")
     with pytest.raises(ValueError):
         codim(g, (Q(1), Q(1)), (Q(1, 2), Q(1)))
+
+
+def test_codim_self_checks_raise(monkeypatch):
+    # the non-negativity checks survive python -O
+    g = build_group("GL2")
+    nu, mu = (Q(1, 2), Q(1)), (Q(1), Q(1))
+    monkeypatch.setattr(strata, "dim_leq", lambda datum, p: -p[0])
+    with pytest.raises(RuntimeError):
+        codim(g, nu, mu)
+    monkeypatch.setattr(strata, "qceil", lambda x: -1)
+    with pytest.raises(RuntimeError):
+        codim_chai(g, nu, mu)
 
 
 def test_codim_chai_gl2():
