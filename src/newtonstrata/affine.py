@@ -15,41 +15,17 @@ class AffineWeylElement:
     """Pair (translation, linear part) acting as v -> linear(v) + translation."""
 
     translation: tuple  # integral cocharacter
-    linear: "WeylLike"
+    linear: WeylElement
 
     def act(self, v):
         img = self.linear.act(v)
         return tuple(a + t for a, t in zip(img, self.translation))
 
-    def __mul__(self, other):
-        t = tuple(
-            a + b
-            for a, b in zip(self.translation, self.linear.act(other.translation))
-        )
-        return AffineWeylElement(t, self.linear * other.linear)
-
-
-@dataclass(frozen=True)
-class LambdaGElement:
-    """Class in the quotient of the cocharacter lattice by the coroots."""
-
-    class_coords: tuple  # canonical coordinates: the last n - l entries
-    lift: tuple  # a chosen integral representative
-
-    @classmethod
-    def from_lift(cls, datum, lift):
-        lift = tuple(int(m) for m in lift)
-        return cls(lift[datum.l:], lift)
-
-
-def _as_class(datum, nu):
-    if isinstance(nu, LambdaGElement):
-        return nu
-    return LambdaGElement.from_lift(datum, nu)
-
 
 def translation(datum, lift):
-    return AffineWeylElement(tuple(int(m) for m in lift), datum.identity_weyl())
+    n = datum.n
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return AffineWeylElement(tuple(int(m) for m in lift), WeylElement(ident))
 
 
 def _affine_tables(datum):
@@ -80,16 +56,14 @@ def _build_affine_tables(datum):
         for a in range(f.rank):
             # theta^vee = (2/|theta|^2) theta; alpha_a = (norm_a/2) alpha_a^vee
             co = Q(marks[a]) * norms[a] / theta_norm
-            assert co.denominator == 1
+            if co.denominator != 1:
+                raise RuntimeError("theta^vee is not an integral coroot")
             theta_check[f.indices[a]] = int(co)
         # rho^vee / (cox + 1) within this factor's coroot span
-        mat = [
-            [datum.alpha[f.indices[b]][f.indices[a]] for b in range(f.rank)]
-            for a in range(f.rank)
-        ]
-        sol = exactlinalg.solve(mat, [Q(1, cox + 1)] * f.rank)
-        for b in range(f.rank):
-            p0[f.indices[b]] += sol[b]
+        subset = frozenset(f.indices)
+        sol = datum._pm_solve(subset, [1] * f.rank, cox + 1)
+        for j, c in zip(datum.pm_solver(subset)[0], sol):
+            p0[j] += c
         # simple affine roots (lam, k, generator id, coroot h): the
         # functional v -> <lam, v> + k and its reflection
         # v -> v - (<lam, v> + k) h; h is e_j for a finite root
@@ -149,7 +123,7 @@ def alcove_reduce(datum, x):
             break
         if len(word) >= 100000:
             raise RuntimeError("alcove reduction failed to terminate")
-    linear = WeylElement(tuple(tuple(r) for r in rows), ())
+    linear = WeylElement(tuple(tuple(r) for r in rows))
     return AffineWeylElement(tuple(t), linear), word
 
 
@@ -168,10 +142,10 @@ def stabilizes_base_alcove(datum, x):
 
 
 def section_s(datum, nu):
-    """The base-alcove section of the quotient map, evaluated at nu."""
-    nu = _as_class(datum, nu)
-    x0, _word = alcove_reduce(datum, translation(datum, nu.lift))
-    if tuple(x0.translation[datum.l:]) != tuple(nu.class_coords):
+    """The base-alcove section of the quotient map, evaluated at the class
+    of the integral lift nu (its last n - l coordinates)."""
+    x0, _word = alcove_reduce(datum, translation(datum, nu))
+    if x0.translation[datum.l:] != tuple(nu[datum.l:]):
         raise RuntimeError("alcove reduction changed the class of nu")
     if not stabilizes_base_alcove(datum, x0):
         raise RuntimeError("reduced element does not stabilize the base alcove")
@@ -186,29 +160,20 @@ def w_nu(datum, nu):
 def weyl_word(datum, w):
     """Express a Weyl element as a product of simple reflections.
 
-    Descends the image of the base-alcove point to the dominant chamber,
-    applying each s_j to a copy of w as an update of row j; w is a Weyl
-    group element exactly when the descended matrix is the identity.
+    The word is the descent of the image of the base-alcove point to the
+    dominant chamber; replaying it on a copy of w as updates of row j
+    gives the identity exactly when w is a Weyl group element.
     """
     _roots, p0 = _affine_tables(datum)
     n = datum.n
-    point = list(w.act(p0))
+    _y, word = datum.dominant_rep(w.act(p0))
     rows = [list(r) for r in w.matrix]
-    word = []
-    while True:
-        for j in range(datum.l):
-            p = datum.root_pairing(j, point)
-            if p < 0:
-                point[j] -= p  # s_j in coordinates
-                _reflect_rows(rows, datum.root_coords(j),
-                              [int(i == j) for i in range(n)])
-                word.append(j)
-                break
-        else:
-            break
+    for j in word:
+        _reflect_rows(rows, datum.root_coords(j),
+                      [int(i == j) for i in range(n)])
     if rows != [[int(i == k) for k in range(n)] for i in range(n)]:
         raise RuntimeError("descent failed: not a Weyl group element")
-    return word
+    return list(word)
 
 
 def _fixed_corank(w):
@@ -226,17 +191,16 @@ def defect(datum, nu):
 
 def _central(datum, nu):
     """p_M(lift, all simple roots): its coordinates carry the characters."""
-    return datum.p_M(nu.lift, frozenset(range(datum.l)))
+    return datum.p_M(nu, frozenset(range(datum.l)))
 
 
 def chi(datum, i, nu):
     """The i-th character of the class group, as a rational in [0, 1)."""
-    return frac_part(Q(_central(datum, _as_class(datum, nu))[i]))
+    return frac_part(Q(_central(datum, nu)[i]))
 
 
 def verify_defect_identity(datum, nu):
     """Report comparing d_G, half the defect, and the character sum."""
-    nu = _as_class(datum, nu)
     w = section_s(datum, nu).linear
     dfct = _fixed_corank(w)
     central = _central(datum, nu)
@@ -244,7 +208,7 @@ def verify_defect_identity(datum, nu):
     chi_sum = sum((frac_part(Q(c)) for c in central), Q(0))
     ok = dg == Q(dfct, 2) and 2 * chi_sum == dfct
     return {
-        "nu": [int(c) for c in nu.class_coords],
+        "nu": [int(c) for c in nu[datum.l:]],
         "w_word": [j + 1 for j in weyl_word(datum, w)],
         "defect": dfct,
         "d_G": dg,
@@ -271,7 +235,6 @@ def reflection_char_multiset_check(datum, nu):
     matches, order by order, the multiplicities against the denominators
     of the characters chi_i, requiring full unit-group orbits.
     """
-    nu = _as_class(datum, nu)
     w = w_nu(datum, nu)
     m = [list(r) for r in w.matrix]
     order = _matrix_order(m)
@@ -308,7 +271,7 @@ def reflection_char_multiset_check(datum, nu):
              "char_count": len(have), "full_orbits": match}
         )
     return {
-        "nu": [int(c) for c in nu.class_coords],
+        "nu": [int(c) for c in nu[datum.l:]],
         "char_poly_fully_cyclotomic": fully_factored,
         "orders": details,
         "pass": ok,

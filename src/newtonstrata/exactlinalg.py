@@ -11,10 +11,6 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 def mat_mul(a, b):
     nc = len(b[0])
     return [
@@ -49,15 +45,6 @@ def row_reduce(mat):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a, pivots
-
-
-def solve(mat, rhs):
-    """Solve mat * x = rhs exactly.  Raises ValueError on a singular system."""
-    n = len(mat)
-    a, pivots = row_reduce([list(row) + [b] for row, b in zip(mat, rhs)])
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return tuple(row[n] for row in a)
 
 
 def inverse(mat):

@@ -38,26 +38,11 @@ class WeylElement:
     """Weyl group element: integer matrix acting on omega-coordinates."""
 
     matrix: tuple  # n x n, rows
-    word: tuple  # simple reflection indices, applied right to left
 
     def act(self, x):
         m = self.matrix
         return tuple(
             sum(row[j] * x[j] for j in range(len(x)) if row[j]) for row in m
-        )
-
-    def __mul__(self, other):
-        prod = exactlinalg.mat_mul(self.matrix, other.matrix)
-        return WeylElement(
-            tuple(tuple(row) for row in prod), self.word + other.word
-        )
-
-    def is_identity(self):
-        n = len(self.matrix)
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
         )
 
 
@@ -71,7 +56,7 @@ class RootDatum:
 
     __slots__ = (
         "n", "l", "alpha", "factors", "label", "_root_support",
-        "_pm_cache", "_refl_cache", "_central_cache", "_memo",
+        "_pm_cache", "_central_cache", "_memo",
     )
 
     def __init__(self, n, l, alpha, factors, label=""):
@@ -87,7 +72,6 @@ class RootDatum:
             for j in range(self.l)
         )
         self._pm_cache = {}  # Levi subset -> pm_solver(subset)
-        self._refl_cache = {}  # j -> simple reflection s_j
         self._central_cache = {}  # torus coordinates -> central point
         self._memo = {}  # key -> table built by `memo`
 
@@ -161,29 +145,11 @@ class RootDatum:
 
     # -- Weyl group --------------------------------------------------------
 
-    def simple_reflection(self, j):
-        """s_j : x -> x - <alpha_j, x> e_j as a WeylElement."""
-        w = self._refl_cache.get(j)
-        if w is None:
-            rows = []
-            for i in range(self.n):
-                row = [int(i == k) for k in range(self.n)]
-                if i == j:
-                    for k in range(self.n):
-                        row[k] -= self.alpha[k][j]
-                rows.append(tuple(row))
-            w = WeylElement(tuple(rows), (j,))
-            self._refl_cache[j] = w
-        return w
-
-    def identity_weyl(self):
-        return WeylElement(
-            tuple(tuple(int(i == j) for j in range(self.n)) for i in range(self.n)),
-            (),
-        )
-
     def dominant_rep(self, x):
-        """The dominant element of the W-orbit of x, with a witness w: y = w.x."""
+        """The dominant element y of the W-orbit of x and the tuple `word`
+        of simple reflection indices in the order applied, so that
+        y = s_{word[-1]} ... s_{word[0]} x.  Each step reflects by the first
+        simple root that pairs negatively with the current point."""
         y = list(x)
         word = []
         while True:
@@ -194,11 +160,7 @@ class RootDatum:
                     word.append(j)
                     break
             else:
-                break
-        w = self.identity_weyl()
-        for j in word:
-            w = self.simple_reflection(j) * w
-        return tuple(y), w
+                return tuple(y), tuple(word)
 
     def weyl_orbit(self, lam, guard=10**6):
         """Weyl orbit of a weight lam (BFS over s_j : lam -> lam - lam_j alpha_j)."""
@@ -270,26 +232,14 @@ class RootDatum:
         return tuple(y), dict(zip(idx, c))
 
     def central_part(self, torus_coords):
-        """The point of the center subspace with the given last n-l coordinates."""
-        if self.l == 0:
-            return tuple(torus_coords)
+        """The point of the center subspace with the given last n-l
+        coordinates: p_M of (0, ..., 0, torus_coords) over all simple roots."""
         key = tuple(torus_coords)
         cached = self._central_cache.get(key)
-        if cached is not None:
-            return cached
-        scale, ints = scale_to_ints(torus_coords)
-        rhs = [
-            -sum(
-                self.alpha[i][j] * ints[i - self.l]
-                for i in range(self.l, self.n)
-                if self.alpha[i][j]
-            )
-            for j in range(self.l)
-        ]
-        g = self._pm_solve(frozenset(range(self.l)), rhs, scale)
-        out = tuple(g) + tuple(torus_coords)
-        self._central_cache[key] = out
-        return out
+        if cached is None:
+            cached = self._central_cache[key] = self.p_M(
+                (0,) * self.l + key, frozenset(range(self.l)))
+        return cached
 
     def levi(self, subset):
         """Levi sub-datum for a set of simple roots, plus coordinate converters.
@@ -414,7 +364,10 @@ def _parse_intvec(s, l):
     s = s.strip()
     if s.startswith("-e") or s.startswith("e"):
         sign = -1 if s[0] == "-" else 1
-        k = int(s[2:] if sign < 0 else s[1:])
+        try:
+            k = int(s[2:] if sign < 0 else s[1:])
+        except ValueError as exc:
+            raise GroupSpecError(f"bad basis vector {s!r}") from exc
         if not 1 <= k <= l:
             raise GroupSpecError(f"basis index out of range in {s!r}")
         return [sign * int(i == k - 1) for i in range(l)]

@@ -174,7 +174,7 @@ def check_thm_rnu(datum, a, guard=10**6):
     inequalities and strictness pattern."""
     _values, d_c, unique = _orbit_sums(datum, a, guard)
     y, _face = retract(datum, d_c)
-    dom, _w = datum.dominant_rep(nu_a(datum, a))
+    dom, _word = datum.dominant_rep(nu_a(datum, a))
     imu = index_set(datum, dom)
     # d_c <= dom, with equality off the face (imu holds indices < l only)
     ineq_ok = all(
@@ -224,8 +224,10 @@ def classical_newton_slopes(d):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         s = (y2 - y1) / (x2 - x1)
         slopes.extend([s] * (x2 - x1))
-    assert len(slopes) == n
-    assert all(a >= b for a, b in zip(slopes, slopes[1:]))
+    if len(slopes) != n:
+        raise RuntimeError("Newton polygon does not span all n slots")
+    if any(a < b for a, b in zip(slopes, slopes[1:])):
+        raise RuntimeError("Newton polygon slopes are not decreasing")
     return tuple(slopes)
 
 

@@ -10,9 +10,12 @@ enumerator and of the covering relation in `chamber`: a recursive box
 walk that projects every candidate with the public `p_M` and compares
 points with `leq`, and an O(N^3) transitive reduction.
 
-`affine_generator` builds a simple affine reflection as a full
-(translation, matrix) element, with the affine coroot taken from the same
-invariant form instead of from the library's affine tables.
+`simple_reflection`, `weyl_product`, `compose` and `affine_generator`
+build Weyl and affine Weyl elements as full matrices and multiply them.
+The library applies reflections by formula instead; these are the
+references for `dominant_rep`, `alcove_reduce` and `weyl_word`.  The
+affine coroot in `affine_generator` is taken from the same invariant
+form, not from the library's affine tables.
 """
 
 import functools
@@ -67,12 +70,15 @@ def invariant_form(datum):
     return form
 
 
+def mat_vec(m, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
 @functools.cache
 def form_duals(datum):
     """Dual vectors v_j with B(v_j, .) = <alpha_j, .>."""
     forminv = exactlinalg.inverse(invariant_form(datum))
-    return [exactlinalg.mat_vec(forminv, datum.root_coords(j))
-            for j in range(datum.l)]
+    return [mat_vec(forminv, datum.root_coords(j)) for j in range(datum.l)]
 
 
 @functools.cache
@@ -125,6 +131,35 @@ def retract_closest(datum, x):
     return accepted[0]
 
 
+def simple_reflection(datum, j):
+    """s_j : x -> x - <alpha_j, x> e_j as a full matrix."""
+    n = datum.n
+    rows = [[int(i == k) for k in range(n)] for i in range(n)]
+    rows[j] = [rows[j][k] - datum.alpha[k][j] for k in range(n)]
+    return WeylElement(tuple(tuple(r) for r in rows))
+
+
+def compose(x, y):
+    """The product x * y (apply y first) of two Weyl elements or of two
+    affine Weyl elements."""
+    if isinstance(x, AffineWeylElement):
+        t = tuple(a + b for a, b in zip(x.translation,
+                                        x.linear.act(y.translation)))
+        return AffineWeylElement(t, compose(x.linear, y.linear))
+    return WeylElement(tuple(
+        tuple(r) for r in exactlinalg.mat_mul(x.matrix, y.matrix)))
+
+
+def weyl_product(datum, word):
+    """s_{word[0]} s_{word[1]} ... s_{word[-1]} as a full matrix."""
+    n = datum.n
+    w = WeylElement(tuple(tuple(int(i == k) for k in range(n))
+                          for i in range(n)))
+    for j in word:
+        w = compose(w, simple_reflection(datum, j))
+    return w
+
+
 def affine_generator(datum, gid):
     """The simple affine reflection with generator id gid (j >= 0 the
     finite s_j, -f the affine reflection of factor f) as a full element.
@@ -135,7 +170,7 @@ def affine_generator(datum, gid):
     """
     n = datum.n
     if gid >= 0:
-        return AffineWeylElement((0,) * n, datum.simple_reflection(gid))
+        return AffineWeylElement((0,) * n, simple_reflection(datum, gid))
     f = datum.factors[-gid - 1]
     marks = dynkin.highest_root(dynkin.cartan_matrix(f.letter, f.rank))
     duals = form_duals(datum)
@@ -153,7 +188,7 @@ def affine_generator(datum, gid):
         tuple(int(i == k) - theta_check[i] * theta[k] for k in range(n))
         for i in range(n)
     )
-    return AffineWeylElement(theta_check, WeylElement(rows, ()))
+    return AffineWeylElement(theta_check, WeylElement(rows))
 
 
 def newton_points_below(datum, mu):

@@ -1,6 +1,8 @@
 """CLI dispatch, formats, exit codes."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -140,9 +142,11 @@ def test_roundtrip_mu(capsys):
 
 
 def test_bad_group_exit_2(capsys):
-    for bad in ("Q9", "GL10"):
+    for bad in ("Q9", "GL10", "Gext(A2;m=ex)", "Gext(A2;m=e)",
+                "Gext(A2;m=-e)"):
         code, _, err = run(capsys, "describe", "--group", bad)
         assert code == 2 and "error" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bad_point_exit_2(capsys):
@@ -183,3 +187,39 @@ def test_bad_input_exit_2(capsys, argv, needle):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err and "Traceback" not in err
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _readme_examples():
+    """(argv, documented stdout or None) for each `newtonstrata ...` line of
+    README.md.  A `# {...}` comment, trailing or on the next line, documents
+    the output."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    examples = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if not line.startswith("newtonstrata "):
+            continue
+        command, _, comment = line.partition("#")
+        comment = comment.strip()
+        if not comment and after.startswith("# {"):
+            comment = after[1:].strip()
+        argv = shlex.split(command)[1:]
+        examples.append((argv, comment if comment.startswith("{") else None))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, documented", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples(capsys, argv, documented):
+    with open(ROOT / "perfbench" / "expected" / "cli_stdout.json") as fh:
+        expected = json.load(fh)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected[" ".join(argv)]
+    if documented is not None:
+        assert out.strip() == documented

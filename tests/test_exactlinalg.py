@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: solve, rank, Smith form, cyclotomics."""
+"""Exact linear algebra kernel: inverse, rank, Smith form, cyclotomics."""
 
 import random
 
@@ -15,20 +15,17 @@ from newtonstrata.exactlinalg import (
     integer_kernel,
     inverse,
     mat_mul,
-    mat_vec,
     poly_divmod,
     poly_mul,
     rank,
     smith_normal_form,
-    solve,
 )
 from newtonstrata.rationals import Q
+from oracles import mat_vec
 
 
 def test_solve_and_inverse():
     m = [[Q(2), Q(1)], [Q(1), Q(3)]]
-    x = solve(m, [Q(5), Q(10)])
-    assert [sum(m[i][j] * x[j] for j in range(2)) for i in range(2)] == [5, 10]
     inv = inverse(m)
     assert mat_mul(m, inv) == [[1, 0], [0, 1]]
 
@@ -115,14 +112,12 @@ _WIDE = st.integers(2, 4).flatmap(
     lambda n: st.integers(1, n - 1).flatmap(lambda r: _matrix(r, n)))
 
 
-@given(_SQUARE, st.data())
-def test_inverse_and_solve_on_nonsingular(a, data):
+@given(_SQUARE)
+def test_inverse_and_solve_on_nonsingular(a):
     n = len(a)
     if integer_kernel(a):  # singular: covered by the test below
         return
     assert mat_mul(inverse(a), a) == identity(n)
-    b = data.draw(st.lists(_ENTRY, min_size=n, max_size=n))
-    assert list(mat_vec(a, solve(a, b))) == b
 
 
 @given(_RECT)
@@ -141,5 +136,3 @@ def test_singular_raises(a, data):
     assert integer_kernel(a)
     with pytest.raises(ValueError):
         inverse(a)
-    with pytest.raises(ValueError):
-        solve(a, [1] * n)

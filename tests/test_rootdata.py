@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from newtonstrata import dynkin
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import GroupSpecError, build_group
+from oracles import simple_reflection, weyl_product
 
 
 def test_gl2_datum():
@@ -45,7 +49,8 @@ def test_gext_preset_picks_full_quotient():
 
 
 def test_parse_errors():
-    for bad in ("H3", "GL0", "GL10", "Gext(E6;m=1)", "A9", "E5", ""):
+    for bad in ("H3", "GL0", "GL10", "Gext(E6;m=1)", "A9", "E5", "",
+                "Gext(A2;m=ex)", "Gext(A2;m=e)", "Gext(A2;m=-e)"):
         with pytest.raises(GroupSpecError):
             build_group(bad)
 
@@ -97,38 +102,58 @@ def test_leq():
     assert g.leq(x, x)
 
 
-def test_dominant_rep():
+def test_dominant_rep_examples():
     a1 = build_group("A1")
-    y, w = a1.dominant_rep((Q(-3),))
-    assert y == (3,) and w.word == (0,)
+    assert a1.dominant_rep((Q(-3),)) == ((3,), (0,))
     g = build_group("GL2")
-    y, w = g.dominant_rep((Q(0), Q(2)))
-    assert y == (2, 2)
-    assert w.act((Q(0), Q(2))) == y
+    assert g.dominant_rep((Q(0), Q(2))) == ((2, 2), (0,))
     dom = (Q(3), Q(4))
-    y, w = g.dominant_rep(dom)
-    assert y == dom and w.is_identity()
+    assert g.dominant_rep(dom) == (dom, ())
 
 
-def test_dominant_rep_orbit_constant():
-    g = build_group("B2")
-    rng = random.Random(11)
-    for _ in range(20):
-        x = tuple(Q(rng.randint(-5, 5)) for _ in range(g.n))
-        y, _ = g.dominant_rep(x)
-        w = g.identity_weyl()
-        for _ in range(rng.randint(0, 6)):
-            w = g.simple_reflection(rng.randrange(g.l)) * w
-        y2, _ = g.dominant_rep(w.act(x))
-        assert y == y2
+DOMINANT_GROUPS = {s: build_group(s) for s in ("GL4", "B2", "G2", "Gext(D4)")}
 
 
-def test_reflection_involution():
-    for spec in ("GL3", "B2", "G2", "C3"):
-        g = build_group(spec)
-        for j in range(g.l):
-            s = g.simple_reflection(j)
-            assert (s * s).is_identity()
+def _positive_root_count(g):
+    return sum(
+        len(dynkin.positive_roots(dynkin.cartan_matrix(f.letter, f.rank)))
+        for f in g.factors)
+
+
+def _reflect(g, x, word):
+    """x reflected by formula along word: x[j] -= <alpha_j, x> for each j."""
+    x = list(x)
+    for j in word:
+        x[j] -= g.root_pairing(j, x)
+    return tuple(x)
+
+
+def _point(g):
+    return st.tuples(st.just(g), st.lists(
+        st.fractions(-6, 6, max_denominator=3), min_size=g.n, max_size=g.n)
+        .map(tuple))
+
+
+_CASES = st.sampled_from(sorted(DOMINANT_GROUPS)).map(DOMINANT_GROUPS.get)
+
+
+@given(_CASES.flatmap(_point))
+def test_dominant_rep(case):
+    g, x = case
+    y, word = g.dominant_rep(x)
+    assert g.is_dominant(y)
+    assert _reflect(g, x, word) == y
+    # the word is reduced: no longer than the number of positive roots
+    assert len(word) <= _positive_root_count(g)
+    # y = s_{word[-1]} ... s_{word[0]} x as full matrices
+    assert weyl_product(g, word[::-1]).act(x) == y
+
+
+@given(_CASES.flatmap(_point), st.lists(st.integers(0, 7), max_size=12))
+def test_dominant_rep_orbit_constant(case, word):
+    g, x = case
+    word = [j % g.l for j in word]
+    assert g.dominant_rep(_reflect(g, x, word))[0] == g.dominant_rep(x)[0]
 
 
 def test_weyl_orbit_sizes():
@@ -172,7 +197,7 @@ def test_p_m_idempotent_and_monotone():
 def test_p_m_orbit_average():
     g = build_group("GL2")
     x = (Q(0), Q(2))
-    s1 = g.simple_reflection(0)
+    s1 = simple_reflection(g, 0)
     avg = tuple((a + b) / 2 for a, b in zip(x, s1.act(x)))
     assert g.p_M(x, frozenset({0})) == avg
 
