@@ -217,39 +217,30 @@ def verify_defect_identity(datum, nu):
     }
 
 
-def _matrix_order(m, cap=10000):
-    n = len(m)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    acc = [list(r) for r in m]
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = exactlinalg.mat_mul(acc, [list(r) for r in m])
-    raise RuntimeError("matrix order exceeds cap")
-
-
 def reflection_char_multiset_check(datum, nu):
     """Galois-invariant form of the character decomposition.
 
     Factors the characteristic polynomial of w_nu into cyclotomics and
     matches, order by order, the multiplicities against the denominators
-    of the characters chi_i, requiring full unit-group orbits.
+    of the characters chi_i, requiring full unit-group orbits.  w_nu is
+    certified a Weyl group element by `weyl_word`, so it has finite order
+    and its characteristic polynomial is a product of Phi_d with
+    phi(d) <= n; phi(d) >= sqrt(d/2) bounds the search by d <= 2n^2.
     """
     w = w_nu(datum, nu)
-    m = [list(r) for r in w.matrix]
-    order = _matrix_order(m)
-    poly = exactlinalg.charpoly(m)
+    weyl_word(datum, w)
+    poly = exactlinalg.charpoly([list(r) for r in w.matrix])
     mults = {}
-    for d in exactlinalg.divisors(order):
+    for d in range(1, 2 * datum.n ** 2 + 1):
+        if poly == [1]:
+            break
         phi_d = exactlinalg.cyclotomic(d)
-        while True:
+        while len(phi_d) <= len(poly):  # phi(d) <= the remaining degree
             q, r = exactlinalg.poly_divmod(poly, phi_d)
-            if any(r) or len(q) < 1:
+            if any(r):
                 break
             poly = q
             mults[d] = mults.get(d, 0) + 1
-            if poly == [1]:
-                break
     fully_factored = poly == [1]
     chis = [frac_part(Q(c)) for c in _central(datum, nu)]
     by_denom = {}

@@ -58,14 +58,6 @@ def finite_ize(datum, d):
     return tuple(out) + torus
 
 
-def neg_inf_bound(datum, d):
-    """An integer B such that replacing each -inf in d by any integer <= B
-    leaves retract(d) unchanged.  Implementation-derived, not canonical."""
-    g = datum.central_part(tuple(Q(c) for c in d[datum.l:]))
-    lo = min((g[i] for i in range(datum.l)), default=Q(0))
-    return qfloor(lo) - 1
-
-
 def _accepts(datum, dprime, subset):
     """Candidate test for one parabolic face; returns y on acceptance."""
     y, coeffs = datum.p_M_with_coeffs(dprime, subset)
@@ -79,7 +71,8 @@ def _accepts(datum, dprime, subset):
 
 
 def retract_exhaustive(datum, d):
-    """Subset enumeration with a hard uniqueness assertion."""
+    """Subset enumeration with a hard uniqueness check: the reference that
+    tests compare `retract` against."""
     if datum.l > 8:
         raise ValueError("semisimple rank too large for subset enumeration")
     dprime = finite_ize(datum, d)
@@ -94,30 +87,38 @@ def retract_exhaustive(datum, d):
     return hits[0]
 
 
+def face_of(datum, y):
+    """(S, N) for a finite point y: S is its face, the simple roots pairing
+    to zero with y, and N the simple roots pairing negatively with it.
+    y is dominant exactly when N is empty."""
+    pairings = [datum.root_pairing(j, y) for j in range(datum.l)]
+    return (frozenset(j for j, p in enumerate(pairings) if p == 0),
+            frozenset(j for j, p in enumerate(pairings) if p < 0))
+
+
 def retract(datum, d):
     """r(d) for d with -inf allowed in the first l slots.
 
-    Returns (y, S) with S the face of y.  Uses a growing active set (each
-    round adds the simple roots still violated after projection); the
-    result is verified against the order-theoretic acceptance conditions
-    and falls back to full subset enumeration if the check fails.
+    Returns (y, S) with S the face of y.  The active set starts empty; each
+    round adds the simple roots that pair negatively with y and projects
+    d' onto them, y = d' - sum c_j e_j.  The set grows strictly, so there
+    are at most l projections.  The last one certifies itself: every
+    c_j <= 0 (that is d' <= y), y is dominant, and the active set lies in
+    the face, so p_M(d') over the face is y.  A failed certificate raises
+    RetractionError.
     """
     dprime = finite_ize(datum, d)
-    active = set()
-    y = dprime
-    for _ in range(datum.l + 1):
-        bad = [j for j in range(datum.l)
-               if j not in active and datum.root_pairing(j, y) < 0]
-        if not bad:
+    active = frozenset()
+    y, coeffs = dprime, {}
+    while True:
+        face, negative = face_of(datum, y)
+        if negative <= active:
             break
-        active.update(bad)
-        y = datum.p_M(dprime, frozenset(active))
-    face = frozenset(
-        j for j in range(datum.l) if datum.root_pairing(j, y) == 0
-    )
-    if datum.leq(dprime, y) and _accepts(datum, dprime, face) == y:
-        return y, face
-    return retract_exhaustive(datum, d)  # pragma: no cover - safety net
+        active |= negative
+        y, coeffs = datum.p_M_with_coeffs(dprime, active)
+    if negative or not active <= face or any(c > 0 for c in coeffs.values()):
+        raise RetractionError(f"retraction of {d!r} fails its certificate")
+    return y, face
 
 
 def is_newton_point(datum, y):
@@ -127,11 +128,9 @@ def is_newton_point(datum, y):
     the coordinates away from the face.
     """
     y = tuple(Q(c) for c in y)
-    if not datum.is_dominant(y):
+    face, negative = face_of(datum, y)
+    if negative:
         return None
-    face = frozenset(
-        j for j in range(datum.l) if datum.root_pairing(j, y) == 0
-    )
     lift = []
     for i, c in enumerate(y):
         if i in face:
@@ -144,6 +143,23 @@ def is_newton_point(datum, y):
     if datum.p_M(lift, face) != y:
         raise RuntimeError(f"lift {lift!r} does not project to {y!r}")
     return NewtonPoint(y, face, lift)
+
+
+def point_of(x):
+    """The coordinates of a NewtonPoint, or of a plain point, as a tuple."""
+    return x.point if isinstance(x, NewtonPoint) else tuple(x)
+
+
+def newton_point(datum, x):
+    """x as a certified NewtonPoint: x itself if it is one, else the
+    certificate of is_newton_point.  ValueError if x is not a Newton point."""
+    if isinstance(x, NewtonPoint):
+        return x
+    np = is_newton_point(datum, x)
+    if np is None:
+        raise ValueError(f"{','.join(fmt_point(x))} is not a"
+                         f" Newton point of {datum.label}")
+    return np
 
 
 def stratum_of(datum, d):
@@ -171,9 +187,7 @@ def newton_points_below(datum, mu, guard=10**6):
     ints: with the solver adj / D of S, D nu is an integer vector.  An
     accepted nu has face exactly S, so it is found under one S only.
     """
-    point = mu.point if isinstance(mu, NewtonPoint) else tuple(Q(c) for c in mu)
-    if is_newton_point(datum, point) is None:
-        raise ValueError(f"mu {fmt_point(point)} is not a Newton point")
+    point = newton_point(datum, mu).point
     l = datum.l
     z = datum.central_part(point[l:])
     lo = [qceil(z[i]) for i in range(l)]
@@ -226,7 +240,7 @@ def hasse(datum, points):
     The points are compared as int tuples over one common denominator; b
     covers a when a < b and nothing lies strictly between them.
     """
-    pts = [p.point if isinstance(p, NewtonPoint) else tuple(p) for p in points]
+    pts = [point_of(p) for p in points]
     n, l = datum.n, datum.l
     _den, flat = scale_to_ints([c for p in pts for c in p])
     heads = [flat[k:k + l] for k in range(0, len(flat), n)]
@@ -251,10 +265,7 @@ def hasse_dot(datum, points, edges=None):
     """DOT digraph, nodes labeled by slope tuples, edges small -> large."""
     if edges is None:
         edges = hasse(datum, points)
-    labels = []
-    for p in points:
-        pt = p.point if isinstance(p, NewtonPoint) else tuple(p)
-        labels.append(",".join(fmt_point(pt)))
+    labels = [",".join(fmt_point(point_of(p))) for p in points]
     lines = ["digraph newton {"]
     for i, lab in enumerate(labels):
         lines.append(f'  n{i} [label="{lab}"];')

@@ -8,7 +8,7 @@ import sys
 
 from . import affine, chamber, strata, toruseval, verify
 from .rationals import NEG_INF, Q, fmt_point, fmt_scalar, parse_point
-from .rootdata import GroupSpecError, OrbitGuardError, build_group
+from .rootdata import OrbitGuardError, build_group
 
 _GLN = re.compile(r"^GL(\d+)$")
 
@@ -245,15 +245,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        datum = build_group(args.group)
-    except GroupSpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(datum, args)
+        return args.func(build_group(args.group), args)
     except (ValueError, KeyError, OrbitGuardError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:  # a failed self-check: a bug, not bad input
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -186,14 +186,6 @@ def unimodular_inverse(v):
 # Integer polynomial helpers (coefficient lists, constant term first)
 
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def poly_divmod(a, b):
     """Exact division of integer polynomials with monic-ish divisor."""
     a = list(a)

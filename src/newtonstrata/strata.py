@@ -2,8 +2,9 @@
 
 from dataclasses import dataclass
 
-from .chamber import NewtonPoint, is_newton_point, stratum_of  # noqa: F401
-from .rationals import NEG_INF, Q, fmt_point, fmt_scalar, frac_part, qceil, qfloor
+from .chamber import (  # noqa: F401
+    NewtonPoint, face_of, newton_point, point_of, stratum_of)
+from .rationals import NEG_INF, Q, fmt_scalar, frac_part, qceil, qfloor
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,13 @@ class StratumConditions:
 
 def index_set(datum, mu):
     """I_mu: simple roots pairing to zero against mu."""
-    point = mu.point if isinstance(mu, NewtonPoint) else mu
-    return frozenset(
-        j for j in range(datum.l) if datum.root_pairing(j, point) == 0
-    )
+    return face_of(datum, point_of(mu))[0]
 
 
 def stratum_conditions(datum, mu, closed):
     """Condition system for the stratum of mu (closed=True: its closure)."""
-    point = mu.point if isinstance(mu, NewtonPoint) else tuple(mu)
-    imu = index_set(datum, point)
+    mu = newton_point(datum, mu)
+    point, imu = mu.point, mu.levi
     rels = []
     for i in range(datum.n):
         if i >= datum.l:
@@ -53,22 +51,18 @@ def stratum_conditions(datum, mu, closed):
             rels.append((i, "<=", point[i]))
         else:
             rels.append((i, "==", point[i]))
-    mu_np = mu if isinstance(mu, NewtonPoint) else is_newton_point(datum, point)
-    if mu_np is None:
-        raise ValueError(f"mu {fmt_point(point)} is not a Newton point")
-    return StratumConditions(mu_np, closed, tuple(rels))
+    return StratumConditions(mu, closed, tuple(rels))
 
 
 def dim_leq(datum, mu):
     """dim of the closed stratum: sum of floors of the first l coordinates."""
-    point = mu.point if isinstance(mu, NewtonPoint) else mu
+    point = point_of(mu)
     return int(sum(qfloor(point[i]) for i in range(datum.l)))
 
 
 def codim(datum, nu, mu):
     """Codimension of the closed stratum of nu inside that of mu."""
-    nu_pt = nu.point if isinstance(nu, NewtonPoint) else nu
-    mu_pt = mu.point if isinstance(mu, NewtonPoint) else mu
+    nu_pt, mu_pt = point_of(nu), point_of(mu)
     if not datum.leq(nu_pt, mu_pt):
         raise ValueError("codim requires nu <= mu")
     c = dim_leq(datum, mu) - dim_leq(datum, nu)
@@ -83,8 +77,7 @@ def codim_chai(datum, nu, mu):
     Uses the rational fundamental weights (zero on the center), so the
     pairing with mu - nu only sees the semisimple part.
     """
-    nu_pt = nu.point if isinstance(nu, NewtonPoint) else nu
-    mu_pt = mu.point if isinstance(mu, NewtonPoint) else tuple(Q(c) for c in mu)
+    nu_pt, mu_pt = point_of(nu), point_of(mu)
     if any(Q(c).denominator != 1 for c in mu_pt):
         raise ValueError("codim_chai needs an integral dominant mu")
     if not datum.is_dominant(tuple(int(c) for c in mu_pt)):
@@ -102,21 +95,12 @@ def codim_chai(datum, nu, mu):
 
 def d_G(datum, nu):
     """Sum of fractional parts of the pairings with the extended weights."""
-    point = nu.point if isinstance(nu, NewtonPoint) else nu
+    point = point_of(nu)
     return sum((frac_part(Q(point[i])) for i in range(datum.l)), Q(0))
-
-
-def rho_prime_pairing(datum, nu):
-    """<rho', nu> with rho' the sum of the first l extended weights."""
-    point = nu.point if isinstance(nu, NewtonPoint) else nu
-    return sum((Q(point[i]) for i in range(datum.l)), Q(0))
 
 
 def d_levi_check(datum, nu):
     """Lemma-style reduction: d_G computed in nu's own Levi agrees with d_G."""
-    if not isinstance(nu, NewtonPoint):
-        nu = is_newton_point(datum, nu)
-        if nu is None:
-            raise ValueError("not a Newton point")
+    nu = newton_point(datum, nu)
     levi_datum, to_levi, _back = datum.levi(nu.levi)
     return d_G(levi_datum, to_levi(nu.point)) == d_G(datum, nu.point)

@@ -150,6 +150,17 @@ def compose(x, y):
         tuple(r) for r in exactlinalg.mat_mul(x.matrix, y.matrix)))
 
 
+def matrix_order(m, cap=10000):
+    """The least k >= 1 with m^k = 1, by repeated multiplication."""
+    ident = exactlinalg.identity(len(m))
+    acc = [list(r) for r in m]
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = exactlinalg.mat_mul(acc, m)
+    raise RuntimeError("matrix order exceeds cap")
+
+
 def weyl_product(datum, word):
     """s_{word[0]} s_{word[1]} ... s_{word[-1]} as a full matrix."""
     n = datum.n

@@ -48,7 +48,7 @@ def _report(name, ok):
     assert ok
 
 
-def test_criterion_1_classical_equivalence(no_retract_fallback):
+def test_criterion_1_classical_equivalence():
     """GL_n, n=2..6: exhaustive valuation vectors with -inf patterns."""
     checked = 0
     for n in range(2, 7):
@@ -64,7 +64,7 @@ def test_criterion_1_classical_equivalence(no_retract_fallback):
     _report("1 (classical equivalence)", True)
 
 
-def test_criterion_2_retraction_axioms(no_retract_fallback):
+def test_criterion_2_retraction_axioms():
     """Idempotence, majorization, dominance, fiber law, minimality,
     agreement with the Euclidean projection; 10,000 points per group."""
     specs = ("GL2", "GL3", "GL4", "A2", "B2", "C3", "G2", "Gext(E6)")

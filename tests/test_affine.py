@@ -24,7 +24,7 @@ from newtonstrata.rationals import Q
 from newtonstrata.rootdata import WeylElement, build_group
 from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
-from oracles import affine_generator, compose, weyl_product
+from oracles import affine_generator, compose, matrix_order, weyl_product
 
 
 def _gcd(a, b):
@@ -189,8 +189,6 @@ def test_char_multiset_gl2_gl3():
 
 
 def test_w_nu_order_divides_class_order():
-    from newtonstrata.affine import _matrix_order
-
     for spec in ("GL4", "GL6", "Gext(E6)", "Gext(D5)"):
         g = build_group(spec)
         factors = g.component_group()
@@ -198,7 +196,7 @@ def test_w_nu_order_divides_class_order():
         for f in factors:
             exponent = exponent * f // _gcd(exponent, f)
         for cls in g.component_classes():
-            order = _matrix_order([list(r) for r in w_nu(g, cls).matrix])
+            order = matrix_order(w_nu(g, cls).matrix)
             assert exponent % order == 0
 
 

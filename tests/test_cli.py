@@ -6,7 +6,10 @@ import shlex
 
 import pytest
 
+from newtonstrata.chamber import RetractionError, retract
 from newtonstrata.cli import main
+from newtonstrata.rationals import Q
+from newtonstrata.rootdata import RootDatum, build_group
 
 
 def run(capsys, *argv):
@@ -187,6 +190,24 @@ def test_bad_input_exit_2(capsys, argv, needle):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err and "Traceback" not in err
+
+
+def test_failed_certificate_exit_3(capsys, monkeypatch):
+    # a projection whose coefficient is positive: d' <= y fails, and
+    # `retract` must raise rather than answer
+    p_M_with_coeffs = RootDatum.p_M_with_coeffs
+
+    def positive(self, x, subset):
+        y, coeffs = p_M_with_coeffs(self, x, subset)
+        return y, {j: abs(c) + 1 for j, c in coeffs.items()}
+
+    monkeypatch.setattr(RootDatum, "p_M_with_coeffs", positive)
+    with pytest.raises(RetractionError):
+        retract(build_group("GL3"), (Q(1), Q(0), Q(0)))
+    code, out, err = run(capsys, "retract", "--group", "GL3", "--d", "1,0,0")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

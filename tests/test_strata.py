@@ -16,7 +16,6 @@ from newtonstrata.strata import (
     d_levi_check,
     dim_leq,
     index_set,
-    rho_prime_pairing,
     stratum_conditions,
 )
 
@@ -125,6 +124,11 @@ def test_d_g():
     assert d_G(g, (Q(2), Q(3))) == 0
     g4 = build_group("GL4")
     assert d_G(g4, (Q(1, 4), Q(1, 2), Q(3, 4), Q(1))) == Q(3, 2)
+
+
+def rho_prime_pairing(datum, nu):
+    """<rho', nu> with rho' the sum of the first l extended weights."""
+    return sum((Q(nu.point[i]) for i in range(datum.l)), Q(0))
 
 
 def test_dim_via_rho():
