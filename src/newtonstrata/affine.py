@@ -35,30 +35,28 @@ def _affine_tables(datum):
 
 
 def _build_affine_tables(datum):
+    """theta^vee is dominant and in the W-orbit of e_j for a long alpha_j;
+    each orbit meets the chamber once, so theta^vee = dominant_rep(e_j).
+    theta = sum m_a alpha_a with m_a = theta^vee_a |theta|^2 / |alpha_a|^2."""
     n = datum.n
     roots = []
     p0 = [Q(0)] * n
     for fidx, f in enumerate(datum.factors):
-        cm = dynkin.cartan_matrix(f.letter, f.rank)
         norms = dynkin.root_norms(f.letter, f.rank)
-        marks = dynkin.highest_root(cm)
+        long = max(norms)
+        e_j = [0] * n
+        e_j[f.indices[norms.index(long)]] = 1
+        theta_check, _word = datum.dominant_rep(e_j)
+        marks = [Q(theta_check[j]) * long / norm
+                 for j, norm in zip(f.indices, norms)]
+        if any(m.denominator != 1 for m in marks):
+            raise RuntimeError("highest root marks are not integers")
+        marks = [int(m) for m in marks]
         cox = sum(marks) + 1  # Coxeter number
         theta = [
-            sum(marks[a] * datum.alpha[i][f.indices[a]] for a in range(f.rank))
+            sum(m * datum.alpha[i][j] for m, j in zip(marks, f.indices))
             for i in range(n)
         ]
-        theta_norm = sum(
-            Q(marks[a]) * marks[b] * cm[a][b] * norms[a] / 2
-            for a in range(f.rank)
-            for b in range(f.rank)
-        )
-        theta_check = [0] * n
-        for a in range(f.rank):
-            # theta^vee = (2/|theta|^2) theta; alpha_a = (norm_a/2) alpha_a^vee
-            co = Q(marks[a]) * norms[a] / theta_norm
-            if co.denominator != 1:
-                raise RuntimeError("theta^vee is not an integral coroot")
-            theta_check[f.indices[a]] = int(co)
         # rho^vee / (cox + 1) within this factor's coroot span
         subset = frozenset(f.indices)
         sol = datum._pm_solve(subset, [1] * f.rank, cox + 1)
@@ -189,21 +187,16 @@ def defect(datum, nu):
     return _fixed_corank(w_nu(datum, nu))
 
 
-def _central(datum, nu):
-    """p_M(lift, all simple roots): its coordinates carry the characters."""
-    return datum.p_M(nu, frozenset(range(datum.l)))
-
-
 def chi(datum, i, nu):
     """The i-th character of the class group, as a rational in [0, 1)."""
-    return frac_part(Q(_central(datum, nu)[i]))
+    return frac_part(Q(datum.central_part(nu[datum.l:])[i]))
 
 
 def verify_defect_identity(datum, nu):
     """Report comparing d_G, half the defect, and the character sum."""
     w = section_s(datum, nu).linear
     dfct = _fixed_corank(w)
-    central = _central(datum, nu)
+    central = datum.central_part(nu[datum.l:])
     dg = d_G(datum, central)
     chi_sum = sum((frac_part(Q(c)) for c in central), Q(0))
     ok = dg == Q(dfct, 2) and 2 * chi_sum == dfct
@@ -242,7 +235,7 @@ def reflection_char_multiset_check(datum, nu):
             poly = q
             mults[d] = mults.get(d, 0) + 1
     fully_factored = poly == [1]
-    chis = [frac_part(Q(c)) for c in _central(datum, nu)]
+    chis = [frac_part(Q(c)) for c in datum.central_part(nu[datum.l:])]
     by_denom = {}
     for c in chis:
         by_denom.setdefault(c.denominator, []).append(c)

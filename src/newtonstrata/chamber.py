@@ -125,8 +125,11 @@ def is_newton_point(datum, y):
     """Certify y as a Newton point, or return None.
 
     In omega-coordinates the lattice condition reduces to integrality of
-    the coordinates away from the face.
+    the coordinates away from the face.  A point of the wrong length or
+    with -inf coordinates is not one.
     """
+    if len(y) != datum.n or not all(is_finite(c) for c in y):
+        return None
     y = tuple(Q(c) for c in y)
     face, negative = face_of(datum, y)
     if negative:

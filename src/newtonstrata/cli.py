@@ -60,10 +60,7 @@ def _parse_integral(datum, s, flag):
 
 def _newton_point(datum, s, flag):
     """Parse a point and certify it as a Newton point of the datum."""
-    point = parse_point(s)
-    np = None
-    if len(point) == datum.n and NEG_INF not in point:
-        np = chamber.is_newton_point(datum, point)
+    np = chamber.is_newton_point(datum, parse_point(s))
     if np is None:
         raise ValueError(f"{flag} {s} is not a Newton point of {datum.label}")
     return np
@@ -164,8 +161,6 @@ def cmd_dg(datum, args):
 
 def cmd_eval(datum, args):
     a = toruseval.parse_torus_point(args.a)
-    if len(a.values) != datum.n:
-        raise ValueError("torus point has wrong length")
     values, d_c = toruseval.eval_c(datum, a)
     payload = {
         "c": [v.to_json() for v in values],

@@ -1,4 +1,4 @@
-"""Cartan matrices, root enumeration and Dynkin diagram classification.
+"""Cartan matrices, root norms and Dynkin diagram classification.
 
 Node numbering follows Bourbaki throughout.  The Cartan matrix convention
 used everywhere in this package is
@@ -72,45 +72,6 @@ def cartan_matrix(letter, l):
         c[i][j] = int(cij)
         c[j][i] = int(cji)
     return c
-
-
-def positive_roots(cartan):
-    """All positive roots as coefficient tuples over the simple roots."""
-    l = len(cartan)
-    simple = [tuple(int(i == j) for i in range(l)) for j in range(l)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for j in range(l):
-                # alpha_j-string through beta: beta + alpha_j is a root iff
-                # p - <beta, alpha_j^vee> > 0 with p the string depth
-                p = 0
-                down = list(beta)
-                while True:
-                    down[j] -= 1
-                    if any(x < 0 for x in down) or tuple(down) not in roots:
-                        break
-                    p += 1
-                pairing = sum(beta[i] * cartan[j][i] for i in range(l))
-                if p - pairing > 0:
-                    up = list(beta)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        new.append(cand)
-        frontier = new
-    return sorted(roots, key=lambda r: (sum(r), r))
-
-
-def highest_root(cartan):
-    """Coefficient tuple of the highest root."""
-    roots = positive_roots(cartan)
-    top = roots[-1]
-    assert sum(top) == max(sum(r) for r in roots)
-    return top
 
 
 def classify(block):

@@ -138,6 +138,8 @@ class RootDatum:
 
     def leq(self, x, y):
         """x <= y: y - x is a nonnegative combination of simple coroots."""
+        if len(x) != self.n or len(y) != self.n:
+            raise ValueError("points to compare have the wrong length")
         for i in range(self.l):
             if y[i] - x[i] < 0:
                 return False
@@ -381,19 +383,16 @@ def _parse_intvec(s, l):
 
 
 def _parse_factor(tok):
+    """The `_assemble` plan entry of one factor token."""
     tok = tok.strip()
     if tok.startswith("Gext(") and tok.endswith(")"):
-        inner = tok[5:-1]
-        if ";" in inner:
-            typ, m = inner.split(";", 1)
-            if not m.startswith("m="):
-                raise GroupSpecError(f"expected ';m=' in {tok!r}")
-            m = m[2:]
-        else:
-            typ, m = inner, None
+        typ, sep, m = tok[5:-1].partition(";")
+        if sep and not m.startswith("m="):
+            raise GroupSpecError(f"expected ';m=' in {tok!r}")
         letter, rank = _parse_sctype(typ)
-        mvec = None if m is None else _parse_intvec(m, rank)
-        return ("gext", letter, rank, mvec)
+        if not sep:
+            return ("gext", letter, rank, _gext_preset_row(letter, rank))
+        return ("gext", letter, rank, _parse_intvec(m[2:], rank))
     if tok.startswith("GL"):
         try:
             n = int(tok[2:])
@@ -401,9 +400,11 @@ def _parse_factor(tok):
             raise GroupSpecError(f"bad factor {tok!r}") from exc
         if n < 1:
             raise GroupSpecError("GLn needs n >= 1")
-        if n > 1:  # the derived group of GLn is A_{n-1}
-            _check_rank("A", n - 1, tok)
-        return ("gl", n)
+        if n == 1:
+            return ("torus", 1)
+        # the derived group of GLn is A_{n-1}, extended by -e_{n-1}
+        _check_rank("A", n - 1, tok)
+        return ("gext", "A", n - 1, [-int(i == n - 2) for i in range(n - 1)])
     if tok.startswith("T"):
         try:
             k = int(tok[1:])
@@ -448,27 +449,9 @@ def _gext_preset_row(letter, rank):
     return best[1]
 
 
-def _assemble(parts, label):
-    plan = []
-    for part in parts:
-        if part[0] == "simple":
-            plan.append(("simple", part[1], part[2]))
-        elif part[0] == "torus":
-            plan.append(("torus", part[1]))
-        elif part[0] == "gl":
-            n = part[1]
-            if n == 1:
-                plan.append(("torus", 1))
-            else:
-                m = [-int(i == n - 2) for i in range(n - 1)]
-                plan.append(("gext", "A", n - 1, m))
-        elif part[0] == "gext":
-            letter, rank, m = part[1], part[2], part[3]
-            if m is None:
-                m = _gext_preset_row(letter, rank)
-            plan.append(("gext", letter, rank, m))
-        else:  # pragma: no cover
-            raise AssertionError(part)
+def _assemble(plan, label):
+    """The datum of a list of parsed factors: ("simple", letter, rank),
+    ("torus", k) or ("gext", letter, rank, m)."""
     l = sum(p[2] for p in plan if p[0] in ("simple", "gext"))
     n = l + sum(p[1] for p in plan if p[0] == "torus") + sum(
         1 for p in plan if p[0] == "gext"
@@ -506,18 +489,6 @@ def build_group(spec):
     spec = spec.strip()
     if not spec:
         raise GroupSpecError("empty group spec")
-    # split on '*' outside parentheses
-    toks, depth, cur = [], 0, []
-    for ch in spec:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            toks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    toks.append("".join(cur))
-    parts = [_parse_factor(t) for t in toks]
-    return _assemble(parts, label=spec)
+    # the grammar admits no '*' inside Gext(...)
+    plan = [_parse_factor(t) for t in spec.split("*")]
+    return _assemble(plan, label=spec)

@@ -149,6 +149,8 @@ def _orbit_sums(datum, a, guard):
     """The orbit-sum coordinates at a, each orbit walked once, and for each
     coordinate whether a single orbit term has the least exponent before
     cancellation (the torus coordinates count as single terms)."""
+    if len(a.values) != datum.n:
+        raise ValueError("torus point has wrong length")
     values, unique = list(a.values), [True] * datum.n
     for i in range(datum.l):
         omega = tuple(int(i == k) for k in range(datum.n))

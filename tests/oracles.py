@@ -14,8 +14,9 @@ points with `leq`, and an O(N^3) transitive reduction.
 build Weyl and affine Weyl elements as full matrices and multiply them.
 The library applies reflections by formula instead; these are the
 references for `dominant_rep`, `alcove_reduce` and `weyl_word`.  The
-affine coroot in `affine_generator` is taken from the same invariant
-form, not from the library's affine tables.
+highest root in `affine_generator` comes from root strings
+(`positive_roots`) and its coroot from the invariant form, not from the
+library's affine tables, which take theta^vee from `dominant_rep`.
 """
 
 import functools
@@ -171,30 +172,65 @@ def weyl_product(datum, word):
     return w
 
 
-def affine_generator(datum, gid):
-    """The simple affine reflection with generator id gid (j >= 0 the
-    finite s_j, -f the affine reflection of factor f) as a full element.
+def positive_roots(cartan):
+    """All positive roots as coefficient tuples over the simple roots, by
+    alpha_j-strings: beta + alpha_j is a root iff p - <beta, alpha_j^vee> > 0
+    with p the depth of the string below beta."""
+    l = len(cartan)
+    simple = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for j in range(l):
+                p = 0
+                down = list(beta)
+                while True:
+                    down[j] -= 1
+                    if any(x < 0 for x in down) or tuple(down) not in roots:
+                        break
+                    p += 1
+                pairing = sum(beta[i] * cartan[j][i] for i in range(l))
+                if p - pairing > 0:
+                    up = list(beta)
+                    up[j] += 1
+                    cand = tuple(up)
+                    if cand not in roots:
+                        roots.add(cand)
+                        new.append(cand)
+        frontier = new
+    return sorted(roots, key=lambda r: (sum(r), r))
 
-    For the highest root theta of the factor, with dual v under the
-    invariant form, theta^vee = 2 v / <theta, v>; the reflection is
-    x -> x - <theta, x> theta^vee + theta^vee.
-    """
+
+def highest_root(datum, f):
+    """(theta, theta^vee) of the factor f in omega-coordinates: theta is the
+    top of the root strings, and theta^vee = 2 v / <theta, v> for the dual
+    v of theta under the invariant form."""
     n = datum.n
-    if gid >= 0:
-        return AffineWeylElement((0,) * n, simple_reflection(datum, gid))
-    f = datum.factors[-gid - 1]
-    marks = dynkin.highest_root(dynkin.cartan_matrix(f.letter, f.rank))
+    marks = positive_roots(dynkin.cartan_matrix(f.letter, f.rank))[-1]
     duals = form_duals(datum)
-    theta = [
+    theta = tuple(
         sum(m * datum.alpha[i][j] for m, j in zip(marks, f.indices))
         for i in range(n)
-    ]
+    )
     v = [sum(m * duals[j][i] for m, j in zip(marks, f.indices))
          for i in range(n)]
     scale = 2 / sum(t * x for t, x in zip(theta, v))
     theta_check = [scale * x for x in v]
     assert all(c.denominator == 1 for c in theta_check)
-    theta_check = tuple(int(c) for c in theta_check)
+    return theta, tuple(int(c) for c in theta_check)
+
+
+def affine_generator(datum, gid):
+    """The simple affine reflection with generator id gid (j >= 0 the
+    finite s_j, -f the affine reflection of factor f) as a full element:
+    x -> x - <theta, x> theta^vee + theta^vee, with the `highest_root`
+    pair of the factor."""
+    n = datum.n
+    if gid >= 0:
+        return AffineWeylElement((0,) * n, simple_reflection(datum, gid))
+    theta, theta_check = highest_root(datum, datum.factors[-gid - 1])
     rows = tuple(
         tuple(int(i == k) - theta_check[i] * theta[k] for k in range(n))
         for i in range(n)

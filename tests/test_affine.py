@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newtonstrata import affine
+from newtonstrata import affine, dynkin
 from newtonstrata.affine import (
     alcove_reduce,
     chi,
@@ -24,7 +24,8 @@ from newtonstrata.rationals import Q
 from newtonstrata.rootdata import WeylElement, build_group
 from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
-from oracles import affine_generator, compose, matrix_order, weyl_product
+from oracles import (
+    affine_generator, compose, highest_root, matrix_order, weyl_product)
 
 
 def _gcd(a, b):
@@ -203,15 +204,27 @@ def test_w_nu_order_divides_class_order():
 def test_simple_affine_roots_count():
     g = build_group("B2*A1")
     assert len(simple_affine_roots(g)) == 5  # (2+1) + (1+1)
+    # every simple type: the affine root is (-theta, 1, gid, -theta^vee)
+    # with theta from root strings and theta^vee from the invariant form,
+    # and the sample point lies strictly inside the base alcove
+    for letter, (lo, hi) in dynkin.RANK_BOUNDS.items():
+        for rank in range(lo, hi + 1):
+            g = build_group(f"{letter}{rank}")
+            roots, p0 = affine._affine_tables(g)
+            theta, theta_check = highest_root(g, g.factors[0])
+            assert len(roots) == rank + 1
+            assert roots[-1] == (tuple(-c for c in theta), 1, -1,
+                                 tuple(-c for c in theta_check))
+            assert all(sum(c * p for c, p in zip(lam, p0)) + k > 0
+                       for lam, k, _gid, _h in roots)
 
 
 def test_affine_tables_theta_check_raises(monkeypatch):
-    # doubled marks make theta^vee half a coroot; a real raise, not an
-    # assert that python -O would strip
+    # norms that make a highest-root mark fractional; a real raise, not
+    # an assert that python -O would strip
     g = build_group("GL3")  # fresh datum: no affine tables cached yet
-    highest_root = affine.dynkin.highest_root
-    monkeypatch.setattr(affine.dynkin, "highest_root",
-                        lambda cm: [2 * m for m in highest_root(cm)])
+    monkeypatch.setattr(affine.dynkin, "root_norms",
+                        lambda letter, l: [Q(2)] * (l - 1) + [Q(3)])
     with pytest.raises(RuntimeError):
         simple_affine_roots(g)
 

@@ -115,6 +115,9 @@ def test_is_newton_point_gl2():
     assert np is not None
     assert g.p_M(np.lift, np.levi) == np.point
     assert is_newton_point(g, (Q(1, 3), Q(2, 3))) is None
+    # the wrong length, or -inf: not a Newton point, and no exception
+    for y in ((Q(1), Q(1), Q(1)), (Q(1),), (NEG_INF, Q(1))):
+        assert is_newton_point(g, y) is None
 
 
 def test_is_newton_point_regular_integral():
@@ -153,8 +156,10 @@ def test_newton_points_below_gl4():
 
 def test_newton_points_below_rejects_non_newton_mu():
     g = build_group("GL3")
-    # not dominant; dominant but off the lattice away from its face
-    for mu in ((Q(0), Q(5), Q(1)), (Q(2, 3), Q(1), Q(1))):
+    # not dominant; dominant but off the lattice away from its face; the
+    # wrong length; -inf
+    for mu in ((Q(0), Q(5), Q(1)), (Q(2, 3), Q(1), Q(1)),
+               (1, 2, 3, 4), (1, 2), (NEG_INF, 1, 1)):
         with pytest.raises(ValueError):
             newton_points_below(g, mu)
 

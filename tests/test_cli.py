@@ -184,6 +184,11 @@ def test_usage_error_exit_2():
     (("dg", "--group", "GL2", "--nu", "1"), "--nu"),
     (("dg", "--group", "GL2", "--nu", "1,2,3"), "--nu"),
     (("verify", "--group", "GL2", "--count", "-3"), "--count"),
+    # a --mu of the wrong length or with -inf, a torus point of the
+    # wrong length: refused by the library, not only by the CLI
+    (("dim", "--group", "GL3", "--mu", "1,2"), "--mu"),
+    (("dim", "--group", "GL3", "--mu=-inf,1,1"), "--mu"),
+    (("eval", "--group", "GL3", "--a", "1*pi^0,1*pi^1"), "wrong length"),
 ])
 def test_bad_input_exit_2(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

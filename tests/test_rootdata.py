@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from newtonstrata import dynkin
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import GroupSpecError, build_group
-from oracles import simple_reflection, weyl_product
+from oracles import positive_roots, simple_reflection, weyl_product
 
 
 def test_gl2_datum():
@@ -100,6 +100,9 @@ def test_leq():
     assert not g.leq((Q(0), Q(2)), (Q(1), Q(3)))
     x = (Q(1, 2), Q(7))
     assert g.leq(x, x)
+    for a, b in ((x, x + (Q(9),)), (x + (Q(9),), x), (x[:1], x)):
+        with pytest.raises(ValueError):
+            g.leq(a, b)
 
 
 def test_dominant_rep_examples():
@@ -116,7 +119,7 @@ DOMINANT_GROUPS = {s: build_group(s) for s in ("GL4", "B2", "G2", "Gext(D4)")}
 
 def _positive_root_count(g):
     return sum(
-        len(dynkin.positive_roots(dynkin.cartan_matrix(f.letter, f.rank)))
+        len(positive_roots(dynkin.cartan_matrix(f.letter, f.rank)))
         for f in g.factors)
 
 

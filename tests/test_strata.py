@@ -97,6 +97,8 @@ def test_codim_requires_leq():
     g = build_group("GL2")
     with pytest.raises(ValueError):
         codim(g, (Q(1), Q(1)), (Q(1, 2), Q(1)))
+    with pytest.raises(ValueError):  # points of different lengths
+        codim(g, (Q(1), Q(1)), (Q(1), Q(1), Q(9)))
 
 
 def test_codim_self_checks_raise(monkeypatch):

@@ -110,6 +110,10 @@ def test_eval_c_gl2():
     values, d_c = eval_c(g, a)
     assert values[0].terms == (mono(1, -1) + mono(1, 0)).terms
     assert d_c == (1, 1)
+    # a torus point of the wrong length is refused, not truncated
+    for s in ("1*pi^(0)", "1*pi^(0),1*pi^(1),1*pi^(2)"):
+        with pytest.raises(ValueError):
+            eval_c(g, parse_torus_point(s))
 
 
 def test_eval_c_cancellation():
@@ -132,6 +136,8 @@ def test_check_thm_rnu_trivial():
     g = build_group("GL2")
     a = parse_torus_point("1*pi^(0),1*pi^(0)")
     assert check_thm_rnu(g, a)["pass"]
+    with pytest.raises(ValueError):  # the wrong length
+        check_thm_rnu(g, parse_torus_point("1*pi^(0),1*pi^(0),1*pi^(0)"))
 
 
 def test_check_thm_rnu_cancellation():
