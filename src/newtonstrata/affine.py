@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from . import dynkin, exactlinalg
-from .rationals import Q, frac_part
+from .rationals import Q, frac_part, scale_to_ints
 from .rootdata import WeylElement
 from .strata import d_G
 
@@ -29,8 +29,9 @@ def translation(datum, lift):
 
 
 def _affine_tables(datum):
-    """The simple affine roots and the interior sample point of the base
-    alcove; built once per datum."""
+    """(roots, den, point): the simple affine roots and an interior sample
+    point of the base alcove, as the int vector den * p0; built once per
+    datum."""
     return datum.memo("affine_tables", _build_affine_tables)
 
 
@@ -70,7 +71,8 @@ def _build_affine_tables(datum):
             roots.append((datum.root_coords(j), 0, j, unit))
         roots.append((tuple(-c for c in theta), 1, -(fidx + 1),
                       tuple(-c for c in theta_check)))
-    return roots, tuple(p0)
+    den, point = scale_to_ints(p0)
+    return roots, den, tuple(point)
 
 
 def simple_affine_roots(datum):
@@ -96,16 +98,18 @@ def alcove_reduce(datum, x):
     the word listing generator ids in application order.
 
     Each reflection s(v) = v - (<lam, v> + k) h is applied by formula to
-    the sample point, to the translation and to the linear part of x.
+    the sample point, to the translation and to the linear part of x.  The
+    sample point is kept as den * x(p0), so val = den * (<lam, x(p0)> + k)
+    is an int of the same sign.
     """
-    roots, p0 = _affine_tables(datum)
-    point = list(x.act(p0))
+    roots, den, p0 = _affine_tables(datum)
     t = list(x.translation)
+    point = [a + den * s for a, s in zip(x.linear.act(p0), t)]
     rows = [list(r) for r in x.linear.matrix]
     word = []
     while True:
         for lam, k, gid, h in roots:
-            val = sum(c * p for c, p in zip(lam, point) if c) + k
+            val = sum(c * p for c, p in zip(lam, point) if c) + k * den
             if val < 0:
                 shift = sum(c * s for c, s in zip(lam, t) if c) + k
                 for i, c in enumerate(h):
@@ -162,7 +166,7 @@ def weyl_word(datum, w):
     dominant chamber; replaying it on a copy of w as updates of row j
     gives the identity exactly when w is a Weyl group element.
     """
-    _roots, p0 = _affine_tables(datum)
+    _roots, _den, p0 = _affine_tables(datum)
     n = datum.n
     _y, word = datum.dominant_rep(w.act(p0))
     rows = [list(r) for r in w.matrix]

@@ -236,9 +236,27 @@ def build_parser():
     return top
 
 
+# flags whose values may begin with '-' (`--d -inf,0,0`, `--a -1*pi^(0)`)
+_POINT_FLAGS = ("--d", "--mu", "--nu", "--a")
+
+
+def _join_point_values(argv):
+    """Rewrite `FLAG VALUE` as `FLAG=VALUE` for a point flag whose value
+    begins with a single '-', which argparse would read as an option."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in _POINT_FLAGS and tok.startswith("-")
+                and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_point_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(build_group(args.group), args)
     except (ValueError, KeyError, OrbitGuardError) as e:

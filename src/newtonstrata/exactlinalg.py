@@ -65,22 +65,22 @@ def charpoly(mat):
     """Characteristic polynomial det(T*I - M) of an integer matrix.
 
     Returns integer coefficients [c0, c1, ..., cn] with cn = 1
-    (Faddeev-LeVerrier, exact).
+    (Faddeev-LeVerrier on ints: each c_k = -tr(A_k) / k divides exactly).
     """
     n = len(mat)
-    m = [[Q(x) for x in row] for row in mat]
-    coeffs = [Q(1)]  # leading coefficient
+    m = [list(row) for row in mat]
+    coeffs = [1]  # leading coefficient
     a = [row[:] for row in m]
     for k in range(1, n + 1):
         if k > 1:
             for i in range(n):
                 a[i][i] += coeffs[-1]
             a = mat_mul(m, a)
-        ck = -sum(a[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(a[i][i] for i in range(n)), k)
+        if rem:
+            raise RuntimeError("characteristic polynomial is not integral")
         coeffs.append(ck)
-    if any(c.denominator != 1 for c in coeffs):
-        raise RuntimeError("characteristic polynomial is not integral")
-    return [int(c) for c in reversed(coeffs)]  # constant term first
+    return coeffs[::-1]  # constant term first
 
 
 # ---------------------------------------------------------------------------

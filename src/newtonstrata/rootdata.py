@@ -164,28 +164,54 @@ class RootDatum:
             else:
                 return tuple(y), tuple(word)
 
+    def orbit_tree(self, lam, guard=10**6):
+        """Walk the Weyl orbit of a weight lam by reverse search, yielding
+        (mu, j, depth) in preorder, each orbit element once.
+
+        s_j acts on weights as mu -> mu - mu_j alpha_j.  The root is the
+        dominant element (j = -1, depth 0).  The parent of a non-dominant
+        mu is s_j mu for the first j with mu_j < 0, so the children of mu
+        are the s_j mu with mu_j > 0 whose coordinates before j stay >= 0.
+        A child mu of depth d is s_j of the last element yielded at depth
+        d - 1, and j is the first index with mu_j < 0.  No visited set is
+        kept.  Raises OrbitGuardError past `guard` elements.
+        """
+        l, alpha, support = self.l, self.alpha, self._root_support
+        mu = list(lam)
+        while True:  # climb to the root
+            j = next((j for j in range(l) if mu[j] < 0), l)
+            if j == l:
+                break
+            m = mu[j]
+            for i, a in support[j]:
+                mu[i] -= m * a
+        stack = [(tuple(mu), -1, 0)]
+        count = 0
+        while stack:
+            node = stack.pop()
+            count += 1
+            if count > guard:
+                raise OrbitGuardError(f"orbit size exceeds guard {guard}")
+            yield node
+            mu, first, depth = node
+            if first < 0:
+                first = l
+            for j in range(l):
+                m = mu[j]
+                # s_j only raises the coordinates before `first` (alpha_j
+                # pairs <= 0 with the other simple coroots); those from
+                # `first` to j must end >= 0
+                if m <= 0 or j > first and mu[first] < m * alpha[first][j]:
+                    continue
+                nu = list(mu)
+                for i, a in support[j]:
+                    nu[i] -= m * a
+                if j < first or min(nu[first:j]) >= 0:
+                    stack.append((tuple(nu), j, depth + 1))
+
     def weyl_orbit(self, lam, guard=10**6):
-        """Weyl orbit of a weight lam (BFS over s_j : lam -> lam - lam_j alpha_j)."""
-        start = tuple(lam)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for mu in frontier:
-                for j in range(self.l):
-                    if mu[j] == 0:
-                        continue
-                    col = self.root_coords(j)
-                    img = tuple(m - mu[j] * c for m, c in zip(mu, col))
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-                        if len(seen) > guard:
-                            raise OrbitGuardError(
-                                f"orbit size exceeds guard {guard}"
-                            )
-            frontier = new
-        return seen
+        """The Weyl orbit of a weight lam, as the set of `orbit_tree`."""
+        return {mu for mu, _j, _depth in self.orbit_tree(lam, guard)}
 
     # -- Levi projections --------------------------------------------------
 

@@ -5,11 +5,12 @@ valuation convention is val(pi) = -1, val(0) = -inf, so the valuation of
 a sum is the negated minimum exponent.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
 from .chamber import retract
-from .rationals import NEG_INF, Q, fmt_scalar
+from .rationals import NEG_INF, Q, fmt_scalar, scale_to_ints
 from .strata import index_set
 
 
@@ -128,39 +129,77 @@ def parse_torus_point(s):
     return TorusPoint(tuple(vals))
 
 
-def eval_char(datum, lam, a):
-    """Value of the character with omega-coordinates lam at a: the monomial
-    prod_i c_i^lam_i * pi^(sum_i lam_i v_i) for a_i = c_i * pi^v_i."""
-    coeff, exp = Q(1), Q(0)
-    for k, x in zip(lam, a.values):
-        if k:
-            ((v, c),) = x.terms.items()
-            coeff *= c ** int(k)
-            exp += k * v
-    return LaurentPoly.monomial(coeff, exp)
-
-
 def nu_a(datum, a):
     """The rational cocharacter tracking all valuations of character values."""
     return tuple(-next(iter(v.terms)) for v in a.values)
 
 
+def _coordinate_bounds(datum):
+    """b[k][i] >= |mu_i| on the W-orbit of omega_k, k < l: on that orbit
+    the largest <mu, +-e_i> is <omega_k, dominant_rep(+-e_i)>."""
+    doms = [
+        [datum.dominant_rep([s * int(i == t) for t in range(datum.n)])[0]
+         for s in (1, -1)]
+        for i in range(datum.n)
+    ]
+    return [[max(plus[k], minus[k]) for plus, minus in doms]
+            for k in range(datum.l)]
+
+
 def _orbit_sums(datum, a, guard):
     """The orbit-sum coordinates at a, each orbit walked once, and for each
     coordinate whether a single orbit term has the least exponent before
-    cancellation (the torus coordinates count as single terms)."""
-    if len(a.values) != datum.n:
+    cancellation (the torus coordinates count as single terms).
+
+    With a_i = c_i * pi^v_i the term of mu is prod_i c_i^mu_i *
+    pi^<mu, v>.  Both parts are carried down `orbit_tree` as ints: the
+    exponent times the common denominator D of the v_i, by
+    E(s_j mu) = E(mu) - mu_j <alpha_j, D v>, and the coefficient times a
+    scale K that makes it integral on the whole orbit, multiplied by
+    r_j^(-mu_j) with r_j = prod_i c_i^(alpha_j)_i.
+    """
+    n, l = datum.n, datum.l
+    if len(a.values) != n:
         raise ValueError("torus point has wrong length")
-    values, unique = list(a.values), [True] * datum.n
-    for i in range(datum.l):
-        omega = tuple(int(i == k) for k in range(datum.n))
-        terms, exps = {}, []
-        for lam in datum.weyl_orbit(omega, guard=guard):
-            ((v, c),) = eval_char(datum, lam, a).terms.items()
-            terms[v] = terms.get(v, 0) + c
-            exps.append(v)
-        values[i] = LaurentPoly(terms)
-        unique[i] = exps.count(min(exps)) == 1
+    monos = [next(iter(x.terms.items())) for x in a.values]
+    den, exps = scale_to_ints([v for v, _c in monos])
+    coeffs = [c for _v, c in monos]
+    steps = [datum.root_pairing(j, exps) for j in range(l)]
+    ratios = [math.prod(c ** e for c, e in zip(coeffs, datum.root_coords(j))
+                        if e) for j in range(l)]
+    bounds = datum.memo("orbit_coordinate_bounds", _coordinate_bounds)
+    powers = {}  # (j, m) -> r_j^m as (numerator, denominator)
+    values, unique = list(a.values), [True] * n
+    for k in range(l):
+        scale = math.prod((abs(c.numerator) * c.denominator) ** b
+                          for c, b in zip(coeffs, bounds[k]))
+        state, sums = {}, {}
+        least, hits = math.inf, 0
+        omega = tuple(int(i == k) for i in range(n))
+        for mu, j, depth in datum.orbit_tree(omega, guard):
+            if depth:
+                m = mu[j]
+                e, c = state[depth - 1]
+                e += m * steps[j]
+                frac = powers.get((j, m))
+                if frac is None:
+                    r = ratios[j] ** m
+                    frac = powers[(j, m)] = (r.numerator, r.denominator)
+                c, rem = divmod(c * frac[0], frac[1])
+            else:  # the root: omega_k is dominant
+                q = scale * coeffs[k]
+                e, c, rem = exps[k], q.numerator, q.denominator != 1
+            if rem:
+                raise RuntimeError("scaled orbit coefficient is not integral")
+            state[depth] = e, c
+            sums[e] = sums.get(e, 0) + c
+            if e < least:
+                least, hits = e, 1
+            elif e == least:
+                hits += 1
+        values[k] = LaurentPoly(
+            {Q(e, den): Q(c, scale) for e, c in sums.items()})
+        unique[k] = hits == 1
     return values, tuple(v.val() for v in values), unique
 
 

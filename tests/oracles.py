@@ -17,6 +17,13 @@ references for `dominant_rep`, `alcove_reduce` and `weyl_word`.  The
 highest root in `affine_generator` comes from root strings
 (`positive_roots`) and its coroot from the invariant form, not from the
 library's affine tables, which take theta^vee from `dominant_rep`.
+
+`weyl_orbit` is the breadth-first orbit walk with a visited set, the
+reference for the reverse search `RootDatum.orbit_tree`; `eval_char`
+evaluates one character at a torus point, the reference for the orbit
+sums that `toruseval` carries down that walk.  `charpoly` is the
+`Fraction` Faddeev-LeVerrier form of the integer `exactlinalg.charpoly`,
+and `det` a cofactor expansion to check both against.
 """
 
 import functools
@@ -25,7 +32,8 @@ from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError, is_newton_point
 from newtonstrata.rationals import Q, is_finite, qceil, qfloor
-from newtonstrata.rootdata import WeylElement
+from newtonstrata.rootdata import OrbitGuardError, WeylElement
+from newtonstrata.toruseval import LaurentPoly
 
 
 @functools.cache
@@ -293,3 +301,63 @@ def hasse(datum, points):
                    if c != a and c != b):
             edges.append((a, b))
     return sorted(edges)
+
+
+def weyl_orbit(datum, lam, guard=10**6):
+    """Weyl orbit of a weight lam (BFS over s_j : mu -> mu - mu_j alpha_j)."""
+    start = tuple(lam)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for j in range(datum.l):
+                if mu[j] == 0:
+                    continue
+                col = datum.root_coords(j)
+                img = tuple(m - mu[j] * c for m, c in zip(mu, col))
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+                    if len(seen) > guard:
+                        raise OrbitGuardError(
+                            f"orbit size exceeds guard {guard}")
+        frontier = new
+    return seen
+
+
+def eval_char(datum, lam, a):
+    """Value of the character with omega-coordinates lam at a: the monomial
+    prod_i c_i^lam_i * pi^(sum_i lam_i v_i) for a_i = c_i * pi^v_i."""
+    coeff, exp = Q(1), Q(0)
+    for k, x in zip(lam, a.values):
+        if k:
+            ((v, c),) = x.terms.items()
+            coeff *= c ** int(k)
+            exp += k * v
+    return LaurentPoly.monomial(coeff, exp)
+
+
+def charpoly(mat):
+    """det(T*I - M) by Faddeev-LeVerrier over the rationals, constant term
+    first."""
+    n = len(mat)
+    m = [[Q(x) for x in row] for row in mat]
+    coeffs = [Q(1)]
+    a = [row[:] for row in m]
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                a[i][i] += coeffs[-1]
+            a = exactlinalg.mat_mul(m, a)
+        coeffs.append(-sum(a[i][i] for i in range(n)) / k)
+    return coeffs[::-1]
+
+
+def det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])

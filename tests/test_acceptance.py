@@ -105,6 +105,15 @@ def test_criterion_3_torus_evaluation():
             a = random_torus_point(g, rng, denominator=(k % 3) + 1)
             rep = check_thm_rnu(g, a)
             assert rep["pass"], (spec, k, rep)
+    # E7 and E8 by the reverse-search orbit sums: 20 seeded E7 points with
+    # denominators 1 to 3, and one E8 point
+    for spec, count in (("E7", 20), ("E8", 1)):
+        g = build_group(spec)
+        rng = random.Random(977)
+        for k in range(count):
+            a = random_torus_point(g, rng, denominator=(k % 3) + 1)
+            rep = check_thm_rnu(g, a)
+            assert rep["pass"], (spec, k, rep)
     _report("3 (torus evaluation)", True)
 
 

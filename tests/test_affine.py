@@ -210,12 +210,14 @@ def test_simple_affine_roots_count():
     for letter, (lo, hi) in dynkin.RANK_BOUNDS.items():
         for rank in range(lo, hi + 1):
             g = build_group(f"{letter}{rank}")
-            roots, p0 = affine._affine_tables(g)
+            roots, den, p0 = affine._affine_tables(g)
             theta, theta_check = highest_root(g, g.factors[0])
             assert len(roots) == rank + 1
             assert roots[-1] == (tuple(-c for c in theta), 1, -1,
                                  tuple(-c for c in theta_check))
-            assert all(sum(c * p for c, p in zip(lam, p0)) + k > 0
+            # p0 is stored as the int vector den * p0, den > 0
+            assert den > 0 and all(type(p) is int for p in p0)
+            assert all(sum(c * p for c, p in zip(lam, p0)) + k * den > 0
                        for lam, k, _gid, _h in roots)
 
 

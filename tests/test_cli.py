@@ -32,6 +32,26 @@ def test_retract_neg_inf(capsys):
     assert json.loads(out)["y"] == ["0", "0", "0"]
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    ("retract --group GL3 --d -inf,0,0", "retract --group GL3 --d=-inf,0,0"),
+    ("stratum --group GL3 --d -inf,-1,0", "stratum --group GL3 --d=-inf,-1,0"),
+    ("dim --group GL2 --mu -1,-2", "dim --group GL2 --mu=-1,-2"),
+    ("conditions --group GL2 --mu -1,-2 --closed",
+     "conditions --group GL2 --mu=-1,-2 --closed"),
+    ("codim --group GL2 --nu -1,-2 --mu 0,-2",
+     "codim --group GL2 --nu=-1,-2 --mu 0,-2"),
+    ("dg --group GL2 --nu -1/2,0", "dg --group GL2 --nu=-1/2,0"),
+    ("defect --group GL2 --nu -1,0", "defect --group GL2 --nu=-1,0"),
+    ("eval --group GL2 --a -1*pi^(0),1*pi^(1)",
+     "eval --group GL2 --a=-1*pi^(0),1*pi^(1)"),
+])
+def test_dash_value_both_spellings(capsys, spaced, joined):
+    # a point value beginning with '-' may follow its flag after a space
+    code, out, err = run(capsys, *spaced.split())
+    assert code == 0 and err == "" and out
+    assert run(capsys, *joined.split()) == (code, out, err)
+
+
 def test_no_slopes_outside_gln(capsys):
     code, out, _ = run(capsys, "retract", "--group", "B2", "--d", "0,1")
     assert code == 0

@@ -20,7 +20,8 @@ from newtonstrata.exactlinalg import (
     smith_normal_form,
 )
 from newtonstrata.rationals import Q
-from oracles import mat_vec
+from oracles import charpoly as charpoly_fraction
+from oracles import det, mat_vec
 
 
 def test_solve_and_inverse():
@@ -39,6 +40,25 @@ def test_charpoly_constant_first():
     # x^2 - 5x + 2 for [[2,1],[2,3]]: det=4, trace=5
     p = charpoly([[2, 1], [2, 3]])
     assert p == [4, -5, 1]
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_charpoly_matches_fraction_and_cofactor(m):
+    n = len(m)
+    p = charpoly(m)
+    assert all(type(c) is int for c in p) and p[-1] == 1
+    assert p == charpoly_fraction(m)
+    for t in range(n + 1):
+        tm = [[t * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+        assert sum(c * t ** k for k, c in enumerate(p)) == det(tm)
+
+
+def test_charpoly_not_integral_raises():
+    # a real exception, not an assert that python -O would strip
+    with pytest.raises(RuntimeError):
+        charpoly([[Q(1, 2)]])
 
 
 def test_smith_normal_form():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from newtonstrata import dynkin
 from newtonstrata.rationals import NEG_INF, Q
-from newtonstrata.rootdata import GroupSpecError, build_group
-from oracles import positive_roots, simple_reflection, weyl_product
+from newtonstrata.rootdata import GroupSpecError, OrbitGuardError, build_group
+from oracles import positive_roots, simple_reflection, weyl_orbit, weyl_product
 
 
 def test_gl2_datum():
@@ -175,6 +175,50 @@ def test_weyl_orbit_unique_dominant():
     orbit = g.weyl_orbit(lam)
     doms = [mu for mu in orbit if all(c >= 0 for c in mu[:g.l])]
     assert doms == [lam]
+
+
+WALK_GROUPS = {s: build_group(s)
+               for s in ("GL5", "G2", "B4*A2", "F4", "Gext(E6)")}
+
+
+def _check_orbit_tree(g, lam, guards):
+    orbit = weyl_orbit(g, lam)
+    walk = list(g.orbit_tree(lam))
+    mus = [mu for mu, _j, _depth in walk]
+    assert len(mus) == len(orbit) and set(mus) == orbit
+    # preorder: a child of depth d is s_j of the last element of depth
+    # d - 1, and j is its first negative coordinate
+    last = {}
+    for mu, j, depth in walk:
+        if depth:
+            parent = last[depth - 1]
+            assert mu[j] < 0 and min(mu[:j], default=0) >= 0
+            assert mu == tuple(p - parent[j] * c
+                               for p, c in zip(parent, g.root_coords(j)))
+        else:
+            assert (j, mu) == (-1, mus[0]) and min(mu[:g.l]) >= 0
+        last[depth] = mu
+    for k in (*guards, len(orbit) - 1, len(orbit)):
+        if len(orbit) > k:
+            with pytest.raises(OrbitGuardError):
+                list(g.orbit_tree(lam, guard=k))
+        else:
+            assert len(list(g.orbit_tree(lam, guard=k))) == len(orbit)
+
+
+def test_orbit_tree_fundamental_weights():
+    for g in WALK_GROUPS.values():
+        for k in range(g.l):
+            _check_orbit_tree(g, tuple(int(i == k) for i in range(g.n)),
+                              (0, 50))
+
+
+@given(st.sampled_from(sorted(WALK_GROUPS)).map(WALK_GROUPS.get).flatmap(
+    lambda g: st.tuples(st.just(g), st.tuples(*[st.integers(0, 2)] * g.n),
+                        st.integers(0, 60000))))
+def test_orbit_tree_matches_bfs(case):
+    g, lam, guard = case
+    _check_orbit_tree(g, lam, (guard,))
 
 
 def test_p_m_gl2():

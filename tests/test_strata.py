@@ -76,6 +76,11 @@ def test_dim_leq():
     assert dim_leq(g, (Q(1), Q(1))) == 1
     assert dim_leq(g, (Q(1, 2), Q(1))) == 0
     assert dim_leq(g, (Q(0), Q(0))) == 0
+    # a point of the wrong length or with -inf is refused, not truncated
+    g3 = build_group("GL3")
+    for bad in ((1, 2, 3, 4), (1, 2), (5,), (NEG_INF, 1, 1)):
+        with pytest.raises(ValueError):
+            dim_leq(g3, bad)
 
 
 def test_codim_gl2():
@@ -126,6 +131,10 @@ def test_d_g():
     assert d_G(g, (Q(2), Q(3))) == 0
     g4 = build_group("GL4")
     assert d_G(g4, (Q(1, 4), Q(1, 2), Q(3, 4), Q(1))) == Q(3, 2)
+    g3 = build_group("GL3")
+    for bad in ((1, 2, 3, 4), (1, 2), (5,), (NEG_INF, 1, 1)):
+        with pytest.raises(ValueError):
+            d_G(g3, bad)
 
 
 def rho_prime_pairing(datum, nu):

@@ -13,16 +13,17 @@ from newtonstrata.strata import index_set
 from newtonstrata.toruseval import (
     LaurentPoly,
     TorusPoint,
+    _orbit_sums,
     check_thm_rnu,
     classical_newton_slopes,
     coords_to_slopes,
     eval_c,
-    eval_char,
     nu_a,
     parse_torus_point,
     random_torus_point,
     slopes_to_coords,
 )
+from oracles import eval_char, weyl_orbit
 
 
 def mono(c, v):
@@ -230,7 +231,7 @@ def test_eval_c_matches_plain_orbit_sums(case):
     for i in range(g.l):
         omega = tuple(int(i == k) for k in range(g.n))
         total = LaurentPoly()
-        for lam in g.weyl_orbit(omega):
+        for lam in weyl_orbit(g, omega):
             term = eval_char(g, lam, a)
             # lam(a) as a product of powers of the coordinates of a
             prod = LaurentPoly.one()
@@ -239,10 +240,12 @@ def test_eval_c_matches_plain_orbit_sums(case):
             assert term == prod
             total = total + term
         assert values[i] == total
-        pairings = [g.pair(lam, nu) for lam in g.weyl_orbit(omega)]
+        pairings = [g.pair(lam, nu) for lam in weyl_orbit(g, omega)]
         strict.append(pairings.count(max(pairings)) == 1)
     assert values[g.l:] == list(a.values[g.l:])
     assert d_c == tuple(v.val() for v in values)
+    # the least-exponent counts of every orbit, the face included
+    assert _orbit_sums(g, a, 10**6)[2][:g.l] == strict
     # strictness: a unique orbit term maximizes <lam, nu_a> off the face
     rep = check_thm_rnu(g, a)
     face = index_set(g, rep["nu_dominant"])
@@ -255,13 +258,13 @@ def test_check_thm_rnu_walks_each_orbit_once(monkeypatch):
     # nu_a = (3, 5, 6, 6): slopes (3, 2, 1, 0), regular, so the face is empty
     a = parse_torus_point("1*pi^(-3),-1*pi^(-5),2*pi^(-6),1*pi^(-6)")
     calls = []
-    walk = RootDatum.weyl_orbit
+    walk = RootDatum.orbit_tree
 
     def counted(self, lam, guard=10**6):
         calls.append(lam)
         return walk(self, lam, guard=guard)
 
-    monkeypatch.setattr(RootDatum, "weyl_orbit", counted)
+    monkeypatch.setattr(RootDatum, "orbit_tree", counted)
     rep = check_thm_rnu(g, a)
     assert rep["pass"]
     assert index_set(g, rep["nu_dominant"]) == frozenset()
