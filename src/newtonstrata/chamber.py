@@ -2,7 +2,10 @@
 
 `retract` is the order-theoretic map: r(d) is the unique dominant point y
 with p_M(d') = y and d' <= y, where M is the Levi attached to the face of
-y and d' is the finite-ization of d.
+y and d' is the finite-ization of d.  It runs on integers: d' is scaled
+once by the lcm L of its denominators, each projection is the int solver
+(idx, adj, den) of `RootDatum.pm_solver`, so the running point is the int
+vector den * L * y, and `Fraction`s are built once, for the result.
 """
 
 import itertools
@@ -99,26 +102,41 @@ def face_of(datum, y):
 def retract(datum, d):
     """r(d) for d with -inf allowed in the first l slots.
 
-    Returns (y, S) with S the face of y.  The active set starts empty; each
-    round adds the simple roots that pair negatively with y and projects
-    d' onto them, y = d' - sum c_j e_j.  The set grows strictly, so there
-    are at most l projections.  The last one certifies itself: every
-    c_j <= 0 (that is d' <= y), y is dominant, and the active set lies in
-    the face, so p_M(d') over the face is y.  A failed certificate raises
-    RetractionError.
+    Returns (y, S) with S the face of y.  d' = finite_ize(d) is scaled once
+    to the int vector x = L d'.  The active set starts empty; each round
+    adds the simple roots that pair negatively with the running point and
+    projects onto them with the solver (idx, adj, den) of the active set:
+    c = adj . [<alpha_j, x>], and the point is den x with c_j subtracted at
+    each j in idx, that is den L y with y = d' - sum (c_j / den L) e_j.
+    The set grows strictly, so there are at most l projections.  The last
+    one certifies itself on ints: no simple root pairs negatively with the
+    point, the active set lies in its face, and every c_j <= 0 with den > 0
+    (that is d' <= y), so p_M(d') over the face is y.  A failed certificate
+    raises RetractionError.  The coordinates j in idx of the result are
+    built once, as `Fraction`s y_j / den L; with no projection y is d'.
     """
     dprime = finite_ize(datum, d)
+    scale, x = scale_to_ints(dprime)
     active = frozenset()
-    y, coeffs = dprime, {}
+    y, idx, den, coeffs = x, [], 1, []
     while True:
         face, negative = face_of(datum, y)
         if negative <= active:
             break
         active |= negative
-        y, coeffs = datum.p_M_with_coeffs(dprime, active)
-    if negative or not active <= face or any(c > 0 for c in coeffs.values()):
+        idx, adj, den = datum.pm_solver(active)
+        b = [datum.root_pairing(j, x) for j in idx]
+        coeffs = [sum(a * v for a, v in zip(row, b)) for row in adj]
+        y = [den * v for v in x]
+        for j, c in zip(idx, coeffs):
+            y[j] -= c
+    if (negative or not active <= face or den <= 0
+            or any(c > 0 for c in coeffs)):
         raise RetractionError(f"retraction of {d!r} fails its certificate")
-    return y, face
+    out = list(dprime)
+    for j in idx:
+        out[j] = Q(y[j], den * scale)
+    return tuple(out), face
 
 
 def is_newton_point(datum, y):
@@ -131,7 +149,7 @@ def is_newton_point(datum, y):
     if len(y) != datum.n or not all(is_finite(c) for c in y):
         return None
     y = tuple(Q(c) for c in y)
-    face, negative = face_of(datum, y)
+    face, negative = face_of(datum, scale_to_ints(y)[1])
     if negative:
         return None
     lift = []

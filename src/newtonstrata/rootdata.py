@@ -133,15 +133,29 @@ class RootDatum:
                 total += c * xi
         return NEG_INF if hit_inf else total
 
+    def _finite(self, x):
+        """ValueError unless x is a point of n finite coordinates."""
+        if len(x) != self.n:
+            raise ValueError("point has the wrong length")
+        if any(c is NEG_INF for c in x):
+            raise ValueError("-inf coordinate in a finite point")
+
     def is_dominant(self, x):
+        """No simple root pairs negatively with x.  The signs are read on
+        ints: x itself when every coordinate is an int, else L x for the
+        lcm L of the denominators."""
+        self._finite(x)
+        if not all(type(c) is int for c in x):
+            x = scale_to_ints(x)[1]
         return all(self.root_pairing(j, x) >= 0 for j in range(self.l))
 
     def leq(self, x, y):
-        """x <= y: y - x is a nonnegative combination of simple coroots."""
-        if len(x) != self.n or len(y) != self.n:
-            raise ValueError("points to compare have the wrong length")
+        """x <= y: y - x is a nonnegative combination of simple coroots, that
+        is y_i >= x_i for i < l and y_i == x_i after."""
+        self._finite(x)
+        self._finite(y)
         for i in range(self.l):
-            if y[i] - x[i] < 0:
+            if y[i] < x[i]:
                 return False
         return all(y[i] == x[i] for i in range(self.l, self.n))
 

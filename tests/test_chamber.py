@@ -198,6 +198,38 @@ def test_newton_points_below_face_check():
         newton_points_below(g, (Q(1), Q(1)))
 
 
+def test_retract_certificate_face():
+    g = build_group("GL3")
+    # a solver for {0} with adj doubled: the projection overshoots, root 0
+    # pairs positively with the point, and only `active <= face` fails
+    idx, adj, den = g.pm_solver(frozenset({0}))
+    g._pm_cache[frozenset({0})] = (idx, [[2 * a for a in adj[0]]], den)
+    with pytest.raises(RetractionError):
+        retract(g, (-2, -1, -2))
+
+
+def test_retract_certificate_coeffs():
+    g = build_group("GL3")
+    # the solver of {0, 1} answering for {0}: the point is central, so it
+    # is dominant with both roots in its face, and only c_j <= 0 fails
+    g._pm_cache[frozenset({0})] = g.pm_solver(frozenset({0, 1}))
+    with pytest.raises(RetractionError):
+        retract(g, (-2, -1, -2))
+
+
+def test_retract_certificate_den():
+    g = build_group("GL3")
+    # solvers with adj and den both negated: each p_M is unchanged, but
+    # the int point is -den L y, every sign test reads backwards, and
+    # only den > 0 fails
+    for subset in ({0}, {1}, {0, 1}):
+        idx, adj, den = g.pm_solver(frozenset(subset))
+        g._pm_cache[frozenset(subset)] = (
+            idx, [[-a for a in row] for row in adj], -den)
+    with pytest.raises(RetractionError):
+        retract(g, (-3, -1, -3))
+
+
 def test_hasse_gl4_chain():
     g = build_group("GL4")
     pts = newton_points_below(g, (Q(1), Q(1), Q(1), Q(1)))
@@ -275,5 +307,31 @@ def test_retract_agrees_with_oracles(data):
     for g in ORACLE_GROUPS.values():
         d = data.draw(_valuation_vector(g))
         y, s = retract(g, d)
+        assert retract_exhaustive(g, d) == (y, s)
+        assert retract_closest(g, finite_ize(g, d)) == y
+
+
+# wide scales: pairwise coprime denominators up to 97 make the common
+# denominator L of a point large, numerators reach 10^6, and plain ints
+# and -inf slots mix with them
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+           61, 67, 71, 73, 79, 83, 89, 97)
+_WIDE = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Q, st.integers(-10**6, 10**6), st.sampled_from(_PRIMES)),
+    st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 97)))
+WIDE_GROUPS = [ORACLE_GROUPS[spec] for spec in (
+    "GL3", "B2*T1", "G2", "F4", "E8", "Gext(E6)")]
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_retract_wide_scales(data):
+    for g in WIDE_GROUPS:
+        head = st.one_of(_WIDE, st.just(NEG_INF))
+        d = data.draw(st.tuples(*[head] * g.l, *[_WIDE] * (g.n - g.l)))
+        y, s = retract(g, d)
+        assert all(type(c) is Q for c in y)
+        assert retract(g, y) == (y, s)
         assert retract_exhaustive(g, d) == (y, s)
         assert retract_closest(g, finite_ize(g, d)) == y

@@ -218,15 +218,16 @@ def test_bad_input_exit_2(capsys, argv, needle):
 
 
 def test_failed_certificate_exit_3(capsys, monkeypatch):
-    # a projection whose coefficient is positive: d' <= y fails, and
-    # `retract` must raise rather than answer
-    p_M_with_coeffs = RootDatum.p_M_with_coeffs
+    # a solver with the sign of adj flipped: the projection moves d' down,
+    # some c_j > 0 so d' <= y fails, and `retract` must raise rather than
+    # answer
+    pm_solver = RootDatum.pm_solver
 
-    def positive(self, x, subset):
-        y, coeffs = p_M_with_coeffs(self, x, subset)
-        return y, {j: abs(c) + 1 for j, c in coeffs.items()}
+    def negated(self, subset):
+        idx, adj, den = pm_solver(self, subset)
+        return idx, [[-a for a in row] for row in adj], den
 
-    monkeypatch.setattr(RootDatum, "p_M_with_coeffs", positive)
+    monkeypatch.setattr(RootDatum, "pm_solver", negated)
     with pytest.raises(RetractionError):
         retract(build_group("GL3"), (Q(1), Q(0), Q(0)))
     code, out, err = run(capsys, "retract", "--group", "GL3", "--d", "1,0,0")

@@ -92,6 +92,13 @@ def test_is_dominant():
     assert g.is_dominant((Q(1), Q(1)))
     assert not g.is_dominant((Q(0), Q(2)))
     assert g.is_dominant((Q(0), Q(0)))
+    # ints, Fractions and a mix read the same signs
+    assert g.is_dominant((1, 2)) and not g.is_dominant((0, 2))
+    assert not g.is_dominant((Q(1, 3), Q(3, 4)))
+    assert g.is_dominant((Q(1, 2), 1)) and not g.is_dominant((Q(-1, 2), 1))
+    for x in ((Q(1),), (Q(1), Q(1), Q(1)), (NEG_INF, Q(0))):
+        with pytest.raises(ValueError):
+            g.is_dominant(x)
 
 
 def test_leq():
@@ -100,7 +107,10 @@ def test_leq():
     assert not g.leq((Q(0), Q(2)), (Q(1), Q(3)))
     x = (Q(1, 2), Q(7))
     assert g.leq(x, x)
-    for a, b in ((x, x + (Q(9),)), (x + (Q(9),), x), (x[:1], x)):
+    assert g.leq((0, 2), (Q(1, 2), 2)) and not g.leq((Q(1, 2), 2), (0, 2))
+    for a, b in ((x, x + (Q(9),)), (x + (Q(9),), x), (x[:1], x),
+                 ((NEG_INF, Q(7)), x), (x, (NEG_INF, Q(7))),
+                 ((Q(0), NEG_INF), (Q(0), NEG_INF))):
         with pytest.raises(ValueError):
             g.leq(a, b)
 
