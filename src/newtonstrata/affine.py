@@ -58,11 +58,11 @@ def _build_affine_tables(datum):
             sum(m * datum.alpha[i][j] for m, j in zip(marks, f.indices))
             for i in range(n)
         ]
-        # rho^vee / (cox + 1) within this factor's coroot span
-        subset = frozenset(f.indices)
-        sol = datum._pm_solve(subset, [1] * f.rank, cox + 1)
-        for j, c in zip(datum.pm_solver(subset)[0], sol):
-            p0[j] += c
+        # rho^vee / (cox + 1) within this factor's coroot span: rho^vee
+        # solves <alpha_j, rho^vee> = 1, so p0_j = sum_k adj_jk / den (cox + 1)
+        idx, adj, den = datum.pm_solver(frozenset(f.indices))
+        for j, row in zip(idx, adj):
+            p0[j] += Q(sum(row), den * (cox + 1))
         # simple affine roots (lam, k, generator id, coroot h): the
         # functional v -> <lam, v> + k and its reflection
         # v -> v - (<lam, v> + k) h; h is e_j for a finite root

@@ -3,9 +3,10 @@
 `retract` is the order-theoretic map: r(d) is the unique dominant point y
 with p_M(d') = y and d' <= y, where M is the Levi attached to the face of
 y and d' is the finite-ization of d.  It runs on integers: d' is scaled
-once by the lcm L of its denominators, each projection is the int solver
-(idx, adj, den) of `RootDatum.pm_solver`, so the running point is the int
+once by the lcm L of its denominators, each projection is
+`RootDatum.project` of that int vector, so the running point is the int
 vector den * L * y, and `Fraction`s are built once, for the result.
+`newton_points_below` writes the same int projection inline.
 """
 
 import itertools
@@ -105,15 +106,16 @@ def retract(datum, d):
     Returns (y, S) with S the face of y.  d' = finite_ize(d) is scaled once
     to the int vector x = L d'.  The active set starts empty; each round
     adds the simple roots that pair negatively with the running point and
-    projects onto them with the solver (idx, adj, den) of the active set:
-    c = adj . [<alpha_j, x>], and the point is den x with c_j subtracted at
-    each j in idx, that is den L y with y = d' - sum (c_j / den L) e_j.
-    The set grows strictly, so there are at most l projections.  The last
-    one certifies itself on ints: no simple root pairs negatively with the
-    point, the active set lies in its face, and every c_j <= 0 with den > 0
-    (that is d' <= y), so p_M(d') over the face is y.  A failed certificate
-    raises RetractionError.  The coordinates j in idx of the result are
-    built once, as `Fraction`s y_j / den L; with no projection y is d'.
+    projects onto them with `RootDatum.project`: c = adj . [<alpha_j, x>]
+    for the solver (idx, adj, den) of the active set, and the point is
+    den x with c_j subtracted at each j in idx, that is den L y with
+    y = d' - sum (c_j / den L) e_j.  The set grows strictly, so there are
+    at most l projections.  The last one certifies itself on ints: no
+    simple root pairs negatively with the point, the active set lies in
+    its face, and every c_j <= 0 with den > 0 (that is d' <= y), so p_M(d')
+    over the face is y.  A failed certificate raises RetractionError.  The
+    coordinates j in idx of the result are built once, as `Fraction`s
+    y_j / den L; with no projection y is d'.
     """
     dprime = finite_ize(datum, d)
     scale, x = scale_to_ints(dprime)
@@ -124,12 +126,7 @@ def retract(datum, d):
         if negative <= active:
             break
         active |= negative
-        idx, adj, den = datum.pm_solver(active)
-        b = [datum.root_pairing(j, x) for j in idx]
-        coeffs = [sum(a * v for a, v in zip(row, b)) for row in adj]
-        y = [den * v for v in x]
-        for j, c in zip(idx, coeffs):
-            y[j] -= c
+        idx, den, coeffs, y = datum.project(active, x)
     if (negative or not active <= face or den <= 0
             or any(c > 0 for c in coeffs)):
         raise RetractionError(f"retraction of {d!r} fails its certificate")
@@ -233,6 +230,8 @@ def newton_points_below(datum, mu, guard=10**6):
             m = base[:]
             for i, v in zip(free, vals):
                 m[i] = v
+            # `RootDatum.project` written out: the caps reject most m
+            # before den m is built, and the call cost `poset` about 5%
             b = [datum.root_pairing(j, m) for j in idx]
             dc = [sum(a * v for a, v in zip(row, b)) for row in adj]
             if any(-c > cap for c, cap in zip(dc, caps)):

@@ -10,8 +10,6 @@ i.e. row i is indexed by the coroot, column j by the root.
 
 from itertools import permutations
 
-from .rationals import Q
-
 RANK_BOUNDS = {"A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (3, 8),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
@@ -44,15 +42,15 @@ def _edges(letter, l):
 def root_norms(letter, l):
     """Squared root lengths (alpha_i, alpha_i), Bourbaki normalization."""
     if letter in "ADE":
-        return [Q(2)] * l
+        return [2] * l
     if letter == "B":
-        return [Q(2)] * (l - 1) + [Q(1)]
+        return [2] * (l - 1) + [1]
     if letter == "C":
-        return [Q(2)] * (l - 1) + [Q(4)]
+        return [2] * (l - 1) + [4]
     if letter == "F":
-        return [Q(2), Q(2), Q(1), Q(1)]
+        return [2, 2, 1, 1]
     if letter == "G":
-        return [Q(2), Q(6)]
+        return [2, 6]
     raise ValueError(letter)
 
 
@@ -64,13 +62,12 @@ def cartan_matrix(letter, l):
     norms = root_norms(letter, l)
     c = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
     for i, j in _edges(letter, l):
-        # (alpha_i, alpha_j) = -max(norm_i, norm_j)/2 on a Dynkin edge
-        ip = -max(norms[i], norms[j]) / 2
-        cij = 2 * ip / norms[i]
-        cji = 2 * ip / norms[j]
-        assert cij.denominator == 1 and cji.denominator == 1
-        c[i][j] = int(cij)
-        c[j][i] = int(cji)
+        # (alpha_i, alpha_j) = -max(norm_i, norm_j)/2 on a Dynkin edge, so
+        # C[i][j] = -max(norm_i, norm_j) / norm_i
+        for a, b in ((i, j), (j, i)):
+            c[a][b], rem = divmod(-max(norms[a], norms[b]), norms[a])
+            if rem:
+                raise RuntimeError(f"Cartan entry {a},{b} is not an integer")
     return c
 
 

@@ -1,10 +1,10 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers.
 
-Everything here works on plain lists/tuples of scalars; matrices are
-row-major sequences of rows.  No floating point anywhere.
+Matrices are row-major sequences of rows of ints (integral rationals
+are accepted).  There is one elimination routine, the Smith normal
+form: `inverse`, `rank`, `integer_kernel` and `unimodular_inverse` all
+read it.  No floating point anywhere.
 """
-
-from .rationals import Q
 
 
 def identity(n):
@@ -17,48 +17,6 @@ def mat_mul(a, b):
         [sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(nc)]
         for arow in a
     ]
-
-
-def row_reduce(mat):
-    """Reduced row echelon form over the rationals (Gauss-Jordan).
-
-    Returns (rows, pivots): the reduced rows as lists of Q, and the pivot
-    column of each nonzero row in order, so len(pivots) is the rank.
-    """
-    a = [[Q(x) for x in row] for row in mat]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    pivots = []
-    for col in range(nc):
-        r = len(pivots)
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-    return a, pivots
-
-
-def inverse(mat):
-    """Exact inverse of a square rational matrix."""
-    n = len(mat)
-    a, pivots = row_reduce([list(row) + e for row, e in zip(mat, identity(n))])
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in a]
-
-
-def rank(mat):
-    """Rank over the rationals."""
-    return len(row_reduce(mat)[1])
 
 
 def charpoly(mat):
@@ -92,8 +50,11 @@ def smith_normal_form(mat):
 
     Returns (d, u, v) with u*mat*v = d, u and v unimodular, and the
     diagonal of d a divisibility chain d1 | d2 | ... of nonnegative ints.
+    ValueError on an entry that is not an integer.
     """
-    m = [list(map(int, row)) for row in mat]
+    m = [[int(x) for x in row] for row in mat]
+    if m != [list(row) for row in mat]:
+        raise ValueError("Smith normal form needs integer entries")
     nr = len(m)
     nc = len(m[0]) if nr else 0
     u = identity(nr)
@@ -165,6 +126,29 @@ def smith_normal_form(mat):
     return m, u, v
 
 
+def inverse(mat):
+    """(adj, den) with mat^-1 = adj / den for a nonsingular square integer
+    matrix: den is the last invariant factor d_n of the Smith form
+    u mat v = d, the least den making adj integral, and
+    adj = v diag(den / d_k) u.  ValueError if mat is not square or is
+    singular."""
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("inverse needs a square matrix")
+    d, u, v = smith_normal_form(mat)
+    diag = [d[k][k] for k in range(len(d))]
+    if 0 in diag:
+        raise ValueError("singular matrix")
+    den = diag[-1]
+    scaled = [[den // dk * x for x in row] for dk, row in zip(diag, u)]
+    return mat_mul(v, scaled), den
+
+
+def rank(mat):
+    """Rank: the number of nonzero invariant factors."""
+    d, _u, _v = smith_normal_form(mat)
+    return sum(1 for i, row in enumerate(d) if i < len(row) and row[i])
+
+
 def integer_kernel(mat):
     """Z-basis of the saturated lattice {x in Z^nc : mat @ x = 0}."""
     nr = len(mat)
@@ -176,10 +160,10 @@ def integer_kernel(mat):
 
 def unimodular_inverse(v):
     """Inverse of a unimodular integer matrix, returned with int entries."""
-    inv = inverse(v)
-    if any(x.denominator != 1 for row in inv for x in row):
+    adj, den = inverse(v)
+    if den != 1:
         raise RuntimeError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return adj
 
 
 # ---------------------------------------------------------------------------

@@ -133,18 +133,19 @@ class RootDatum:
                 total += c * xi
         return NEG_INF if hit_inf else total
 
-    def _finite(self, x):
-        """ValueError unless x is a point of n finite coordinates."""
+    def finite_point(self, x):
+        """x itself; ValueError unless it is a point of n finite coordinates."""
         if len(x) != self.n:
             raise ValueError("point has the wrong length")
         if any(c is NEG_INF for c in x):
             raise ValueError("-inf coordinate in a finite point")
+        return x
 
     def is_dominant(self, x):
         """No simple root pairs negatively with x.  The signs are read on
         ints: x itself when every coordinate is an int, else L x for the
         lcm L of the denominators."""
-        self._finite(x)
+        self.finite_point(x)
         if not all(type(c) is int for c in x):
             x = scale_to_ints(x)[1]
         return all(self.root_pairing(j, x) >= 0 for j in range(self.l))
@@ -152,8 +153,8 @@ class RootDatum:
     def leq(self, x, y):
         """x <= y: y - x is a nonnegative combination of simple coroots, that
         is y_i >= x_i for i < l and y_i == x_i after."""
-        self._finite(x)
-        self._finite(y)
+        self.finite_point(x)
+        self.finite_point(y)
         for i in range(self.l):
             if y[i] < x[i]:
                 return False
@@ -232,24 +233,30 @@ class RootDatum:
     def pm_solver(self, subset):
         """(idx, adj, den) for a frozenset of simple roots: the sorted indices
         and the inverse of the Cartan block on them as adj / den, with adj an
-        integer matrix and den the lcm of the denominators of the inverse."""
+        integer matrix and den > 0 the least scale that makes it one, the
+        last invariant factor of the block (`exactlinalg.inverse`)."""
         solver = self._pm_cache.get(subset)
         if solver is None:
             idx = sorted(subset)
             mat = [[self.alpha[jj][j] for jj in idx] for j in idx]
-            inv = exactlinalg.inverse(mat) if idx else []
-            den, flat = scale_to_ints([c for row in inv for c in row])
-            k = len(idx)
-            adj = [flat[r * k:(r + 1) * k] for r in range(k)]
+            adj, den = exactlinalg.inverse(mat) if idx else ([], 1)
             solver = self._pm_cache[subset] = (idx, adj, den)
         return solver
 
-    def _pm_solve(self, subset, b, scale):
-        """c with (Cartan block on subset) c = b / scale for an integer
-        vector b: adj.b on ints, one division per coefficient."""
-        _idx, adj, den = self.pm_solver(subset)
-        return [Q(sum(a * v for a, v in zip(row, b)), den * scale)
-                for row in adj]
+    def project(self, subset, x):
+        """The projection p_M onto the subset's Levi center, on ints.
+
+        For an int vector x returns (idx, den, c, y) with (idx, adj, den)
+        the solver of the subset, c = adj . [<alpha_j, x> for j in idx] and
+        y = den x - sum c_j e_j, so that y / den = p_M(x).
+        """
+        idx, adj, den = self.pm_solver(subset)
+        b = [self.root_pairing(j, x) for j in idx]
+        c = [sum(a * v for a, v in zip(row, b)) for row in adj]
+        y = [den * v for v in x]
+        for j, cj in zip(idx, c):
+            y[j] -= cj
+        return idx, den, c, y
 
     def p_M(self, x, subset):
         """Projection onto the Levi center directions: the W_M-orbit average."""
@@ -260,18 +267,18 @@ class RootDatum:
         """p_M(x) together with the coroot correction coefficients c_j.
 
         y = x - sum_{j in S} c_j e_j with <alpha_j, y> = 0 for j in S.
+        x is scaled to ints by the lcm L of its denominators and projected
+        with `project`; y_j and c_j are built as `Fraction`s over den L.
         """
         subset = frozenset(subset)
         if not subset:
             return tuple(x), {}
-        idx = self.pm_solver(subset)[0]
         scale, ints = scale_to_ints(x)
-        c = self._pm_solve(
-            subset, [self.root_pairing(j, ints) for j in idx], scale)
-        y = list(x)
-        for pos, j in enumerate(idx):
-            y[j] -= c[pos]
-        return tuple(y), dict(zip(idx, c))
+        idx, den, c, y = self.project(subset, ints)
+        out = list(x)
+        for j in idx:
+            out[j] = Q(y[j], den * scale)
+        return tuple(out), {j: Q(cj, den * scale) for j, cj in zip(idx, c)}
 
     def central_part(self, torus_coords):
         """The point of the center subspace with the given last n-l

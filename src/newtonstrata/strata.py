@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from .chamber import (  # noqa: F401
     NewtonPoint, face_of, newton_point, point_of, stratum_of)
 from .rationals import (
-    NEG_INF, Q, fmt_scalar, frac_part, is_finite, qceil, qfloor)
+    NEG_INF, Q, fmt_scalar, frac_part, qceil, qfloor)
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,9 @@ def stratum_conditions(datum, mu, closed):
     return StratumConditions(mu, closed, tuple(rels))
 
 
-def _finite_point(datum, x):
-    """The coordinates of x; ValueError unless there are n, all finite."""
-    point = point_of(x)
-    if len(point) != datum.n or not all(is_finite(c) for c in point):
-        raise ValueError(
-            f"{point} is not a point of {datum.n} finite coordinates")
-    return point
-
-
 def dim_leq(datum, mu):
     """dim of the closed stratum: sum of floors of the first l coordinates."""
-    point = _finite_point(datum, mu)
+    point = datum.finite_point(point_of(mu))
     return int(sum(qfloor(point[i]) for i in range(datum.l)))
 
 
@@ -105,7 +96,7 @@ def codim_chai(datum, nu, mu):
 
 def d_G(datum, nu):
     """Sum of fractional parts of the pairings with the extended weights."""
-    point = _finite_point(datum, nu)
+    point = datum.finite_point(point_of(nu))
     return sum((frac_part(Q(point[i])) for i in range(datum.l)), Q(0))
 
 

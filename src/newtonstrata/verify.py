@@ -20,31 +20,27 @@ def _report(suite, datum, count, failures):
             "failures": failures, "pass": not failures}
 
 
-def suite_rnu(datum, seed=0, count=1000, denominator=None):
-    """Theorem-style retraction check on seeded monomial torus points."""
+def suite_rnu(datum, seed=0, count=1000):
+    """Theorem-style retraction check on seeded monomial torus points, of
+    denominators 1, 2, 3 in turn."""
     rng = random.Random(seed)
-    if denominator is None:
-        denominators = (1, 2, 3)
-    else:
-        denominators = (denominator,)
     failures = []
     for k in range(count):
-        den = denominators[k % len(denominators)]
-        a = toruseval.random_torus_point(datum, rng, denominator=den)
+        a = toruseval.random_torus_point(datum, rng, denominator=k % 3 + 1)
         rep = toruseval.check_thm_rnu(datum, a)
         if not rep["pass"]:
             failures.append({"case": k, "report": _jsonable(rep)})
     return _report("rnu", datum, count, failures)
 
 
-def suite_defect(datum, seed=0, lifts=3):
-    """Defect identity for every component-group class, several lifts each."""
+def suite_defect(datum, seed=0):
+    """Defect identity for every component-group class, three lifts each."""
     rng = random.Random(seed)
     failures = []
     cases = 0
     for class_lift in datum.component_classes():
         reps = [class_lift] + [
-            random_lift(datum, class_lift, rng) for _ in range(lifts - 1)
+            random_lift(datum, class_lift, rng) for _ in range(2)
         ]
         base = None
         for lift in reps:
@@ -57,7 +53,7 @@ def suite_defect(datum, seed=0, lifts=3):
     return _report("defect", datum, cases, failures)
 
 
-def suite_chars(datum, seed=0):
+def suite_chars(datum):
     """Cyclotomic character-multiset check for every class."""
     failures = []
     cases = 0
@@ -69,10 +65,11 @@ def suite_chars(datum, seed=0):
     return _report("chars", datum, cases, failures)
 
 
+# name -> a function of (datum, seed, count); each suite gets what it reads
 SUITES = {
-    "rnu": lambda datum, seed, count: suite_rnu(datum, seed=seed, count=count),
-    "defect": lambda datum, seed, count: suite_defect(datum, seed=seed),
-    "chars": lambda datum, seed, count: suite_chars(datum, seed=seed),
+    "rnu": suite_rnu,
+    "defect": lambda datum, seed, count: suite_defect(datum, seed),
+    "chars": lambda datum, seed, count: suite_chars(datum),
 }
 
 

@@ -24,6 +24,11 @@ evaluates one character at a torus point, the reference for the orbit
 sums that `toruseval` carries down that walk.  `charpoly` is the
 `Fraction` Faddeev-LeVerrier form of the integer `exactlinalg.charpoly`,
 and `det` a cofactor expansion to check both against.
+
+`fraction_inverse` is Gauss-Jordan over `Fraction`: the KKT oracle's
+rational invariant form is inverted with it, so `retract_closest` shares
+no solver with the library, and it is the reference for the Smith-form
+`exactlinalg.inverse`.
 """
 
 import functools
@@ -79,6 +84,26 @@ def invariant_form(datum):
     return form
 
 
+def fraction_inverse(mat):
+    """Inverse of a square rational matrix by Gauss-Jordan over `Fraction`;
+    ValueError if it is singular."""
+    n = len(mat)
+    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
 def mat_vec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
@@ -86,7 +111,7 @@ def mat_vec(m, v):
 @functools.cache
 def form_duals(datum):
     """Dual vectors v_j with B(v_j, .) = <alpha_j, .>."""
-    forminv = exactlinalg.inverse(invariant_form(datum))
+    forminv = fraction_inverse(invariant_form(datum))
     return [mat_vec(forminv, datum.root_coords(j)) for j in range(datum.l)]
 
 
@@ -96,7 +121,7 @@ def kkt_solver(datum, subset):
     duals = form_duals(datum)
     idx = sorted(subset)
     mat = [[datum.root_pairing(j, duals[jp]) for jp in idx] for j in idx]
-    return idx, exactlinalg.inverse(mat) if idx else []
+    return idx, fraction_inverse(mat)
 
 
 def retract_closest(datum, x):

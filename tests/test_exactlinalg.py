@@ -1,11 +1,13 @@
 """Exact linear algebra kernel: inverse, rank, Smith form, cyclotomics."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from newtonstrata import dynkin
 from newtonstrata.exactlinalg import (
     charpoly,
     cyclotomic,
@@ -21,19 +23,34 @@ from newtonstrata.exactlinalg import (
 )
 from newtonstrata.rationals import Q
 from oracles import charpoly as charpoly_fraction
-from oracles import det, mat_vec
+from oracles import det, fraction_inverse, mat_vec
 
 
 def test_solve_and_inverse():
     m = [[Q(2), Q(1)], [Q(1), Q(3)]]
-    inv = inverse(m)
-    assert mat_mul(m, inv) == [[1, 0], [0, 1]]
+    adj, den = inverse(m)
+    assert mat_mul(m, adj) == [[den, 0], [0, den]]
 
 
 def test_rank():
     assert rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
     assert rank([[Q(1), Q(0)], [Q(0), Q(1)]]) == 2
     assert rank([[Q(0)]]) == 0
+
+
+@pytest.mark.parametrize("mat", [[[Q(1, 2)]], [[Q(3, 2), 1], [1, 1]]])
+@pytest.mark.parametrize("routine", [smith_normal_form, rank, inverse])
+def test_non_integral_entry_raises(routine, mat):
+    # truncating 1/2 to 0 would give rank 0, and 3/2 to 1 rank 1 (it is 2)
+    with pytest.raises(ValueError):
+        routine(mat)
+
+
+def test_inverse_needs_square():
+    # both have full rank: only the shape check refuses them
+    for mat in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            inverse(mat)
 
 
 def test_charpoly_constant_first():
@@ -144,7 +161,38 @@ def test_inverse_and_solve_on_nonsingular(a):
     n = len(a)
     if integer_kernel(a):  # singular: covered by the test below
         return
-    assert mat_mul(inverse(a), a) == identity(n)
+    adj, den = inverse(a)
+    assert mat_mul(adj, a) == [[den * x for x in row] for row in identity(n)]
+
+
+def _check_inverse(a):
+    n = len(a)
+    adj, den = inverse(a)
+    assert mat_mul(adj, a) == [[den * x for x in row] for row in identity(n)]
+    assert den > 0
+    assert all(type(x) is int for row in adj for x in row)
+    assert math.gcd(den, *(x for row in adj for x in row)) == 1  # den least
+    assert [[Q(x, den) for x in row] for row in adj] == fraction_inverse(a)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: _matrix(n, n)).filter(
+    lambda a: det(a) != 0))
+def test_inverse_is_least_scaled_adjugate(a):
+    _check_inverse(a)
+
+
+def test_inverse_of_cartan_blocks():
+    # every principal block of every simple Cartan matrix, as `pm_solver`
+    # inverts it for a Levi subset
+    blocks = set()
+    for letter, (lo, hi) in dynkin.RANK_BOUNDS.items():
+        for r in range(lo, hi + 1):
+            c = dynkin.cartan_matrix(letter, r)
+            for mask in range(1, 1 << r):
+                idx = [j for j in range(r) if mask >> j & 1]
+                blocks.add(tuple(tuple(c[i][j] for j in idx) for i in idx))
+    for block in sorted(blocks):
+        _check_inverse(block)
 
 
 @given(_RECT)

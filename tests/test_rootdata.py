@@ -178,6 +178,14 @@ def test_weyl_orbit_sizes():
     assert g.weyl_orbit((0, 0, 0)) == {(0, 0, 0)}
 
 
+def test_cartan_matrix_non_integral_raises(monkeypatch):
+    # norms 2 and 3 on the G2 edge give C[0][1] = -3/2: a real raise, not
+    # an assert that python -O would strip
+    monkeypatch.setattr(dynkin, "root_norms", lambda letter, l: [2, 3])
+    with pytest.raises(RuntimeError):
+        dynkin.cartan_matrix("G", 2)
+
+
 def test_weyl_orbit_unique_dominant():
     # a weight is dominant iff its first l omega-coordinates are >= 0
     g = build_group("C3")
@@ -251,12 +259,37 @@ def test_p_m_idempotent_and_monotone():
         assert g.leq(px, py)
 
 
+def _orbit_average(g, subset, x):
+    """The average of the W_M-orbit of the point x, M the Levi of subset."""
+    gens = [simple_reflection(g, j) for j in subset]
+    orbit, frontier = {x}, [x]
+    while frontier:
+        frontier = [y for v in frontier for w in gens
+                    for y in [w.act(v)] if y not in orbit]
+        orbit.update(frontier)
+    return tuple(Q(sum(c), len(orbit)) for c in zip(*orbit))
+
+
 def test_p_m_orbit_average():
     g = build_group("GL2")
     x = (Q(0), Q(2))
     s1 = simple_reflection(g, 0)
     avg = tuple((a + b) / 2 for a, b in zip(x, s1.act(x)))
     assert g.p_M(x, frozenset({0})) == avg
+    # p_M and the int kernel `project` against the W_M-orbit average
+    rng = random.Random(11)
+    for spec, subset in (("GL2", {0}), ("GL3", {0, 1}), ("B2*T1", {0, 1}),
+                         ("G2", {1}), ("Gext(D4)", {0, 1, 3}), ("F4", {1, 2}),
+                         ("E7*T1", {0, 2, 5})):
+        g, s = build_group(spec), frozenset(subset)
+        for _ in range(4):
+            x = tuple(rng.randint(-6, 6) for _ in range(g.n))
+            avg = _orbit_average(g, s, x)
+            assert g.p_M(x, s) == avg
+            idx, den, c, y = g.project(s, x)
+            assert tuple(Q(v, den) for v in y) == avg
+            assert idx == sorted(s) and den > 0
+            assert all(den * x[j] - cj == y[j] for j, cj in zip(idx, c))
 
 
 def test_levi_gl3():
