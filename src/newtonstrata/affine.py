@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from . import dynkin, exactlinalg
 from .rationals import Q, frac_part, scale_to_ints
-from .rootdata import WeylElement
+from .rootdata import OrbitGuardError, WeylElement
 from .strata import d_G
 
 
@@ -23,9 +23,11 @@ class AffineWeylElement:
 
 
 def translation(datum, lift):
+    """Translation by an integral lift, checked by `RootDatum.point`."""
     n = datum.n
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return AffineWeylElement(tuple(int(m) for m in lift), WeylElement(ident))
+    return AffineWeylElement(datum.point(lift, integral=True),
+                             WeylElement(ident))
 
 
 def _affine_tables(datum):
@@ -100,7 +102,8 @@ def alcove_reduce(datum, x):
     Each reflection s(v) = v - (<lam, v> + k) h is applied by formula to
     the sample point, to the translation and to the linear part of x.  The
     sample point is kept as den * x(p0), so val = den * (<lam, x(p0)> + k)
-    is an int of the same sign.
+    is an int of the same sign.  Raises OrbitGuardError at 100,000
+    reflections.
     """
     roots, den, p0 = _affine_tables(datum)
     t = list(x.translation)
@@ -124,7 +127,7 @@ def alcove_reduce(datum, x):
         else:
             break
         if len(word) >= 100000:
-            raise RuntimeError("alcove reduction failed to terminate")
+            raise OrbitGuardError("alcove reduction exceeds guard 100000")
     linear = WeylElement(tuple(tuple(r) for r in rows))
     return AffineWeylElement(tuple(t), linear), word
 
@@ -192,7 +195,8 @@ def defect(datum, nu):
 
 
 def chi(datum, i, nu):
-    """The i-th character of the class group, as a rational in [0, 1)."""
+    """The i-th character at the class of the lift nu, in [0, 1)."""
+    nu = datum.point(nu, integral=True)
     return frac_part(Q(datum.central_part(nu[datum.l:])[i]))
 
 

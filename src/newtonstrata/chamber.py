@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .rationals import (
-    NEG_INF, Q, fmt_point, is_finite, qceil, qfloor, scale_to_ints)
+    NEG_INF, Q, fmt_point, qceil, qfloor, scale_to_ints)
 from .rootdata import OrbitGuardError
 
 
@@ -43,12 +43,9 @@ def finite_ize(datum, d):
     Valid for inputs with -inf allowed in the first l slots only; the
     retraction of d equals the retraction of the returned finite point.
     """
-    n, l = datum.n, datum.l
-    if len(d) != n:
-        raise ValueError("point has wrong length")
-    torus = tuple(Q(c) if is_finite(c) else c for c in d[l:])
-    if any(not is_finite(c) for c in torus):
-        raise ValueError("-inf not allowed in torus coordinates")
+    d = datum.point(d, neg_inf=True)
+    l = datum.l
+    torus = tuple(Q(c) for c in d[l:])
     g = datum.central_part(torus)
     out = []
     for i in range(l):
@@ -143,9 +140,10 @@ def is_newton_point(datum, y):
     the coordinates away from the face.  A point of the wrong length or
     with -inf coordinates is not one.
     """
-    if len(y) != datum.n or not all(is_finite(c) for c in y):
+    try:
+        y = tuple(Q(c) for c in datum.point(y))
+    except ValueError:
         return None
-    y = tuple(Q(c) for c in y)
     face, negative = face_of(datum, scale_to_ints(y)[1])
     if negative:
         return None
@@ -175,21 +173,14 @@ def newton_point(datum, x):
         return x
     np = is_newton_point(datum, x)
     if np is None:
-        raise ValueError(f"{','.join(fmt_point(x))} is not a"
-                         f" Newton point of {datum.label}")
+        raise ValueError(f"not a Newton point of {datum.label}")
     return np
 
 
 def stratum_of(datum, d):
     """Newton point of an integral valuation vector (-inf allowed in the
     first l slots)."""
-    for i, c in enumerate(d):
-        if c is NEG_INF:
-            if i >= datum.l:
-                raise ValueError("-inf not allowed in torus coordinates")
-        elif Q(c).denominator != 1:
-            raise ValueError("stratum_of needs integral coordinates")
-    y, _face = retract(datum, d)
+    y, _face = retract(datum, datum.point(d, neg_inf=True, integral=True))
     np = is_newton_point(datum, y)
     if np is None:
         raise RetractionError("retraction of an integral vector must certify")
@@ -281,15 +272,13 @@ def hasse(datum, points):
     )
 
 
-def hasse_dot(datum, points, edges=None):
+def hasse_dot(datum, points):
     """DOT digraph, nodes labeled by slope tuples, edges small -> large."""
-    if edges is None:
-        edges = hasse(datum, points)
     labels = [",".join(fmt_point(point_of(p))) for p in points]
     lines = ["digraph newton {"]
     for i, lab in enumerate(labels):
         lines.append(f'  n{i} [label="{lab}"];')
-    for a, b in edges:
+    for a, b in hasse(datum, points):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ import re
 import sys
 
 from . import affine, chamber, strata, toruseval, verify
-from .rationals import NEG_INF, Q, fmt_point, fmt_scalar, parse_point
+from .rationals import fmt_point, fmt_scalar, parse_point
 from .rootdata import OrbitGuardError, build_group
 
 _GLN = re.compile(r"^GL(\d+)$")
@@ -47,23 +47,14 @@ def _text_lines(obj, prefix):
         yield f"{prefix}{obj}"
 
 
-def _parse_integral(datum, s, flag):
+def _arg(read, datum, value, flag):
+    """read(datum, x) for the point x that a flag's value spells.  A
+    ValueError from the parse or the read is raised again with the flag
+    and its value in front, so every point error names its flag."""
     try:
-        lift = tuple(int(c) for c in s.split(","))
-    except ValueError:
-        lift = None
-    if lift is None or len(lift) != datum.n:
-        raise ValueError(f"{flag} must be an integral lift ({datum.n}"
-                         f" comma-separated integers), got {s!r}")
-    return lift
-
-
-def _newton_point(datum, s, flag):
-    """Parse a point and certify it as a Newton point of the datum."""
-    np = chamber.is_newton_point(datum, parse_point(s))
-    if np is None:
-        raise ValueError(f"{flag} {s} is not a Newton point of {datum.label}")
-    return np
+        return read(datum, parse_point(value))
+    except ValueError as e:
+        raise ValueError(f"{flag} {value}: {e}") from None
 
 
 def cmd_describe(datum, args):
@@ -83,8 +74,7 @@ def cmd_describe(datum, args):
 
 
 def cmd_retract(datum, args):
-    d = parse_point(args.d)
-    y, face = chamber.retract(datum, d)
+    y, face = _arg(chamber.retract, datum, args.d, "--d")
     payload = {"y": fmt_point(y), "levi": sorted(j + 1 for j in face)}
     if _is_gln(datum):
         payload["slopes"] = _slopes(y)
@@ -93,8 +83,7 @@ def cmd_retract(datum, args):
 
 
 def cmd_stratum(datum, args):
-    d = parse_point(args.d)
-    np = strata.stratum_of(datum, d)
+    np = _arg(strata.stratum_of, datum, args.d, "--d")
     payload = np.to_json()
     if _is_gln(datum):
         payload["slopes"] = _slopes(np.point)
@@ -103,22 +92,24 @@ def cmd_stratum(datum, args):
 
 
 def cmd_conditions(datum, args):
-    mu = _newton_point(datum, args.mu, "--mu")
+    mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
     conds = strata.stratum_conditions(datum, mu, closed=args.closed)
     _emit(args, conds.to_json())
     return 0
 
 
 def cmd_dim(datum, args):
-    mu = _newton_point(datum, args.mu, "--mu")
+    mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
     _emit(args, {"dim": strata.dim_leq(datum, mu)})
     return 0
 
 
 def cmd_codim(datum, args):
-    nu = _newton_point(datum, args.nu, "--nu")
-    mu = _newton_point(datum, args.mu, "--mu")
+    nu = _arg(chamber.newton_point, datum, args.nu, "--nu")
+    mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
     if args.chai:
+        # Chai's form needs an integral mu: name the flag when it is not
+        _arg(lambda d, x: d.point(x, integral=True), datum, args.mu, "--mu")
         c = strata.codim_chai(datum, nu, mu)
     else:
         c = strata.codim(datum, nu, mu)
@@ -127,7 +118,7 @@ def cmd_codim(datum, args):
 
 
 def cmd_newton_points(datum, args):
-    mu = _newton_point(datum, args.mu, "--mu")
+    mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
     points = chamber.newton_points_below(datum, mu)
     if args.dot:
         print(chamber.hasse_dot(datum, points))
@@ -137,8 +128,7 @@ def cmd_newton_points(datum, args):
 
 
 def cmd_defect(datum, args):
-    nu = _parse_integral(datum, args.nu, "--nu")
-    rep = affine.verify_defect_identity(datum, nu)
+    rep = _arg(affine.verify_defect_identity, datum, args.nu, "--nu")
     payload = {
         "nu": rep["nu"],
         "w_word": rep["w_word"],
@@ -151,11 +141,8 @@ def cmd_defect(datum, args):
 
 
 def cmd_dg(datum, args):
-    nu = parse_point(args.nu)
-    if len(nu) != datum.n or NEG_INF in nu:
-        raise ValueError(f"--nu must be {datum.n} finite comma-separated"
-                         f" coordinates, got {args.nu!r}")
-    _emit(args, {"d_G": fmt_scalar(strata.d_G(datum, nu))})
+    # d_G is defined for every finite point, not only for Newton points
+    _emit(args, {"d_G": fmt_scalar(_arg(strata.d_G, datum, args.nu, "--nu"))})
     return 0
 
 

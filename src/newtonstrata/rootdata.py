@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import dynkin, exactlinalg
-from .rationals import NEG_INF, Q, is_finite, scale_to_ints
+from .rationals import NEG_INF, Q, scale_to_ints
 
 
 class GroupSpecError(ValueError):
@@ -133,19 +133,38 @@ class RootDatum:
                 total += c * xi
         return NEG_INF if hit_inf else total
 
-    def finite_point(self, x):
-        """x itself; ValueError unless it is a point of n finite coordinates."""
+    def point(self, x, neg_inf=False, integral=False):
+        """x as a tuple, checked where it enters the library: ValueError
+        unless it has n coordinates, -inf only with `neg_inf` and then only
+        in the first l, and with `integral` an integer in every finite
+        slot; those come back as ints."""
+        if type(x) is not tuple:
+            x = tuple(x)
         if len(x) != self.n:
-            raise ValueError("point has the wrong length")
-        if any(c is NEG_INF for c in x):
-            raise ValueError("-inf coordinate in a finite point")
-        return x
+            raise ValueError(f"expected {self.n} coordinates, got {len(x)}")
+        free = self.l if neg_inf else 0
+        ints = None
+        for i, c in enumerate(x):
+            if c is NEG_INF:
+                if i >= free:
+                    raise ValueError(
+                        f"-inf in torus coordinate {i + 1}" if neg_inf else
+                        f"-inf in coordinate {i + 1} of a finite point")
+            elif integral and type(c) is not int:
+                q = c if type(c) is Q else Q(c)
+                if q.denominator != 1:
+                    raise ValueError(f"coordinate {i + 1} is {c}, not an"
+                                     " integer")
+                if ints is None:
+                    ints = list(x)
+                ints[i] = q.numerator
+        return x if ints is None else tuple(ints)
 
     def is_dominant(self, x):
         """No simple root pairs negatively with x.  The signs are read on
         ints: x itself when every coordinate is an int, else L x for the
         lcm L of the denominators."""
-        self.finite_point(x)
+        x = self.point(x)
         if not all(type(c) is int for c in x):
             x = scale_to_ints(x)[1]
         return all(self.root_pairing(j, x) >= 0 for j in range(self.l))
@@ -153,8 +172,8 @@ class RootDatum:
     def leq(self, x, y):
         """x <= y: y - x is a nonnegative combination of simple coroots, that
         is y_i >= x_i for i < l and y_i == x_i after."""
-        self.finite_point(x)
-        self.finite_point(y)
+        self.point(x)
+        self.point(y)
         for i in range(self.l):
             if y[i] < x[i]:
                 return False
@@ -270,9 +289,10 @@ class RootDatum:
         x is scaled to ints by the lcm L of its denominators and projected
         with `project`; y_j and c_j are built as `Fraction`s over den L.
         """
+        x = self.point(x)
         subset = frozenset(subset)
         if not subset:
-            return tuple(x), {}
+            return x, {}
         scale, ints = scale_to_ints(x)
         idx, den, c, y = self.project(subset, ints)
         out = list(x)
@@ -393,8 +413,7 @@ class RootDatum:
         )
 
         def convert(x):
-            if any(not is_finite(c) for c in x):
-                raise ValueError("cannot convert a point with -inf coordinates")
+            x = self.point(x)
             out = list(x)
             for i in range(self.l):
                 out[i] = x[i] + sum(

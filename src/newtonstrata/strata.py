@@ -57,7 +57,7 @@ def stratum_conditions(datum, mu, closed):
 
 def dim_leq(datum, mu):
     """dim of the closed stratum: sum of floors of the first l coordinates."""
-    point = datum.finite_point(point_of(mu))
+    point = datum.point(point_of(mu))
     return int(sum(qfloor(point[i]) for i in range(datum.l)))
 
 
@@ -79,9 +79,7 @@ def codim_chai(datum, nu, mu):
     pairing with mu - nu only sees the semisimple part.
     """
     nu_pt, mu_pt = point_of(nu), point_of(mu)
-    if any(Q(c).denominator != 1 for c in mu_pt):
-        raise ValueError("codim_chai needs an integral dominant mu")
-    if not datum.is_dominant(tuple(int(c) for c in mu_pt)):
+    if not datum.is_dominant(datum.point(mu_pt, integral=True)):
         raise ValueError("codim_chai needs an integral dominant mu")
     if not datum.leq(nu_pt, mu_pt):
         raise ValueError("codim_chai requires nu <= mu")
@@ -96,7 +94,7 @@ def codim_chai(datum, nu, mu):
 
 def d_G(datum, nu):
     """Sum of fractional parts of the pairings with the extended weights."""
-    point = datum.finite_point(point_of(nu))
+    point = datum.point(point_of(nu))
     return sum((frac_part(Q(point[i])) for i in range(datum.l)), Q(0))
 
 

@@ -146,7 +146,7 @@ def _coordinate_bounds(datum):
             for k in range(datum.l)]
 
 
-def _orbit_sums(datum, a, guard):
+def _orbit_sums(datum, a):
     """The orbit-sum coordinates at a, each orbit walked once, and for each
     coordinate whether a single orbit term has the least exponent before
     cancellation (the torus coordinates count as single terms).
@@ -176,7 +176,7 @@ def _orbit_sums(datum, a, guard):
         state, sums = {}, {}
         least, hits = math.inf, 0
         omega = tuple(int(i == k) for i in range(n))
-        for mu, j, depth in datum.orbit_tree(omega, guard):
+        for mu, j, depth in datum.orbit_tree(omega):
             if depth:
                 m = mu[j]
                 e, c = state[depth - 1]
@@ -203,17 +203,17 @@ def _orbit_sums(datum, a, guard):
     return values, tuple(v.val() for v in values), unique
 
 
-def eval_c(datum, a, guard=10**6):
+def eval_c(datum, a):
     """Values of the symmetric-orbit coordinates and their valuation vector."""
-    values, d_c, _unique = _orbit_sums(datum, a, guard)
+    values, d_c, _unique = _orbit_sums(datum, a)
     return values, d_c
 
 
-def check_thm_rnu(datum, a, guard=10**6):
+def check_thm_rnu(datum, a):
     """End-to-end check: the retraction of the valuation vector of the orbit
     sums equals the dominant representative of nu_a, with the expected
     inequalities and strictness pattern."""
-    _values, d_c, unique = _orbit_sums(datum, a, guard)
+    _values, d_c, unique = _orbit_sums(datum, a)
     y, _face = retract(datum, d_c)
     dom, _word = datum.dominant_rep(nu_a(datum, a))
     imu = index_set(datum, dom)
@@ -291,12 +291,12 @@ def coords_to_slopes(coords):
     return tuple(out)
 
 
-def random_torus_point(datum, rng, denominator=1, exp_range=3):
+def random_torus_point(datum, rng, denominator=1):
     """Seeded monomial torus point with collision-prone coefficients."""
     coeffs = [Q(c) for c in (1, -1, 2, -2)]
     vals = []
     for _ in range(datum.n):
         c = rng.choice(coeffs)
-        num = rng.randint(-exp_range * denominator, exp_range * denominator)
+        num = rng.randint(-3 * denominator, 3 * denominator)
         vals.append(LaurentPoly.monomial(c, Q(num, denominator)))
     return TorusPoint(tuple(vals))

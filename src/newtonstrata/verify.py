@@ -6,12 +6,12 @@ from . import affine, toruseval
 from .rationals import NEG_INF, Q, fmt_scalar, is_finite
 
 
-def random_lift(datum, class_lift, rng, spread=3):
+def random_lift(datum, class_lift, rng):
     """Another integral representative of the same class: add random coroots."""
     lift = list(class_lift)
     for j in range(datum.l):
         # simple coroots are the standard basis vectors in omega-coordinates
-        lift[j] += rng.randint(-spread, spread)
+        lift[j] += rng.randint(-3, 3)
     return tuple(lift)
 
 

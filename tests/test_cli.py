@@ -1,14 +1,19 @@
 """CLI dispatch, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import pathlib
 import shlex
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newtonstrata.chamber import RetractionError, retract
+from newtonstrata.chamber import (
+    RetractionError, newton_points_below, retract, stratum_of)
 from newtonstrata.cli import main
-from newtonstrata.rationals import Q
+from newtonstrata.rationals import Q, fmt_point
 from newtonstrata.rootdata import RootDatum, build_group
 
 
@@ -217,6 +222,19 @@ def test_bad_input_exit_2(capsys, argv, needle):
     assert needle in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("defect", "--group", "B2", "--nu", "1,25000"),
+    ("defect", "--group", "GL3", "--nu", "0,0,100000"),
+])
+def test_alcove_guard_overrun_exit_2(capsys, argv):
+    # a lift so long that alcove reduction passes its step guard: bad
+    # input, not a failed self-check
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "guard" in err
+
+
 def test_failed_certificate_exit_3(capsys, monkeypatch):
     # a solver with the sign of adj flipped: the projection moves d' down,
     # some c_j > 0 so d' <= y fails, and `retract` must raise rather than
@@ -234,6 +252,117 @@ def test_failed_certificate_exit_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# The CLI contract as a property: every argv that argparse accepts gets
+# exit 0 with JSON on stdout, or exit 2 with empty stdout and one `error:`
+# line; never exit 3, and no exception escapes `main`.  Ranks, coordinates
+# and --count are capped so that the 40 argvs of a subcommand take well
+# under a second.  `--dot` and `--format text` are left out: not JSON.
+GOOD_SPECS = ("GL1", "GL2", "GL3", "A2", "B2", "G2", "B2*T1", "T1")
+BAD_SPECS = ("Q9", "GL0", "A0", "", "GL2*", "Gext(A2;m=ex)", "B2*")
+
+
+def _newton_strings(spec):
+    g = build_group(spec)
+    mu = stratum_of(g, (2,) * g.n)
+    return [",".join(fmt_point(p.point)) for p in newton_points_below(g, mu)]
+
+
+RANK = {spec: build_group(spec).n for spec in GOOD_SPECS}
+NEWTON = {spec: _newton_strings(spec) for spec in GOOD_SPECS}
+COORD = st.sampled_from(
+    ["0", "1", "-1", "2", "3", "-3", "1/2", "-2/3", "5/3", "-inf"])
+BAD_SCALAR = st.sampled_from(["x", "1/0", "", "2/", "--1", "inf"])
+
+
+def _point(n, coord=COORD):
+    """Comma-joined points: n coordinates, a wrong length, or n
+    coordinates with a bad scalar among them."""
+    right = st.lists(coord, min_size=n, max_size=n)
+    wrong = st.sampled_from([n - 1, n + 1]).flatmap(
+        lambda k: st.lists(coord, min_size=max(k, 0), max_size=max(k, 0)))
+    bad = st.tuples(right, st.integers(0, max(n - 1, 0)), BAD_SCALAR).map(
+        lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+    return st.one_of(right, right, wrong, bad).map(",".join)
+
+
+def _newton(spec):
+    """A Newton point of the group, or any point: most are not one."""
+    return st.one_of(st.sampled_from(NEWTON[spec]), _point(RANK[spec]))
+
+
+def _lift(spec):
+    """An integral lift, or any point: non-integral, -inf, bad scalars."""
+    ints = st.sampled_from(["0", "1", "-1", "2", "-3"])
+    return st.one_of(_point(RANK[spec], ints), _point(RANK[spec]))
+
+
+def _torus_point(spec):
+    mono = st.sampled_from(["1*pi^(0)", "-1*pi^(1)", "2*pi^(-1/2)",
+                            "1*pi^(1/0)", "0*pi^(1)", "pi^2", "1"])
+    n = RANK[spec]
+    return st.sampled_from([n - 1, n, n, n + 1]).flatmap(
+        lambda k: st.lists(mono, min_size=max(k, 1), max_size=max(k, 1))
+    ).map(",".join)
+
+
+def _flags(command, spec):
+    """The flags of a subcommand, drawn for the group spec."""
+    if command == "describe":
+        return st.just([])
+    if command in ("retract", "stratum"):
+        return _point(RANK[spec]).map(lambda d: [f"--d={d}"])
+    if command in ("conditions", "dim", "newton-points"):
+        extra = ["--closed"] if command == "conditions" else []
+        return st.tuples(_newton(spec), st.booleans()).map(
+            lambda t: [f"--mu={t[0]}"] + extra[:t[1]])
+    if command == "codim":
+        return st.tuples(_newton(spec), _newton(spec), st.booleans()).map(
+            lambda t: [f"--nu={t[0]}", f"--mu={t[1]}"] + ["--chai"][:t[2]])
+    if command == "defect":
+        return _lift(spec).map(lambda nu: [f"--nu={nu}"])
+    if command == "dg":
+        return _point(RANK[spec]).map(lambda nu: [f"--nu={nu}"])
+    if command == "eval":
+        return _torus_point(spec).map(lambda a: [f"--a={a}"])
+    return st.tuples(st.sampled_from(["all", "rnu", "defect", "chars"]),
+                     st.integers(0, 9), st.integers(-2, 3)).map(
+        lambda t: ["--suite", t[0], f"--seed={t[1]}", f"--count={t[2]}"])
+
+
+def _argv(command):
+    good = st.sampled_from(GOOD_SPECS).flatmap(
+        lambda spec: _flags(command, spec).map(
+            lambda flags: [command, "--group", spec] + flags))
+    # a bad spec, with the flags of a good group
+    bad = st.tuples(st.sampled_from(BAD_SPECS), good).map(
+        lambda t: t[1][:2] + [t[0]] + t[1][3:])
+    return st.one_of(good, good, good, bad)
+
+
+COMMANDS = ("describe", "retract", "stratum", "conditions", "dim", "codim",
+            "newton-points", "defect", "dg", "eval", "verify")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_contract(command):
+    @settings(max_examples=40)
+    @given(_argv(command))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), (argv, code, err)
+        if code == 0:
+            json.loads(out)
+            assert err == ""
+        else:
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    check()
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -1,0 +1,97 @@
+"""Every library entry point refuses a bad point with a ValueError.
+
+`RootDatum.point` is the one check of a point entering the library.  The
+table calls each entry point that reads a point with each kind of bad
+input it must refuse: a wrong length, -inf in a slot where it is not
+allowed, and, where a lift is read, a non-integral coordinate.  Among
+the rows are five that once gave wrong answers on GL2: p_M, chi and the
+character report accepted (0, 1, 5); defect read (0, 1/2) as (0, 0) and
+failed its own class check, and took (0,) without a word.
+"""
+
+import pytest
+
+from newtonstrata import affine, chamber, strata
+from newtonstrata.rationals import NEG_INF, Q
+from newtonstrata.rootdata import build_group
+
+G = build_group("GL2")  # n = 2, l = 1: slot 1 is semisimple, slot 2 torus
+
+BAD = {
+    "wrong length": [(0, 1, 5), (0,)],
+    "-inf in a semisimple slot": [(NEG_INF, 1)],
+    "-inf in a torus slot": [(0, NEG_INF)],
+    "non-integral": [(0, Q(1, 2)), (Q(1, 2), 1)],
+}
+VALUATION = ("wrong length", "-inf in a torus slot")
+FINITE = VALUATION + ("-inf in a semisimple slot",)
+LIFT = FINITE + ("non-integral",)
+INTEGRAL_VALUATION = VALUATION + ("non-integral",)
+
+# name -> (call on the datum and a point x, the kinds of bad x it refuses)
+ENTRIES = {
+    "point": (lambda g, x: g.point(x), FINITE),
+    "point neg_inf": (lambda g, x: g.point(x, neg_inf=True), VALUATION),
+    "point integral": (lambda g, x: g.point(x, integral=True), LIFT),
+    "point both": (lambda g, x: g.point(x, neg_inf=True, integral=True),
+                   INTEGRAL_VALUATION),
+    "finite_ize": (chamber.finite_ize, VALUATION),
+    "retract": (chamber.retract, VALUATION),
+    "stratum_of": (chamber.stratum_of, INTEGRAL_VALUATION),
+    "newton_point": (chamber.newton_point, FINITE),
+    "newton_points_below": (chamber.newton_points_below, FINITE),
+    "is_dominant": (lambda g, x: g.is_dominant(x), FINITE),
+    "leq left": (lambda g, x: g.leq(x, (1, 1)), FINITE),
+    "leq right": (lambda g, x: g.leq((1, 1), x), FINITE),
+    "dim_leq": (strata.dim_leq, FINITE),
+    "d_G": (strata.d_G, FINITE),
+    "codim_chai mu": (lambda g, x: strata.codim_chai(g, (Q(1, 2), 1), x),
+                      LIFT),
+    "change_extension convert": (
+        lambda g, x: g.change_extension([[1]])[1](x), FINITE),
+    "p_M": (lambda g, x: g.p_M(x, {0}), FINITE),
+    "p_M_with_coeffs": (lambda g, x: g.p_M_with_coeffs(x, {0}), FINITE),
+    "p_M empty subset": (lambda g, x: g.p_M(x, ()), FINITE),
+    "central_part": (lambda g, x: g.central_part(x[g.l:]), VALUATION),
+    "translation": (affine.translation, LIFT),
+    "section_s": (affine.section_s, LIFT),
+    "w_nu": (affine.w_nu, LIFT),
+    "defect": (affine.defect, LIFT),
+    "verify_defect_identity": (affine.verify_defect_identity, LIFT),
+    "reflection_char_multiset_check": (
+        affine.reflection_char_multiset_check, LIFT),
+    "chi": (lambda g, x: affine.chi(g, 0, x), LIFT),
+}
+
+ROWS = [
+    (name, kind, x)
+    for name, (_call, kinds) in ENTRIES.items()
+    for kind in kinds
+    for x in BAD[kind]
+]
+
+
+@pytest.mark.parametrize("name, kind, x", ROWS,
+                         ids=[f"{name}-{kind}-{x}" for name, kind, x in ROWS])
+def test_bad_point_raises_value_error(name, kind, x):
+    call, _kinds = ENTRIES[name]
+    with pytest.raises(ValueError) as exc:
+        call(G, x)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("x", [x for kind in FINITE for x in BAD[kind]])
+def test_is_newton_point_answers_none(x):
+    # the certifier's contract: a bad point is not a Newton point
+    assert chamber.is_newton_point(G, x) is None
+
+
+def test_point_returns_a_checked_tuple():
+    assert G.point([Q(1, 2), 1]) == (Q(1, 2), 1)
+    x = (Q(1, 2), 1)
+    assert G.point(x) is x  # no copy of a tuple
+    assert G.point((NEG_INF, Q(3)), neg_inf=True) == (NEG_INF, 3)
+    lift = G.point((Q(2), Q(-3)), integral=True)
+    assert lift == (2, -3) and all(type(c) is int for c in lift)
+    d = G.point((NEG_INF, Q(4)), neg_inf=True, integral=True)
+    assert d[0] is NEG_INF and type(d[1]) is int
