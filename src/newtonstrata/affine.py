@@ -197,7 +197,7 @@ def defect(datum, nu):
 def chi(datum, i, nu):
     """The i-th character at the class of the lift nu, in [0, 1)."""
     nu = datum.point(nu, integral=True)
-    return frac_part(Q(datum.central_part(nu[datum.l:])[i]))
+    return frac_part(datum.central_part(nu[datum.l:])[i])
 
 
 def verify_defect_identity(datum, nu):
@@ -206,7 +206,7 @@ def verify_defect_identity(datum, nu):
     dfct = _fixed_corank(w)
     central = datum.central_part(nu[datum.l:])
     dg = d_G(datum, central)
-    chi_sum = sum((frac_part(Q(c)) for c in central), Q(0))
+    chi_sum = sum((frac_part(c) for c in central), Q(0))
     ok = dg == Q(dfct, 2) and 2 * chi_sum == dfct
     return {
         "nu": [int(c) for c in nu[datum.l:]],
@@ -243,7 +243,7 @@ def reflection_char_multiset_check(datum, nu):
             poly = q
             mults[d] = mults.get(d, 0) + 1
     fully_factored = poly == [1]
-    chis = [frac_part(Q(c)) for c in datum.central_part(nu[datum.l:])]
+    chis = [frac_part(c) for c in datum.central_part(nu[datum.l:])]
     by_denom = {}
     for c in chis:
         by_denom.setdefault(c.denominator, []).append(c)

@@ -120,7 +120,12 @@ class RootDatum:
         """<lam, x> for a weight lam and a point x, with -inf absorption.
 
         -inf coordinates of x are only allowed against coefficients >= 0.
+        Only the lengths of lam and x are checked: ValueError unless both
+        have n coordinates.
         """
+        if len(lam) != self.n or len(x) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got"
+                             f" {len(lam)} and {len(x)}")
         total = Q(0)
         hit_inf = False
         for c, xi in zip(lam, x):
@@ -185,8 +190,11 @@ class RootDatum:
         """The dominant element y of the W-orbit of x and the tuple `word`
         of simple reflection indices in the order applied, so that
         y = s_{word[-1]} ... s_{word[0]} x.  Each step reflects by the first
-        simple root that pairs negatively with the current point."""
+        simple root that pairs negatively with the current point.  Only
+        the length of x is checked: ValueError unless it is n."""
         y = list(x)
+        if len(y) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {len(y)}")
         word = []
         while True:
             for j in range(self.l):
@@ -302,12 +310,14 @@ class RootDatum:
 
     def central_part(self, torus_coords):
         """The point of the center subspace with the given last n-l
-        coordinates: p_M of (0, ..., 0, torus_coords) over all simple roots."""
+        coordinates: p_M of (0, ..., 0, torus_coords) over all simple roots.
+        Its coordinates are `Fraction`s whatever the types given, as an int
+        and an equal `Fraction` share one cache entry."""
         key = tuple(torus_coords)
         cached = self._central_cache.get(key)
         if cached is None:
-            cached = self._central_cache[key] = self.p_M(
-                (0,) * self.l + key, frozenset(range(self.l)))
+            cached = self._central_cache[key] = tuple(Q(c) for c in self.p_M(
+                (0,) * self.l + key, frozenset(range(self.l))))
         return cached
 
     def levi(self, subset):

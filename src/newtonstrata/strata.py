@@ -1,6 +1,6 @@
 """Newton stratum membership conditions, dimensions, codimensions, d_G."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chamber import (  # noqa: F401
     NewtonPoint, face_of, newton_point, point_of, stratum_of)
@@ -15,8 +15,12 @@ class StratumConditions:
     mu: NewtonPoint
     closed: bool
     relations: tuple  # (index, "<=" or "==", bound)
+    datum: object = field(repr=False, compare=False)
 
     def accepts(self, d):
+        """Whether the valuation vector d (-inf allowed in the first l
+        slots) meets every condition; ValueError on any other point."""
+        d = self.datum.point(d, neg_inf=True)
         for i, rel, bound in self.relations:
             v = d[i]
             if rel == "==":
@@ -37,7 +41,7 @@ class StratumConditions:
 
 def index_set(datum, mu):
     """I_mu: simple roots pairing to zero against mu."""
-    return face_of(datum, point_of(mu))[0]
+    return face_of(datum, datum.point(point_of(mu)))[0]
 
 
 def stratum_conditions(datum, mu, closed):
@@ -52,7 +56,7 @@ def stratum_conditions(datum, mu, closed):
             rels.append((i, "<=", point[i]))
         else:
             rels.append((i, "==", point[i]))
-    return StratumConditions(mu, closed, tuple(rels))
+    return StratumConditions(mu, closed, tuple(rels), datum)
 
 
 def dim_leq(datum, mu):

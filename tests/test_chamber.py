@@ -18,7 +18,8 @@ from newtonstrata.chamber import (
     stratum_of,
 )
 from newtonstrata.rationals import NEG_INF, Q, qfloor
-from newtonstrata.rootdata import build_group
+from newtonstrata.rootdata import OrbitGuardError, build_group
+from newtonstrata.strata import codim, codim_chai
 import oracles
 from oracles import retract_closest
 
@@ -196,6 +197,65 @@ def test_newton_points_below_face_check():
     g._pm_cache[frozenset({0})] = ([0], [[0]], 1)
     with pytest.raises(RuntimeError):
         newton_points_below(g, (Q(1), Q(1)))
+
+
+# fixed cases beyond box enumeration: its boxes held 16,777,216 and
+# 5,702,400 candidates, over its guard of 10**6 on one face
+BEYOND_BOX = {
+    "A8": (lambda g: (Q(6),) * 8, 4314, (-2, 8)),
+    "E8": (lambda g: retract(g, (3,) * 8)[0], 76, (-1, 8)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BEYOND_BOX))
+def test_newton_points_below_beyond_the_box(spec):
+    g = build_group(spec)
+    make_mu, count, (lo, hi) = BEYOND_BOX[spec]
+    mu = make_mu(g)
+    pts = newton_points_below(g, mu)
+    assert len(pts) == count and pts[-1].point == mu
+    for p in pts:
+        np = is_newton_point(g, p.point)
+        assert np is not None and np.levi == p.levi and g.leq(p.point, mu)
+        assert g.p_M(p.lift, p.levi) == p.point
+    # independent: the stratum of any integral d whose retraction lies
+    # below mu is one of the points
+    points = {p.point for p in pts}
+    rng = random.Random(12)
+    hits = 0
+    for _ in range(600):
+        d = tuple(NEG_INF if rng.random() < 0.1 else rng.randint(lo, hi)
+                  for _ in range(g.n))
+        if g.leq(retract(g, d)[0], mu):
+            hits += 1
+            assert stratum_of(g, d).point in points
+    assert hits >= 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hasse_edges_have_codim_one(data):
+    # Chai: the points below mu are ranked by dim_leq, so every covering
+    # relation drops the dimension by one, in both forms of the codimension
+    g = build_group(data.draw(st.sampled_from(
+        ("GL3", "GL4", "GL5", "B2", "C3", "G2", "B2*T1", "A2*A2"))))
+    raw = data.draw(st.tuples(*[st.integers(-3, 3)] * g.n))
+    mu = g.dominant_rep(tuple(Q(c) for c in raw))[0]
+    pts = newton_points_below(g, mu)
+    for a, b in hasse(g, pts):
+        assert codim(g, pts[a], pts[b]) == 1
+        assert codim_chai(g, pts[a], mu) - codim_chai(g, pts[b], mu) == 1
+
+
+def test_newton_points_below_guard():
+    # the walk tries at most 442 box values on one face here, against a
+    # largest face box of 12,960
+    g = build_group("GL7")
+    mu = (Q(10),) * 7
+    assert len(newton_points_below(g, mu, guard=442)) == 319
+    for guard in (0, 10, 441):
+        with pytest.raises(OrbitGuardError):
+            newton_points_below(g, mu, guard=guard)
 
 
 def test_retract_certificate_face():

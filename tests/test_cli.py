@@ -100,6 +100,15 @@ def test_newton_points(capsys):
     assert [p["point"] for p in pts] == [["1/2", "1"], ["1", "1"]]
 
 
+def test_newton_points_a8(capsys):
+    # its box held 16,777,216 candidates, over the guard on one face
+    code, out, err = run(capsys, "newton-points", "--group", "A8",
+                         "--mu", "6,6,6,6,6,6,6,6")
+    assert code == 0 and not err
+    pts = json.loads(out)
+    assert len(pts) == 4314 and pts[-1]["point"] == ["6"] * 8
+
+
 def test_newton_points_dot(capsys):
     code, out, _ = run(capsys, "newton-points", "--group", "GL2",
                        "--mu", "1,1", "--dot")

@@ -6,7 +6,8 @@ input it must refuse: a wrong length, -inf in a slot where it is not
 allowed, and, where a lift is read, a non-integral coordinate.  Among
 the rows are five that once gave wrong answers on GL2: p_M, chi and the
 character report accepted (0, 1, 5); defect read (0, 1/2) as (0, 0) and
-failed its own class check, and took (0,) without a word.
+failed its own class check, and took (0,) without a word.  `pair` and
+`dominant_rep` sit below the gate and check only the length.
 """
 
 import pytest
@@ -61,6 +62,14 @@ ENTRIES = {
     "reflection_char_multiset_check": (
         affine.reflection_char_multiset_check, LIFT),
     "chi": (lambda g, x: affine.chi(g, 0, x), LIFT),
+    "hasse": (lambda g, x: chamber.hasse(g, [(0, 1), x]), FINITE),
+    "accepts": (lambda g, x: strata.stratum_conditions(
+        g, (Q(1, 2), 1), closed=True).accepts(x), VALUATION),
+    "index_set": (strata.index_set, FINITE),
+    # primitives below the gate: they check the length only
+    "pair weight": (lambda g, x: g.pair(x, (1, 1)), ("wrong length",)),
+    "pair point": (lambda g, x: g.pair((1, 0), x), ("wrong length",)),
+    "dominant_rep": (lambda g, x: g.dominant_rep(x), ("wrong length",)),
 }
 
 ROWS = [
@@ -95,3 +104,17 @@ def test_point_returns_a_checked_tuple():
     assert lift == (2, -3) and all(type(c) is int for c in lift)
     d = G.point((NEG_INF, Q(4)), neg_inf=True, integral=True)
     assert d[0] is NEG_INF and type(d[1]) is int
+
+
+@pytest.mark.parametrize("call", [
+    # each of these once answered without a word on GL2
+    lambda: chamber.hasse(G, [(0, 1), (1, 1, 9)]),  # answered [(0, 1)]
+    lambda: strata.stratum_conditions(  # answered True
+        G, (Q(1, 2), 1), closed=True).accepts((0, 1, 7)),
+    lambda: strata.index_set(G, (1,)),  # raised IndexError
+    lambda: G.pair((1, 0), (5,)),  # answered 5
+    lambda: G.dominant_rep((0, 2, 5)),  # answered ((2, 2, 5), (0,))
+], ids=["hasse", "accepts", "index_set", "pair", "dominant_rep"])
+def test_readers_refuse_a_wrong_length(call):
+    with pytest.raises(ValueError):
+        call()

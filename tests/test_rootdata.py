@@ -115,6 +115,16 @@ def test_leq():
             g.leq(a, b)
 
 
+@pytest.mark.parametrize("first, second", [((1,), (Q(1),)), ((Q(1),), (1,))])
+def test_central_part_types_ignore_call_order(first, second):
+    # an int and an equal Fraction share a cache entry; the answer is
+    # all Fractions whichever of them came first
+    g = build_group("GL2")
+    for torus in (first, second):
+        z = g.central_part(torus)
+        assert z == (Q(1, 2), 1) and all(type(c) is Q for c in z)
+
+
 def test_dominant_rep_examples():
     a1 = build_group("A1")
     assert a1.dominant_rep((Q(-3),)) == ((3,), (0,))
