@@ -17,10 +17,6 @@ class AffineWeylElement:
     translation: tuple  # integral cocharacter
     linear: WeylElement
 
-    def act(self, v):
-        img = self.linear.act(v)
-        return tuple(a + t for a, t in zip(img, self.translation))
-
 
 def translation(datum, lift):
     """Translation by an integral lift, checked by `RootDatum.point`."""

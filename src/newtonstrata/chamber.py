@@ -13,6 +13,7 @@ unit vectors, and certifies each point it finds with `project` again.
 
 from dataclasses import dataclass
 
+from . import rootdata
 from .rationals import (
     NEG_INF, Q, fmt_point, qceil, qfloor, scale_to_ints)
 from .rootdata import OrbitGuardError
@@ -61,15 +62,16 @@ def finite_ize(datum, d):
 
 
 def _accepts(datum, dprime, subset):
-    """Candidate test for one parabolic face; returns y on acceptance."""
-    y, coeffs = datum.p_M_with_coeffs(dprime, subset)
-    for c in coeffs.values():
-        if c > 0:  # y - d' = -c_j e_j must be a nonnegative combination
-            return None
+    """Candidate test for one parabolic face; returns y = p_M(d') on
+    acceptance.  As in `retract`, the signs are read on ints: c_j <= 0
+    (d' <= y) and <alpha_j, den L y> > 0 off the face."""
+    _idx, _den, c, y = datum.project(subset, scale_to_ints(dprime)[1])
+    if any(cj > 0 for cj in c):
+        return None
     for j in range(datum.l):
         if j not in subset and datum.root_pairing(j, y) <= 0:
             return None
-    return y
+    return datum.p_M(dprime, subset)
 
 
 def retract_exhaustive(datum, d):
@@ -114,6 +116,11 @@ def retract(datum, d):
     over the face is y.  A failed certificate raises RetractionError.  The
     coordinates j in idx of the result are built once, as `Fraction`s
     y_j / den L; with no projection y is d'.
+
+    The likely route to c_j <= 0: the inverse of a Cartan matrix of finite
+    type is nonnegative (G. Lusztig and J. Tits, 1992), so every solver
+    has adj >= 0 and den > 0, as the tests check on every Levi block.
+    The certificate, not that argument, is the guarantee.
     """
     dprime = finite_ize(datum, d)
     scale, x = scale_to_ints(dprime)
@@ -169,7 +176,11 @@ def point_of(x):
 
 def newton_point(datum, x):
     """x as a certified NewtonPoint: x itself if it is one, else the
-    certificate of is_newton_point.  ValueError if x is not a Newton point."""
+    certificate of is_newton_point.  ValueError if x is not a Newton point.
+
+    A NewtonPoint is trusted: a certificate per point of a poset would
+    cost `stratum_conditions` and `d_levi_check` about as much as
+    `newton_points_below`, which certifies the point of its own mu."""
     if isinstance(x, NewtonPoint):
         return x
     np = is_newton_point(datum, x)
@@ -188,8 +199,9 @@ def stratum_of(datum, d):
     return np
 
 
-def newton_points_below(datum, mu, guard=10**6):
-    """All Newton points nu <= mu, each with certificate.
+def newton_points_below(datum, mu):
+    """All Newton points nu <= mu, each with certificate; ValueError if
+    the point of mu, a NewtonPoint or not, is not a Newton point.
 
     The dominant points below mu are pinched coordinatewise between the
     central part of mu and mu itself.  So a Newton point nu with face S is
@@ -208,13 +220,14 @@ def newton_points_below(datum, mu, guard=10**6):
     the count bounds the nodes it visits.  With box widths w_1, ..., w_k
     on the face the count is at most w_1 + w_1 w_2 + ... + w_1 ... w_k:
     the box product, which box enumeration tested in full and compared
-    with `guard`, plus the sizes of its prefix boxes (under twice the box
-    product when every width is at least 2).  In practice pruning keeps
-    it far below the box product: summed over the faces, 36,203 values
-    tried against 5,702,400 box points for E8 at the retract of
-    (3, ..., 3).  Past `guard` on one face it raises OrbitGuardError.
+    with the guard, plus the sizes of its prefix boxes (under twice the
+    box product when every width is at least 2).  In practice pruning
+    keeps it far below the box product: summed over the faces, 36,203
+    values tried against 5,702,400 box points for E8 at the retract of
+    (3, ..., 3).  Past `rootdata.GUARD` on one face it raises
+    OrbitGuardError.
     """
-    point = newton_point(datum, mu).point
+    point = newton_point(datum, point_of(mu)).point
     l = datum.l
     z = datum.central_part(point[l:])
     lo = [qceil(z[i]) for i in range(l)]
@@ -227,7 +240,7 @@ def newton_points_below(datum, mu, guard=10**6):
         free = [i for i in range(l) if i not in subset]
         idx, _adj, den = datum.pm_solver(subset)
         caps = [den * ints[j] // scale for j in idx]  # floor(D mu_j)
-        for m in _face_walk(datum, subset, free, caps, lo, hi, base, guard):
+        for m in _face_walk(datum, subset, free, caps, lo, hi, base):
             _idx, _den, c, dnu = datum.project(subset, m)
             if (any(-cj > cap for cj, cap in zip(c, caps))
                     or any(datum.root_pairing(j, dnu) <= 0 for j in free)):
@@ -246,7 +259,7 @@ def newton_points_below(datum, mu, guard=10**6):
     return sorted(found.values(), key=lambda np: tuple(np.point))
 
 
-def _face_walk(datum, subset, free, caps, lo, hi, base, guard):
+def _face_walk(datum, subset, free, caps, lo, hi, base):
     """The int points m of the face S = `subset` whose p_M meets the
     checks of `newton_points_below`, as tuples.
 
@@ -265,8 +278,8 @@ def _face_walk(datum, subset, free, caps, lo, hi, base, guard):
     _idx, _den, c, y = datum.project(subset, base)
     const = [cj + cap for cj, cap in zip(c, caps)]
     const += [datum.root_pairing(j, y) - 1 for j in free]
-    cols, terms = datum.memo(("face_forms", subset),
-                             lambda d: _unit_forms(d, subset, free))
+    cols, terms = datum.memo(("face_forms", subset), _unit_forms, subset,
+                             free)
     k = len(free)
     # rest[p][r]: the most that the coordinates from p on add to form r
     rest = [[0] * len(const)]
@@ -281,7 +294,7 @@ def _face_walk(datum, subset, free, caps, lo, hi, base, guard):
         return []
     if k == 0:
         return [tuple(base)]
-    count = 0
+    count, guard = 0, rootdata.GUARD
     m = list(base)
     leaves = []
 

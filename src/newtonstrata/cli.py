@@ -118,8 +118,7 @@ def cmd_codim(datum, args):
 
 
 def cmd_newton_points(datum, args):
-    mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
-    points = chamber.newton_points_below(datum, mu)
+    points = _arg(chamber.newton_points_below, datum, args.mu, "--mu")
     if args.dot:
         print(chamber.hasse_dot(datum, points))
         return 0

@@ -6,6 +6,8 @@ form: `inverse`, `rank`, `integer_kernel` and `unimodular_inverse` all
 read it.  No floating point anywhere.
 """
 
+import functools
+
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
@@ -196,20 +198,16 @@ def divisors(n):
     return out
 
 
-_CYCLO_CACHE = {1: [-1, 1]}
-
-
+@functools.cache
 def cyclotomic(d):
-    """d-th cyclotomic polynomial over Z, constant term first."""
-    if d in _CYCLO_CACHE:
-        return _CYCLO_CACHE[d]
+    """d-th cyclotomic polynomial over Z, constant term first.  The list
+    is cached and shared: callers must not change it."""
     num = [0] * d + [1]
     num[0] = -1  # x^d - 1
     for e in divisors(d)[:-1]:
         num, rem = poly_divmod(num, cyclotomic(e))
         if rem != [0]:
             raise RuntimeError(f"cyclotomic division left a remainder at d={d}")
-    _CYCLO_CACHE[d] = num
     return num
 
 

@@ -34,10 +34,6 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def is_finite(x):
-    return x is not NEG_INF
-
-
 def qfloor(x):
     """Greatest integer <= x, exact."""
     return x.numerator // x.denominator

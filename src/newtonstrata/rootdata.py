@@ -16,6 +16,11 @@ from . import dynkin, exactlinalg
 from .rationals import NEG_INF, Q, scale_to_ints
 
 
+# The most elements an orbit walk visits, and the most box values the
+# Newton point walk tries on one face, before raising OrbitGuardError.
+GUARD = 10**6
+
+
 class GroupSpecError(ValueError):
     """Raised when a group descriptor string cannot be parsed or validated."""
 
@@ -50,14 +55,12 @@ class RootDatum:
     """Combinatorial skeleton of a split group: rank n, semisimple rank l,
     and the simple roots as integer columns in the omega-basis.
 
-    The datum owns every cache derived from it.  Other modules keep their
-    per-datum tables in it through `memo`; nothing else can be attached.
+    The datum owns every cache derived from it, in one table filled
+    through `memo`; nothing else can be attached.
     """
 
-    __slots__ = (
-        "n", "l", "alpha", "factors", "label", "_root_support",
-        "_pm_cache", "_central_cache", "_memo",
-    )
+    __slots__ = ("n", "l", "alpha", "factors", "label", "_root_support",
+                 "_memo")
 
     def __init__(self, n, l, alpha, factors, label=""):
         self.n = n
@@ -71,8 +74,6 @@ class RootDatum:
                   if self.alpha[i][j])
             for j in range(self.l)
         )
-        self._pm_cache = {}  # Levi subset -> pm_solver(subset)
-        self._central_cache = {}  # torus coordinates -> central point
         self._memo = {}  # key -> table built by `memo`
 
     def _validate(self):
@@ -96,11 +97,13 @@ class RootDatum:
     def __repr__(self):
         return f"RootDatum({self.label or self.factors}, n={self.n}, l={self.l})"
 
-    def memo(self, key, build):
-        """The table stored under `key`, built as build(self) on first use."""
+    def memo(self, key, build, *args):
+        """The table stored under `key`, built as build(self, *args) on
+        first use.  A key is a str naming the table, or a tuple headed by
+        one."""
         table = self._memo.get(key)
         if table is None:
-            table = self._memo[key] = build(self)
+            table = self._memo[key] = build(self, *args)
         return table
 
     # -- pairings and the partial order ------------------------------------
@@ -115,28 +118,6 @@ class RootDatum:
         for i, a in self._root_support[j]:
             total += a * x[i]
         return total
-
-    def pair(self, lam, x):
-        """<lam, x> for a weight lam and a point x, with -inf absorption.
-
-        -inf coordinates of x are only allowed against coefficients >= 0.
-        Only the lengths of lam and x are checked: ValueError unless both
-        have n coordinates.
-        """
-        if len(lam) != self.n or len(x) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got"
-                             f" {len(lam)} and {len(x)}")
-        total = Q(0)
-        hit_inf = False
-        for c, xi in zip(lam, x):
-            if xi is NEG_INF:
-                if c < 0:
-                    raise ValueError("-inf paired with a negative coefficient")
-                if c > 0:
-                    hit_inf = True
-            elif c:
-                total += c * xi
-        return NEG_INF if hit_inf else total
 
     def point(self, x, neg_inf=False, integral=False):
         """x as a tuple, checked where it enters the library: ValueError
@@ -206,7 +187,7 @@ class RootDatum:
             else:
                 return tuple(y), tuple(word)
 
-    def orbit_tree(self, lam, guard=10**6):
+    def orbit_tree(self, lam):
         """Walk the Weyl orbit of a weight lam by reverse search, yielding
         (mu, j, depth) in preorder, each orbit element once.
 
@@ -216,9 +197,10 @@ class RootDatum:
         are the s_j mu with mu_j > 0 whose coordinates before j stay >= 0.
         A child mu of depth d is s_j of the last element yielded at depth
         d - 1, and j is the first index with mu_j < 0.  No visited set is
-        kept.  Raises OrbitGuardError past `guard` elements.
+        kept.  Raises OrbitGuardError past GUARD elements.
         """
         l, alpha, support = self.l, self.alpha, self._root_support
+        guard = GUARD
         mu = list(lam)
         while True:  # climb to the root
             j = next((j for j in range(l) if mu[j] < 0), l)
@@ -251,9 +233,9 @@ class RootDatum:
                 if j < first or min(nu[first:j]) >= 0:
                     stack.append((tuple(nu), j, depth + 1))
 
-    def weyl_orbit(self, lam, guard=10**6):
+    def weyl_orbit(self, lam):
         """The Weyl orbit of a weight lam, as the set of `orbit_tree`."""
-        return {mu for mu, _j, _depth in self.orbit_tree(lam, guard)}
+        return {mu for mu, _j, _depth in self.orbit_tree(lam)}
 
     # -- Levi projections --------------------------------------------------
 
@@ -262,13 +244,13 @@ class RootDatum:
         and the inverse of the Cartan block on them as adj / den, with adj an
         integer matrix and den > 0 the least scale that makes it one, the
         last invariant factor of the block (`exactlinalg.inverse`)."""
-        solver = self._pm_cache.get(subset)
-        if solver is None:
-            idx = sorted(subset)
-            mat = [[self.alpha[jj][j] for jj in idx] for j in idx]
-            adj, den = exactlinalg.inverse(mat) if idx else ([], 1)
-            solver = self._pm_cache[subset] = (idx, adj, den)
-        return solver
+        return self.memo(("pm", subset), RootDatum._build_pm, subset)
+
+    def _build_pm(self, subset):
+        idx = sorted(subset)
+        mat = [[self.alpha[jj][j] for jj in idx] for j in idx]
+        adj, den = exactlinalg.inverse(mat) if idx else ([], 1)
+        return idx, adj, den
 
     def project(self, subset, x):
         """The projection p_M onto the subset's Levi center, on ints.
@@ -286,27 +268,19 @@ class RootDatum:
         return idx, den, c, y
 
     def p_M(self, x, subset):
-        """Projection onto the Levi center directions: the W_M-orbit average."""
-        y, _c = self.p_M_with_coeffs(x, subset)
-        return y
-
-    def p_M_with_coeffs(self, x, subset):
-        """p_M(x) together with the coroot correction coefficients c_j.
-
-        y = x - sum_{j in S} c_j e_j with <alpha_j, y> = 0 for j in S.
-        x is scaled to ints by the lcm L of its denominators and projected
-        with `project`; y_j and c_j are built as `Fraction`s over den L.
-        """
+        """Projection onto the Levi center directions, the W_M-orbit
+        average: `project` of x scaled to ints by the lcm L of its
+        denominators, with the coordinates in S as `Fraction`s over den L."""
         x = self.point(x)
         subset = frozenset(subset)
         if not subset:
-            return x, {}
+            return x
         scale, ints = scale_to_ints(x)
-        idx, den, c, y = self.project(subset, ints)
+        idx, den, _c, y = self.project(subset, ints)
         out = list(x)
         for j in idx:
             out[j] = Q(y[j], den * scale)
-        return tuple(out), {j: Q(cj, den * scale) for j, cj in zip(idx, c)}
+        return tuple(out)
 
     def central_part(self, torus_coords):
         """The point of the center subspace with the given last n-l
@@ -314,11 +288,11 @@ class RootDatum:
         Its coordinates are `Fraction`s whatever the types given, as an int
         and an equal `Fraction` share one cache entry."""
         key = tuple(torus_coords)
-        cached = self._central_cache.get(key)
-        if cached is None:
-            cached = self._central_cache[key] = tuple(Q(c) for c in self.p_M(
-                (0,) * self.l + key, frozenset(range(self.l))))
-        return cached
+        return self.memo(("central", key), RootDatum._build_central, key)
+
+    def _build_central(self, key):
+        return tuple(Q(c) for c in self.p_M((0,) * self.l + key,
+                                             frozenset(range(self.l))))
 
     def levi(self, subset):
         """Levi sub-datum for a set of simple roots, plus coordinate converters.
@@ -331,7 +305,7 @@ class RootDatum:
         subset = tuple(sorted(set(subset)))
         if any(not 0 <= j < self.l for j in subset):
             raise ValueError("invalid Levi subset")
-        return self.memo(("levi", subset), lambda d: d._build_levi(subset))
+        return self.memo(("levi", subset), RootDatum._build_levi, subset)
 
     def _build_levi(self, subset):
         subset = list(subset)
@@ -399,39 +373,6 @@ class RootDatum:
             )
             out.append(tuple([0] * self.l) + coords)
         return out
-
-    # -- extension changes -------------------------------------------------
-
-    def change_extension(self, rows):
-        """Re-choose the extensions omega_i <- omega_i + lambda_i, lambda_i in X*(D).
-
-        `rows` is an l x (n-l) integer matrix; row i gives the X*(D)
-        coordinates added to omega_i.  Returns (datum, convert) where
-        convert maps old omega-coordinates of a point to new ones.
-        """
-        rows = [list(r) for r in rows]
-        if len(rows) != self.l or any(len(r) != self.n - self.l for r in rows):
-            raise ValueError("extension matrix has wrong shape")
-        alpha = [list(r) for r in self.alpha]
-        for t in range(self.l, self.n):
-            for j in range(self.l):
-                alpha[t][j] -= sum(
-                    self.alpha[i][j] * rows[i][t - self.l] for i in range(self.l)
-                )
-        datum = RootDatum(
-            self.n, self.l, alpha, self.factors, label=f"{self.label}:ext"
-        )
-
-        def convert(x):
-            x = self.point(x)
-            out = list(x)
-            for i in range(self.l):
-                out[i] = x[i] + sum(
-                    rows[i][t] * x[self.l + t] for t in range(self.n - self.l)
-                )
-            return tuple(out)
-
-        return datum, convert
 
 
 # ---------------------------------------------------------------------------

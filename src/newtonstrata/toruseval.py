@@ -272,16 +272,6 @@ def classical_newton_slopes(d):
     return tuple(slopes)
 
 
-def slopes_to_coords(slopes):
-    """Partial sums: slope tuple -> omega-coordinates for the GL_n datum."""
-    out = []
-    acc = Q(0)
-    for s in slopes:
-        acc += s
-        out.append(acc)
-    return tuple(out)
-
-
 def coords_to_slopes(coords):
     out = []
     prev = Q(0)

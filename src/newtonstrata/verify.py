@@ -3,7 +3,7 @@
 import random
 
 from . import affine, toruseval
-from .rationals import NEG_INF, Q, fmt_scalar, is_finite
+from .rationals import fmt_scalar
 
 
 def random_lift(datum, class_lift, rng):
@@ -82,10 +82,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if obj is NEG_INF:
-        return "-inf"
     if isinstance(obj, (bool, int, str)):
         return obj
-    if is_finite(obj):
-        return fmt_scalar(Q(obj))
-    return str(obj)
+    return fmt_scalar(obj)  # a Fraction or -inf

@@ -29,6 +29,10 @@ and `det` a cofactor expansion to check both against.
 rational invariant form is inverted with it, so `retract_closest` shares
 no solver with the library, and it is the reference for the Smith-form
 `exactlinalg.inverse`.
+
+`change_extension` re-chooses the extensions of the fundamental weights
+(acceptance criterion 7) and `slopes_to_coords` turns GL_n slopes into
+omega-coordinates (criterion 1); only the tests use either.
 """
 
 import functools
@@ -36,8 +40,9 @@ import functools
 from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError, is_newton_point
-from newtonstrata.rationals import Q, is_finite, qceil, qfloor
-from newtonstrata.rootdata import OrbitGuardError, WeylElement
+from newtonstrata import rootdata
+from newtonstrata.rationals import NEG_INF, Q, qceil, qfloor
+from newtonstrata.rootdata import OrbitGuardError, RootDatum, WeylElement
 from newtonstrata.toruseval import LaurentPoly
 
 
@@ -133,7 +138,7 @@ def retract_closest(datum, x):
     """
     if datum.l > 8:
         raise ValueError("semisimple rank too large for face enumeration")
-    if any(not is_finite(c) for c in x):
+    if any(c is NEG_INF for c in x):
         raise ValueError("retract_closest needs finite coordinates")
     x = tuple(Q(c) for c in x)
     duals = form_duals(datum)
@@ -328,7 +333,7 @@ def hasse(datum, points):
     return sorted(edges)
 
 
-def weyl_orbit(datum, lam, guard=10**6):
+def weyl_orbit(datum, lam):
     """Weyl orbit of a weight lam (BFS over s_j : mu -> mu - mu_j alpha_j)."""
     start = tuple(lam)
     seen = {start}
@@ -344,9 +349,9 @@ def weyl_orbit(datum, lam, guard=10**6):
                 if img not in seen:
                     seen.add(img)
                     new.append(img)
-                    if len(seen) > guard:
+                    if len(seen) > rootdata.GUARD:
                         raise OrbitGuardError(
-                            f"orbit size exceeds guard {guard}")
+                            f"orbit size exceeds guard {rootdata.GUARD}")
         frontier = new
     return seen
 
@@ -386,3 +391,43 @@ def det(m):
     return sum((-1) ** j * m[0][j]
                * det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)) if m[0][j])
+
+
+def change_extension(datum, rows):
+    """Re-choose the extensions omega_i <- omega_i + lambda_i, lambda_i in
+    X*(D).
+
+    `rows` is an l x (n-l) integer matrix; row i gives the X*(D)
+    coordinates added to omega_i.  Returns (datum, convert) where
+    convert maps old omega-coordinates of a point to new ones.
+    """
+    n, l = datum.n, datum.l
+    rows = [list(r) for r in rows]
+    if len(rows) != l or any(len(r) != n - l for r in rows):
+        raise ValueError("extension matrix has wrong shape")
+    alpha = [list(r) for r in datum.alpha]
+    for t in range(l, n):
+        for j in range(l):
+            alpha[t][j] -= sum(
+                datum.alpha[i][j] * rows[i][t - l] for i in range(l))
+    changed = RootDatum(n, l, alpha, datum.factors,
+                        label=f"{datum.label}:ext")
+
+    def convert(x):
+        x = datum.point(x)
+        out = list(x)
+        for i in range(l):
+            out[i] = x[i] + sum(rows[i][t] * x[l + t] for t in range(n - l))
+        return tuple(out)
+
+    return changed, convert
+
+
+def slopes_to_coords(slopes):
+    """Partial sums: slope tuple -> omega-coordinates for the GL_n datum."""
+    out = []
+    acc = Q(0)
+    for s in slopes:
+        acc += s
+        out.append(acc)
+    return tuple(out)

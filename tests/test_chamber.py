@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newtonstrata import rootdata
 from newtonstrata.chamber import (
+    NewtonPoint,
     RetractionError,
     finite_ize,
     hasse,
@@ -191,12 +193,30 @@ def test_newton_points_below_matches_oracle(data):
     assert hasse(g, mixed) == oracles.hasse(g, mixed)
 
 
+def _plant(g, subset, solver):
+    """Make `solver` the pm_solver of `subset` on a datum that has not
+    built that solver yet."""
+    key = ("pm", frozenset(subset))
+    assert g.memo(key, lambda _d: solver) is solver
+    assert g.pm_solver(frozenset(subset)) is solver
+
+
 def test_newton_points_below_face_check():
     g = build_group("GL2")
     # a wrong solver for the face {0} that passes the cap test
-    g._pm_cache[frozenset({0})] = ([0], [[0]], 1)
+    _plant(g, {0}, ([0], [[0]], 1))
     with pytest.raises(RuntimeError):
         newton_points_below(g, (Q(1), Q(1)))
+
+
+def test_newton_points_below_certifies_a_newton_point_mu():
+    g = build_group("GL2")
+    # (0, 5) is not dominant: a NewtonPoint carrying it once gave []
+    forged = NewtonPoint((Q(0), Q(5)), frozenset(), (0, 5))
+    with pytest.raises(ValueError):
+        newton_points_below(g, forged)
+    mu = is_newton_point(g, (Q(1), Q(1)))
+    assert newton_points_below(g, mu) == newton_points_below(g, mu.point)
 
 
 # fixed cases beyond box enumeration: its boxes held 16,777,216 and
@@ -247,23 +267,25 @@ def test_hasse_edges_have_codim_one(data):
         assert codim_chai(g, pts[a], mu) - codim_chai(g, pts[b], mu) == 1
 
 
-def test_newton_points_below_guard():
+def test_newton_points_below_guard(monkeypatch):
     # the walk tries at most 442 box values on one face here, against a
     # largest face box of 12,960
     g = build_group("GL7")
     mu = (Q(10),) * 7
-    assert len(newton_points_below(g, mu, guard=442)) == 319
+    monkeypatch.setattr(rootdata, "GUARD", 442)
+    assert len(newton_points_below(g, mu)) == 319
     for guard in (0, 10, 441):
+        monkeypatch.setattr(rootdata, "GUARD", guard)
         with pytest.raises(OrbitGuardError):
-            newton_points_below(g, mu, guard=guard)
+            newton_points_below(g, mu)
 
 
 def test_retract_certificate_face():
     g = build_group("GL3")
     # a solver for {0} with adj doubled: the projection overshoots, root 0
     # pairs positively with the point, and only `active <= face` fails
-    idx, adj, den = g.pm_solver(frozenset({0}))
-    g._pm_cache[frozenset({0})] = (idx, [[2 * a for a in adj[0]]], den)
+    idx, adj, den = build_group("GL3").pm_solver(frozenset({0}))
+    _plant(g, {0}, (idx, [[2 * a for a in adj[0]]], den))
     with pytest.raises(RetractionError):
         retract(g, (-2, -1, -2))
 
@@ -272,20 +294,19 @@ def test_retract_certificate_coeffs():
     g = build_group("GL3")
     # the solver of {0, 1} answering for {0}: the point is central, so it
     # is dominant with both roots in its face, and only c_j <= 0 fails
-    g._pm_cache[frozenset({0})] = g.pm_solver(frozenset({0, 1}))
+    _plant(g, {0}, g.pm_solver(frozenset({0, 1})))
     with pytest.raises(RetractionError):
         retract(g, (-2, -1, -2))
 
 
 def test_retract_certificate_den():
-    g = build_group("GL3")
+    g, ref = build_group("GL3"), build_group("GL3")
     # solvers with adj and den both negated: each p_M is unchanged, but
     # the int point is -den L y, every sign test reads backwards, and
     # only den > 0 fails
     for subset in ({0}, {1}, {0, 1}):
-        idx, adj, den = g.pm_solver(frozenset(subset))
-        g._pm_cache[frozenset(subset)] = (
-            idx, [[-a for a in row] for row in adj], -den)
+        idx, adj, den = ref.pm_solver(frozenset(subset))
+        _plant(g, subset, (idx, [[-a for a in row] for row in adj], -den))
     with pytest.raises(RetractionError):
         retract(g, (-3, -1, -3))
 

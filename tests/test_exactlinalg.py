@@ -193,6 +193,10 @@ def test_inverse_of_cartan_blocks():
                 blocks.add(tuple(tuple(c[i][j] for j in idx) for i in idx))
     for block in sorted(blocks):
         _check_inverse(block)
+        # Lusztig-Tits: the inverse of a Cartan matrix of finite type is
+        # nonnegative
+        adj, den = inverse(block)
+        assert den > 0 and all(x >= 0 for row in adj for x in row)
 
 
 @given(_RECT)

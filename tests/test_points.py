@@ -6,8 +6,8 @@ input it must refuse: a wrong length, -inf in a slot where it is not
 allowed, and, where a lift is read, a non-integral coordinate.  Among
 the rows are five that once gave wrong answers on GL2: p_M, chi and the
 character report accepted (0, 1, 5); defect read (0, 1/2) as (0, 0) and
-failed its own class check, and took (0,) without a word.  `pair` and
-`dominant_rep` sit below the gate and check only the length.
+failed its own class check, and took (0,) without a word.
+`dominant_rep` sits below the gate and checks only the length.
 """
 
 import pytest
@@ -48,10 +48,7 @@ ENTRIES = {
     "d_G": (strata.d_G, FINITE),
     "codim_chai mu": (lambda g, x: strata.codim_chai(g, (Q(1, 2), 1), x),
                       LIFT),
-    "change_extension convert": (
-        lambda g, x: g.change_extension([[1]])[1](x), FINITE),
     "p_M": (lambda g, x: g.p_M(x, {0}), FINITE),
-    "p_M_with_coeffs": (lambda g, x: g.p_M_with_coeffs(x, {0}), FINITE),
     "p_M empty subset": (lambda g, x: g.p_M(x, ()), FINITE),
     "central_part": (lambda g, x: g.central_part(x[g.l:]), VALUATION),
     "translation": (affine.translation, LIFT),
@@ -66,9 +63,7 @@ ENTRIES = {
     "accepts": (lambda g, x: strata.stratum_conditions(
         g, (Q(1, 2), 1), closed=True).accepts(x), VALUATION),
     "index_set": (strata.index_set, FINITE),
-    # primitives below the gate: they check the length only
-    "pair weight": (lambda g, x: g.pair(x, (1, 1)), ("wrong length",)),
-    "pair point": (lambda g, x: g.pair((1, 0), x), ("wrong length",)),
+    # a primitive below the gate: it checks the length only
     "dominant_rep": (lambda g, x: g.dominant_rep(x), ("wrong length",)),
 }
 
@@ -112,9 +107,8 @@ def test_point_returns_a_checked_tuple():
     lambda: strata.stratum_conditions(  # answered True
         G, (Q(1, 2), 1), closed=True).accepts((0, 1, 7)),
     lambda: strata.index_set(G, (1,)),  # raised IndexError
-    lambda: G.pair((1, 0), (5,)),  # answered 5
     lambda: G.dominant_rep((0, 2, 5)),  # answered ((2, 2, 5), (0,))
-], ids=["hasse", "accepts", "index_set", "pair", "dominant_rep"])
+], ids=["hasse", "accepts", "index_set", "dominant_rep"])
 def test_readers_refuse_a_wrong_length(call):
     with pytest.raises(ValueError):
         call()
