@@ -12,6 +12,7 @@ unit vectors, and certifies each point it finds with `project` again.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import rootdata
 from .rationals import (
@@ -342,28 +343,49 @@ def hasse(datum, points):
     """Covering relations of <= on a list of NewtonPoints or finite points
     (index pairs); ValueError on a point that `RootDatum.point` refuses.
 
-    The points are compared as int tuples over one common denominator; b
-    covers a when a < b and nothing lies strictly between them.
+    b covers a when a <= b, b is not a itself (as an index), and no third
+    index c has a <= c <= b.  So two copies of a point cover each other,
+    and a point with three or more copies takes part in no edge.
+
+    The points are compared as int tuples over one common denominator,
+    at positions sorted by head sum (the first l coordinates): a linear
+    extension, since a <= b for distinct points makes a's sum smaller.
+    `up[k]` is an int bitmask over positions: the other positions with
+    k's tail whose heads are >= k's in every coordinate, the AND of one
+    suffix-OR mask per coordinate.  The covers of k are then the least
+    positions of `up[k]` that no earlier one reaches, less those with a
+    copy in `up[k]`, since copies lie between each other.
     """
     pts = [datum.point(point_of(p)) for p in points]
     n, l = datum.n, datum.l
     _den, flat = scale_to_ints([c for p in pts for c in p])
-    heads = [flat[k:k + l] for k in range(0, len(flat), n)]
-    tails = [flat[k + l:k + n] for k in range(0, len(flat), n)]
-    above = [
-        {b for b in range(len(pts))
-         if b != a and tails[b] == tails[a]
-         and all(u <= v for u, v in zip(heads[a], heads[b]))}
-        for a in range(len(pts))
-    ]
-    below = [set() for _ in pts]
-    for a, ups in enumerate(above):
-        for b in ups:
-            below[b].add(a)
-    return sorted(
-        (a, b) for a, ups in enumerate(above) for b in ups
-        if above[a].isdisjoint(below[b])
-    )
+    rows = [tuple(flat[k:k + n]) for k in range(0, len(flat), n)]
+    order = sorted(range(len(rows)), key=lambda a: sum(rows[a][:l]))
+    rows = [rows[a] for a in order]
+    copies, tails = {}, {}  # positions of each point, of each tail
+    for k, row in enumerate(rows):
+        copies[row] = copies.get(row, 0) | 1 << k
+        tails[row[l:]] = tails.get(row[l:], 0) | 1 << k
+    up = [tails[row[l:]] & ~(1 << k) for k, row in enumerate(rows)]
+    for i in range(l):
+        ge = 0
+        by = sorted(range(len(rows)), key=lambda k: -rows[k][i])
+        for _v, tie in groupby(by, key=lambda k: rows[k][i]):
+            tie = list(tie)
+            for k in tie:
+                ge |= 1 << k
+            for k in tie:
+                up[k] &= ge
+    edges = []
+    for k, rest in enumerate(up):
+        reach = 0
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            reach |= up[c]
+            rest &= ~reach & ~(1 << c)
+            if not up[k] & copies[rows[c]] & ~(1 << c):
+                edges.append((order[k], order[c]))
+    return sorted(edges)
 
 
 def hasse_dot(datum, points):

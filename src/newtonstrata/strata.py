@@ -4,8 +4,7 @@ from dataclasses import dataclass, field
 
 from .chamber import (  # noqa: F401
     NewtonPoint, face_of, newton_point, point_of, stratum_of)
-from .rationals import (
-    NEG_INF, Q, fmt_scalar, frac_part, qceil, qfloor)
+from .rationals import NEG_INF, Q, fmt_scalar, qfloor, scale_to_ints
 
 
 @dataclass(frozen=True)
@@ -83,23 +82,28 @@ def codim_chai(datum, nu, mu):
     pairing with mu - nu only sees the semisimple part.
     """
     nu_pt, mu_pt = point_of(nu), point_of(mu)
-    if not datum.is_dominant(datum.point(mu_pt, integral=True)):
+    mu_int = datum.point(mu_pt, integral=True)
+    if not datum.is_dominant(mu_int):
         raise ValueError("codim_chai needs an integral dominant mu")
     if not datum.leq(nu_pt, mu_pt):
         raise ValueError("codim_chai requires nu <= mu")
-    # <varpi_i, mu - nu> = <omega_i, mu - nu> since mu - nu has no central part
-    total = 0
-    for i in range(datum.l):
-        total += qceil(Q(mu_pt[i]) - nu_pt[i])
+    # <varpi_i, mu - nu> = <omega_i, mu - nu> since mu - nu has no central
+    # part, and ceil(mu_i - nu_i) = mu_i - floor(nu_i) for an int mu_i
+    total = sum(mu_int[i] - qfloor(nu_pt[i]) for i in range(datum.l))
     if total < 0:
         raise RuntimeError(f"negative codimension {total} for nu <= mu")
-    return int(total)
+    return total
 
 
 def d_G(datum, nu):
-    """Sum of fractional parts of the pairings with the extended weights."""
+    """Sum of fractional parts of the pairings with the extended weights.
+
+    The first l coordinates are scaled once to ints v over their common
+    denominator den, and the sum is the one `Fraction` of sum(v % den)
+    over den (0 when l = 0)."""
     point = datum.point(point_of(nu))
-    return sum((frac_part(Q(point[i])) for i in range(datum.l)), Q(0))
+    den, ints = scale_to_ints(point[:datum.l])
+    return Q(sum(v % den for v in ints), den)
 
 
 def d_levi_check(datum, nu):

@@ -8,7 +8,15 @@ an independent check.  Its per-datum tables are cached in this module.
 `newton_points_below` and `hasse` are the Fraction forms of the
 enumerator and of the covering relation in `chamber`: a recursive box
 walk that projects every candidate with the public `p_M` and compares
-points with `leq`, and an O(N^3) transitive reduction.
+points with `leq`, and an O(N^3) transitive reduction.  `hasse_by_rank`
+reads the covers of a full down-set off Chai's rank function instead:
+b covers a exactly when a <= b and `dim_leq(b) = dim_leq(a) + 1`.  It
+compares adjacent rank levels only, so it checks `hasse` on posets too
+big for the transitive reduction.
+
+`d_G` and `codim_chai` are the `Fraction` forms of the two sums in
+`strata`: a `frac_part` per coordinate, and ceil(mu_i - nu_i) on the
+rational difference.
 
 `simple_reflection`, `weyl_product`, `compose` and `affine_generator`
 build Weyl and affine Weyl elements as full matrices and multiply them.
@@ -40,8 +48,8 @@ import functools
 from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError, is_newton_point
-from newtonstrata import rootdata
-from newtonstrata.rationals import NEG_INF, Q, qceil, qfloor
+from newtonstrata import rootdata, strata
+from newtonstrata.rationals import NEG_INF, Q, frac_part, qceil, qfloor
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, WeylElement
 from newtonstrata.toruseval import LaurentPoly
 
@@ -331,6 +339,36 @@ def hasse(datum, points):
                    if c != a and c != b):
             edges.append((a, b))
     return sorted(edges)
+
+
+def hasse_by_rank(datum, points):
+    """Covering relations of <= on a full down-set {nu <= mu} of Newton
+    points, by rank levels: (a, b) with a <= b and dim_leq(b) =
+    dim_leq(a) + 1.  Chai shows the down-set is ranked by dim_leq, so
+    this is `hasse` there, and on nothing else."""
+    pts = [p.point if isinstance(p, NewtonPoint) else tuple(p) for p in points]
+    levels = {}
+    for a, p in enumerate(pts):
+        levels.setdefault(strata.dim_leq(datum, p), []).append(a)
+    return sorted(
+        (a, b)
+        for rank, lower in levels.items()
+        for a in lower
+        for b in levels.get(rank + 1, ())
+        if datum.leq(pts[a], pts[b])
+    )
+
+
+def d_G(datum, nu):
+    """Sum of the fractional parts of the first l coordinates of the point
+    nu, each as a `Fraction`."""
+    return sum((frac_part(Q(nu[i])) for i in range(datum.l)), Q(0))
+
+
+def codim_chai(datum, nu, mu):
+    """Chai's ceiling sum over the first l coordinates of the points nu and
+    mu, on the rational differences mu_i - nu_i; no check of either."""
+    return sum(qceil(Q(mu[i]) - nu[i]) for i in range(datum.l))
 
 
 def weyl_orbit(datum, lam):

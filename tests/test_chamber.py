@@ -252,6 +252,19 @@ def test_newton_points_below_beyond_the_box(spec):
     assert hits >= 20
 
 
+
+# the full down-sets below (4,...,4) and (6,...,6) on A8: the rank-level
+# oracle is `hasse` there, and the transitive reduction is out of reach
+@pytest.mark.parametrize("top, count, edges", [(4, 1066, 3190),
+                                               (6, 4314, 14894)])
+def test_hasse_beyond_the_box(top, count, edges):
+    g = build_group("A8")
+    pts = newton_points_below(g, (Q(top),) * 8)
+    assert len(pts) == count
+    got = hasse(g, pts)
+    assert len(got) == edges
+    assert got == oracles.hasse_by_rank(g, pts)
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_hasse_edges_have_codim_one(data):
@@ -262,9 +275,11 @@ def test_hasse_edges_have_codim_one(data):
     raw = data.draw(st.tuples(*[st.integers(-3, 3)] * g.n))
     mu = g.dominant_rep(tuple(Q(c) for c in raw))[0]
     pts = newton_points_below(g, mu)
-    for a, b in hasse(g, pts):
+    edges = hasse(g, pts)
+    for a, b in edges:
         assert codim(g, pts[a], pts[b]) == 1
         assert codim_chai(g, pts[a], mu) - codim_chai(g, pts[b], mu) == 1
+    assert edges == oracles.hasse_by_rank(g, pts)
 
 
 def test_newton_points_below_guard(monkeypatch):
@@ -318,6 +333,20 @@ def test_hasse_gl4_chain():
     assert len(edges) == 3
     indeg = {b for _a, b in edges}
     assert len(indeg) == 3  # a chain: every non-minimal node covered once
+
+
+def test_hasse_repeated_points():
+    # b covers a when no third index lies between them: two copies of a
+    # point cover each other and block every other edge through them,
+    # and three copies cover nothing
+    g = build_group("GL4")
+    lo, mid, hi, top = newton_points_below(g, (Q(1), Q(1), Q(1), Q(1)))
+    for pts, expect in [
+        ([lo, mid, hi, top], [(0, 1), (1, 2), (2, 3)]),
+        ([top, mid, lo, mid, hi], [(1, 3), (3, 1), (4, 0)]),
+        ([mid, lo, mid, hi, mid, top], [(3, 5)]),
+    ]:
+        assert hasse(g, pts) == expect == oracles.hasse(g, pts)
 
 
 def test_hasse_antichain():

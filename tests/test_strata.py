@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newtonstrata import strata
 from newtonstrata.chamber import newton_points_below, stratum_of
@@ -18,6 +20,7 @@ from newtonstrata.strata import (
     index_set,
     stratum_conditions,
 )
+import oracles
 from oracles import change_extension
 
 
@@ -114,7 +117,8 @@ def test_codim_self_checks_raise(monkeypatch):
     monkeypatch.setattr(strata, "dim_leq", lambda datum, p: -p[0])
     with pytest.raises(RuntimeError):
         codim(g, nu, mu)
-    monkeypatch.setattr(strata, "qceil", lambda x: -1)
+    # the ceiling sum reads mu_i - floor(nu_i); a floor of 2 makes it -1
+    monkeypatch.setattr(strata, "qfloor", lambda x: 2)
     with pytest.raises(RuntimeError):
         codim_chai(g, nu, mu)
 
@@ -136,6 +140,30 @@ def test_d_g():
     for bad in ((1, 2, 3, 4), (1, 2), (5,), (NEG_INF, 1, 1)):
         with pytest.raises(ValueError):
             d_G(g3, bad)
+
+
+SCALARS = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Q, st.integers(-60, 60), st.integers(1, 12)))
+
+
+@given(st.data())
+def test_int_forms_match_fraction_forms(data):
+    # d_G on one common denominator and the ceiling sum as mu_i -
+    # floor(nu_i) give the values of their Fraction forms; T2 has l = 0
+    g = build_group(data.draw(st.sampled_from(
+        ("GL2", "GL4", "B2*T1", "G2", "E8", "T2"))))
+    nu = data.draw(st.tuples(*[SCALARS] * g.n))
+    got = d_G(g, nu)
+    assert type(got) is Q and got == oracles.d_G(g, nu)
+    raw = data.draw(st.tuples(*[st.integers(-6, 6)] * g.n))
+    mu = g.dominant_rep(raw)[0]
+    if data.draw(st.booleans()):
+        mu = tuple(Q(c) for c in mu)
+    lower = data.draw(st.tuples(*[SCALARS] * g.l))
+    below = tuple(mu[i] - abs(lower[i]) for i in range(g.l)) + mu[g.l:]
+    got = codim_chai(g, below, mu)
+    assert type(got) is int and got == oracles.codim_chai(g, below, mu)
 
 
 def rho_prime_pairing(datum, nu):
