@@ -20,8 +20,7 @@ class AffineWeylElement:
 
 def translation(datum, lift):
     """Translation by an integral lift, checked by `RootDatum.point`."""
-    n = datum.n
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    ident = tuple(map(tuple, exactlinalg.identity(datum.n)))
     return AffineWeylElement(datum.point(lift, integral=True),
                              WeylElement(ident))
 
@@ -78,16 +77,23 @@ def simple_affine_roots(datum):
     return _affine_tables(datum)[0]
 
 
-def _reflect_rows(rows, lam, h):
-    """Left-multiply the matrix `rows` by v -> v - <lam, v> h, in place:
-    only the rows in the support of h change."""
-    lam_row = [0] * len(rows[0])
-    for c, r in zip(lam, rows):
-        if c:
-            lam_row = [a + c * b for a, b in zip(lam_row, r)]
-    for i, c in enumerate(h):
-        if c:
-            rows[i] = [a - c * b for a, b in zip(rows[i], lam_row)]
+def _weyl_element(datum, image):
+    """(w, word) with w(den * p0) = image, which fixes w as p0 is regular:
+    `dominant_rep` descends the image along `word`, and w = s_{word[0]}
+    ... s_{word[-1]} is built from the identity, each s_j changing row j.
+    RuntimeError unless the descent ends at den * p0."""
+    _roots, _den, p0 = _affine_tables(datum)
+    y, word = datum.dominant_rep(image)
+    if y != p0:
+        raise RuntimeError("descent failed: not a Weyl group element")
+    rows = exactlinalg.identity(datum.n)
+    for j in reversed(word):
+        row = rows[j]
+        for c, r in zip(datum.root_coords(j), rows):
+            if c:
+                row = [a - c * b for a, b in zip(row, r)]
+        rows[j] = row
+    return WeylElement(tuple(map(tuple, rows))), word
 
 
 def alcove_reduce(datum, x):
@@ -95,16 +101,14 @@ def alcove_reduce(datum, x):
     the base alcove to itself.  Returns (x0, word) with x0 = prod(word) * x,
     the word listing generator ids in application order.
 
-    Each reflection s(v) = v - (<lam, v> + k) h is applied by formula to
-    the sample point, to the translation and to the linear part of x.  The
-    sample point is kept as den * x(p0), so val = den * (<lam, x(p0)> + k)
-    is an int of the same sign.  Raises OrbitGuardError at 100,000
-    reflections.
+    Each reflection s(v) = v - (<lam, v> + k) h moves only the sample
+    point, kept as the int den * x(p0), and the translation t.  The linear
+    part is read off the end point minus den * t by `_weyl_element`.
+    Raises OrbitGuardError at 100,000 reflections.
     """
     roots, den, p0 = _affine_tables(datum)
     t = list(x.translation)
     point = [a + den * s for a, s in zip(x.linear.act(p0), t)]
-    rows = [list(r) for r in x.linear.matrix]
     word = []
     while True:
         for lam, k, gid, h in roots:
@@ -115,7 +119,6 @@ def alcove_reduce(datum, x):
                     if c:
                         point[i] -= val * c
                         t[i] -= shift * c
-                _reflect_rows(rows, lam, h)
                 word.append(gid)
                 break
             if val == 0:
@@ -124,8 +127,8 @@ def alcove_reduce(datum, x):
             break
         if len(word) >= 100000:
             raise OrbitGuardError("alcove reduction exceeds guard 100000")
-    linear = WeylElement(tuple(tuple(r) for r in rows))
-    return AffineWeylElement(tuple(t), linear), word
+    image = [p - den * s for p, s in zip(point, t)]
+    return AffineWeylElement(tuple(t), _weyl_element(datum, image)[0]), word
 
 
 def stabilizes_base_alcove(datum, x):
@@ -159,30 +162,21 @@ def w_nu(datum, nu):
 
 
 def weyl_word(datum, w):
-    """Express a Weyl element as a product of simple reflections.
-
-    The word is the descent of the image of the base-alcove point to the
-    dominant chamber; replaying it on a copy of w as updates of row j
-    gives the identity exactly when w is a Weyl group element.
-    """
+    """Express a Weyl element as a product of simple reflections: the
+    descent of the image of the base-alcove point, which gives w back
+    through `_weyl_element` exactly when w is a Weyl group element."""
     _roots, _den, p0 = _affine_tables(datum)
-    n = datum.n
-    _y, word = datum.dominant_rep(w.act(p0))
-    rows = [list(r) for r in w.matrix]
-    for j in word:
-        _reflect_rows(rows, datum.root_coords(j),
-                      [int(i == j) for i in range(n)])
-    if rows != [[int(i == k) for k in range(n)] for i in range(n)]:
+    found, word = _weyl_element(datum, w.act(p0))
+    if found.matrix != w.matrix:
         raise RuntimeError("descent failed: not a Weyl group element")
     return list(word)
 
 
 def _fixed_corank(w):
     """rank(w - 1): the corank of the fixed space of a Weyl element."""
-    n = len(w.matrix)
+    ident = exactlinalg.identity(len(w.matrix))
     return exactlinalg.rank(
-        [[w.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
-    )
+        [[a - b for a, b in zip(r, e)] for r, e in zip(w.matrix, ident)])
 
 
 def defect(datum, nu):
@@ -190,19 +184,22 @@ def defect(datum, nu):
     return _fixed_corank(w_nu(datum, nu))
 
 
+def _chis(datum, nu):
+    """The characters chi_i at the class of the lift nu, each in [0, 1)."""
+    return [frac_part(c) for c in datum.central_part(nu[datum.l:])]
+
+
 def chi(datum, i, nu):
     """The i-th character at the class of the lift nu, in [0, 1)."""
-    nu = datum.point(nu, integral=True)
-    return frac_part(datum.central_part(nu[datum.l:])[i])
+    return _chis(datum, datum.point(nu, integral=True))[i]
 
 
 def verify_defect_identity(datum, nu):
     """Report comparing d_G, half the defect, and the character sum."""
     w = section_s(datum, nu).linear
     dfct = _fixed_corank(w)
-    central = datum.central_part(nu[datum.l:])
-    dg = d_G(datum, central)
-    chi_sum = sum((frac_part(c) for c in central), Q(0))
+    dg = d_G(datum, datum.central_part(nu[datum.l:]))
+    chi_sum = sum(_chis(datum, nu), Q(0))
     ok = dg == Q(dfct, 2) and 2 * chi_sum == dfct
     return {
         "nu": [int(c) for c in nu[datum.l:]],
@@ -239,9 +236,8 @@ def reflection_char_multiset_check(datum, nu):
             poly = q
             mults[d] = mults.get(d, 0) + 1
     fully_factored = poly == [1]
-    chis = [frac_part(c) for c in datum.central_part(nu[datum.l:])]
     by_denom = {}
-    for c in chis:
+    for c in _chis(datum, nu):
         by_denom.setdefault(c.denominator, []).append(c)
     ok = fully_factored
     details = []

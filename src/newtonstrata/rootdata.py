@@ -346,28 +346,29 @@ class RootDatum:
             ]
         return exactlinalg.integer_kernel(rows)
 
-    def component_group(self):
-        """Invariant factors (each > 1) of Lambda_G / X_*(A_G)."""
+    def _component_smith(self):
+        """(factors, v): the n - l diagonal entries of the Smith form
+        u * gens * v = d of the torus tails of a Z-basis of X_*(A_G), and
+        v.  RuntimeError unless Lambda_G / X_*(A_G) is finite."""
         m = self.n - self.l
-        if m == 0:
-            return ()
         gens = [v[self.l:] for v in self._central_kernel()]
-        d, _u, _v = exactlinalg.smith_normal_form(gens)
+        d, _u, v = exactlinalg.smith_normal_form(gens)
         facs = [d[i][i] for i in range(min(len(gens), m))]
         if len(facs) != m or 0 in facs:
             raise RuntimeError("component group is not finite")
-        return tuple(f for f in facs if f != 1)
+        return facs, v
+
+    def component_group(self):
+        """Invariant factors (each > 1) of Lambda_G / X_*(A_G)."""
+        return tuple(f for f in self._component_smith()[0] if f != 1)
 
     def component_classes(self):
         """One lift in Z^n for every class of the component group."""
-        m = self.n - self.l
-        if m == 0:
-            return [tuple([0] * self.n)]
-        gens = [v[self.l:] for v in self._central_kernel()]
-        d, _u, v = exactlinalg.smith_normal_form(gens)
-        vinv = exactlinalg.unimodular_inverse(v)
+        facs, v = self._component_smith()
+        m = len(facs)
+        vinv = exactlinalg.unimodular_inverse(v) if m else ()
         out = []
-        for t in itertools.product(*(range(d[i][i]) for i in range(m))):
+        for t in itertools.product(*(range(f) for f in facs)):
             coords = tuple(
                 sum(t[k] * vinv[k][i] for k in range(m)) for i in range(m)
             )

@@ -20,11 +20,12 @@ rational difference.
 
 `simple_reflection`, `weyl_product`, `compose` and `affine_generator`
 build Weyl and affine Weyl elements as full matrices and multiply them.
-The library applies reflections by formula instead; these are the
-references for `dominant_rep`, `alcove_reduce` and `weyl_word`.  The
-highest root in `affine_generator` comes from root strings
-(`positive_roots`) and its coroot from the invariant form, not from the
-library's affine tables, which take theta^vee from `dominant_rep`.
+The library moves only a point by formula and reads each Weyl element
+off the dominant descent of that point; these are the references for
+`dominant_rep`, `alcove_reduce` and `weyl_word`.  The highest root in
+`affine_generator` comes from root strings (`positive_roots`) and its
+coroot from the invariant form, not from the library's affine tables,
+which take theta^vee from `dominant_rep`.
 
 `weyl_orbit` is the breadth-first orbit walk with a visited set, the
 reference for the reverse search `RootDatum.orbit_tree`; `eval_char`

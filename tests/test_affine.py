@@ -231,7 +231,8 @@ def test_affine_tables_theta_check_raises(monkeypatch):
         simple_affine_roots(g)
 
 
-FORMULA_GROUPS = {s: build_group(s) for s in ("GL4", "Gext(D4)", "B2*A1")}
+FORMULA_GROUPS = {s: build_group(s) for s in (
+    "GL4", "Gext(D4)", "B2*A1", "GL8", "Gext(E6)", "Gext(E7)")}
 
 
 def _lift(g):
@@ -246,8 +247,9 @@ def test_alcove_reduce_matches_generator_products(case):
     g, lift = case
     x0, word = alcove_reduce(g, translation(g, lift))
     x = translation(g, lift)
+    gens = {gid: affine_generator(g, gid) for gid in set(word)}
     for gid in word:
-        x = compose(affine_generator(g, gid), x)
+        x = compose(gens[gid], x)
     assert x0.translation == x.translation
     assert x0.linear.matrix == x.linear.matrix
     assert stabilizes_base_alcove(g, x0)
@@ -268,7 +270,11 @@ def test_weyl_word_reproduces_element(case):
     assert len(found) <= len(word)  # descent gives a reduced word
 
 
-def test_weyl_word_rejects_non_weyl_matrix():
+@pytest.mark.parametrize("matrix", [
+    ((2, 0), (0, 2)),  # moves p0 off its orbit: the descent end is checked
+    ((1, 0), (0, 2)),  # fixes p0: only the matrix comparison catches it
+], ids=["descent_end", "matrix_check"])
+def test_weyl_word_rejects_non_weyl_matrix(matrix):
     g = build_group("GL2")
     with pytest.raises(RuntimeError):
-        weyl_word(g, WeylElement(((2, 0), (0, 2))))
+        weyl_word(g, WeylElement(matrix))

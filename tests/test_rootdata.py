@@ -334,6 +334,22 @@ def test_component_classes_count():
     assert len({tuple(c[g.l:]) for c in classes}) >= 1
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda basis: basis[:1],  # too few generators: a free quotient
+    lambda basis: [basis[0], basis[0]],  # dependent: a zero factor
+], ids=["short", "dependent"])
+def test_component_group_not_finite_raises(monkeypatch, kernel):
+    # both readers of the Smith form refuse an infinite quotient, rather
+    # than index past it or list no classes
+    g = build_group("GL2*GL2")
+    basis = g._central_kernel()
+    monkeypatch.setattr(rootdata.RootDatum, "_central_kernel",
+                        lambda self: kernel(basis))
+    for read in (g.component_group, g.component_classes):
+        with pytest.raises(RuntimeError, match="not finite"):
+            read()
+
+
 def test_change_extension_preserves_component_group():
     g = build_group("GL3")
     rng = random.Random(3)
