@@ -77,6 +77,38 @@ def simple_affine_roots(datum):
     return _affine_tables(datum)[0]
 
 
+def _affine_cartan(datum):
+    """The affine Cartan matrix C[r][s] = <lam_r, h_s> over the simple
+    affine roots, as columns: cols[s] lists the (r, C[r][s]) with
+    C[r][s] != 0; built once per datum."""
+    return datum.memo("affine_cartan", _build_affine_cartan)
+
+
+def _build_affine_cartan(datum):
+    """RuntimeError unless every diagonal entry <lam_s, h_s> is 2."""
+    roots = _affine_tables(datum)[0]
+    lams = [lam for lam, _k, _gid, _h in roots]
+    cols = []
+    for s, (_lam, _k, _gid, h) in enumerate(roots):
+        col = [(r, c) for r, c in enumerate(
+            sum(a * b for a, b in zip(lam, h) if a) for lam in lams) if c]
+        if (s, 2) not in col:
+            raise RuntimeError("affine Cartan matrix has a diagonal entry"
+                               " other than 2")
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
+def _pairings(roots, den, point, t):
+    """([<lam, point> + k den], [<lam, t> + k]) over the simple affine
+    roots."""
+    vals = [sum(c * p for c, p in zip(lam, point) if c) + k * den
+            for lam, k, _gid, _h in roots]
+    shifts = [sum(c * s for c, s in zip(lam, t) if c) + k
+              for lam, k, _gid, _h in roots]
+    return vals, shifts
+
+
 def _weyl_element(datum, image):
     """(w, word) with w(den * p0) = image, which fixes w as p0 is regular:
     `dominant_rep` descends the image along `word`, and w = s_{word[0]}
@@ -101,32 +133,50 @@ def alcove_reduce(datum, x):
     the base alcove to itself.  Returns (x0, word) with x0 = prod(word) * x,
     the word listing generator ids in application order.
 
-    Each reflection s(v) = v - (<lam, v> + k) h moves only the sample
-    point, kept as the int den * x(p0), and the translation t.  The linear
-    part is read off the end point minus den * t by `_weyl_element`.
-    Raises OrbitGuardError at 100,000 reflections.
+    The walk runs on the affine Cartan matrix C[r][s] = <lam_r, h_s>.
+    Reflecting by s moves the sample point den * x(p0) by -val_s h_s, so
+    each pairing val_r = <lam_r, point> + k_r den drops by val_s C[r][s],
+    and each shift <lam_r, t> + k_r of the translation t by shift_s
+    C[r][s]: a step touches one column of C.  The point and t are rebuilt
+    once from each generator's total val and shift, and their pairings
+    must equal the carried ones, a certificate of the incremental state
+    (RuntimeError otherwise).  The linear part is read off the end point
+    minus den * t by `_weyl_element`.  Raises RuntimeError on a 0 pairing
+    before the first negative one (the sample point is on an affine wall)
+    and OrbitGuardError at 100,000 reflections.
     """
     roots, den, p0 = _affine_tables(datum)
+    cols = _affine_cartan(datum)
     t = list(x.translation)
     point = [a + den * s for a, s in zip(x.linear.act(p0), t)]
+    vals, shifts = _pairings(roots, den, point, t)
+    total_val = [0] * len(roots)
+    total_shift = [0] * len(roots)
     word = []
     while True:
-        for lam, k, gid, h in roots:
-            val = sum(c * p for c, p in zip(lam, point) if c) + k * den
-            if val < 0:
-                shift = sum(c * s for c, s in zip(lam, t) if c) + k
-                for i, c in enumerate(h):
-                    if c:
-                        point[i] -= val * c
-                        t[i] -= shift * c
-                word.append(gid)
+        for s, val in enumerate(vals):
+            if val <= 0:
                 break
-            if val == 0:
-                raise RuntimeError("sample point hit an affine wall")
         else:
             break
+        if val == 0:
+            raise RuntimeError("sample point hit an affine wall")
+        shift = shifts[s]
+        total_val[s] += val
+        total_shift[s] += shift
+        for r, c in cols[s]:
+            vals[r] -= val * c
+            shifts[r] -= shift * c
+        word.append(roots[s][2])
         if len(word) >= 100000:
             raise OrbitGuardError("alcove reduction exceeds guard 100000")
+    for (_lam, _k, _gid, h), dv, ds in zip(roots, total_val, total_shift):
+        for i, c in enumerate(h):
+            if c:
+                point[i] -= dv * c
+                t[i] -= ds * c
+    if _pairings(roots, den, point, t) != (vals, shifts):
+        raise RuntimeError("alcove walk pairings disagree with the end point")
     image = [p - den * s for p, s in zip(point, t)]
     return AffineWeylElement(tuple(t), _weyl_element(datum, image)[0]), word
 

@@ -25,7 +25,13 @@ off the dominant descent of that point; these are the references for
 `dominant_rep`, `alcove_reduce` and `weyl_word`.  The highest root in
 `affine_generator` comes from root strings (`positive_roots`) and its
 coroot from the invariant form, not from the library's affine tables,
-which take theta^vee from `dominant_rep`.
+which take theta^vee from `dominant_rep`.  `section_closed_form` gives
+the element that fixes the base alcove in the class of a lift with no
+walk at all (Iwahori-Matsumoto): its translation is the one integral
+vertex of the closed alcove in the lift's class, and its linear part the
+descent of an interior point minus that vertex.  It shares no code with
+`affine`, so it checks `section_s` and reaches lifts past the walk's
+guard.
 
 `weyl_orbit` is the breadth-first orbit walk with a visited set, the
 reference for the reverse search `RootDatum.orbit_tree`; `eval_char`
@@ -45,6 +51,7 @@ omega-coordinates (criterion 1); only the tests use either.
 """
 
 import functools
+import itertools
 
 from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
@@ -283,6 +290,62 @@ def affine_generator(datum, gid):
         for i in range(n)
     )
     return AffineWeylElement(theta_check, WeylElement(rows))
+
+
+@functools.cache
+def _alcove_vertices(datum):
+    """Per factor, the fundamental coweights varpi_j^vee in omega-
+    coordinates (row j of the inverse top block: <alpha_k, varpi_j^vee> =
+    delta_jk, torus part 0) and the marks of theta from root strings."""
+    l = datum.l
+    inv = fraction_inverse([list(datum.alpha[i][:l]) for i in range(l)])
+    coweights = [tuple(inv[j]) + (Q(0),) * (datum.n - l) for j in range(l)]
+    marks = [positive_roots(dynkin.cartan_matrix(f.letter, f.rank))[-1]
+             for f in datum.factors]
+    return coweights, marks
+
+
+def section_closed_form(datum, lift):
+    """The element (p, w) of the extended affine Weyl group that fixes the
+    base alcove in the class of the integral lift, in closed form (N.
+    Iwahori and H. Matsumoto, Publ. Math. IHES 25, 1965; N. Bourbaki,
+    Lie groups and Lie algebras, ch. VI §2), with no alcove walk.
+
+    p is the one integral vertex of the closed base alcove in lift + Q^vee.
+    The vertices there are the central part of the lift's tail plus, per
+    factor, 0 or varpi_j^vee / m_j; all of them are tried, and exactly one
+    must be integral (it takes only marks m_j = 1).  (p, w) maps a point y
+    of the open alcove to the interior point p0 = sum varpi_j^vee / (m_j
+    (rank + 1)), so y is the dominant (and regular) point of the orbit of
+    p0 - p, and w = s_{word[0]} ... s_{word[-1]} for the word of that
+    descent."""
+    coweights, marks = _alcove_vertices(datum)
+    n, l = datum.n, datum.l
+    central = datum.central_part(tuple(lift[l:]))
+    choices = [[None] + list(zip(f.indices, ms))
+               for f, ms in zip(datum.factors, marks)]
+    found = []
+    for pick in itertools.product(*choices):
+        p = list(central)
+        for vertex in pick:
+            if vertex is not None:
+                j, m = vertex
+                p = [a + b / m for a, b in zip(p, coweights[j])]
+        if all(c.denominator == 1 for c in p):
+            found.append(tuple(int(c) for c in p))
+    if len(found) != 1:
+        raise RuntimeError(f"{len(found)} integral vertices, not 1")
+    p = found[0]
+    p0 = [Q(0)] * n
+    for f, ms in zip(datum.factors, marks):
+        for j, m in zip(f.indices, ms):
+            p0 = [a + b / (m * (f.rank + 1)) for a, b in zip(p0, coweights[j])]
+    y, word = datum.dominant_rep([a - b for a, b in zip(p0, p)])
+    for f, ms in zip(datum.factors, marks):
+        pairs = [datum.root_pairing(j, y) for j in f.indices]
+        if min(pairs) <= 0 or sum(m * c for m, c in zip(ms, pairs)) >= 1:
+            raise RuntimeError("descent did not end in the open alcove")
+    return AffineWeylElement(p, weyl_product(datum, word))
 
 
 def newton_points_below(datum, mu):

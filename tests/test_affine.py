@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newtonstrata import affine, dynkin
+from newtonstrata import affine, dynkin, exactlinalg
 from newtonstrata.affine import (
     alcove_reduce,
     chi,
@@ -21,11 +21,12 @@ from newtonstrata.affine import (
     weyl_word,
 )
 from newtonstrata.rationals import Q
-from newtonstrata.rootdata import WeylElement, build_group
+from newtonstrata.rootdata import OrbitGuardError, WeylElement, build_group
 from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
 from oracles import (
-    affine_generator, compose, highest_root, matrix_order, weyl_product)
+    affine_generator, compose, highest_root, matrix_order, positive_roots,
+    section_closed_form, weyl_product)
 
 
 def _gcd(a, b):
@@ -46,6 +47,16 @@ def test_alcove_reduce_central_translation():
     # (1,2) pairs to zero with alpha_1: a central translation
     x0, word = alcove_reduce(g, translation(g, (1, 2)))
     assert word == [] and x0.linear == weyl_product(g, ())
+
+
+def test_alcove_guard_boundary_gl2():
+    # the lift (0, k) of GL2 has a word of length exactly k: the guard
+    # fires when the 100,000th reflection is appended, not before
+    g = build_group("GL2")
+    _x0, word = alcove_reduce(g, translation(g, (0, 99999)))
+    assert len(word) == 99999
+    with pytest.raises(OrbitGuardError):
+        alcove_reduce(g, translation(g, (0, 100000)))
 
 
 def test_section_gl2_half_slope():
@@ -229,6 +240,118 @@ def test_affine_tables_theta_check_raises(monkeypatch):
                         lambda letter, l: [Q(2)] * (l - 1) + [Q(3)])
     with pytest.raises(RuntimeError):
         simple_affine_roots(g)
+
+
+CARTAN_SPECS = [f"{letter}{rank}"
+                for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
+                for rank in range(lo, hi + 1)] + ["B2*A1", "GL4*Gext(B3)"]
+
+
+@pytest.mark.parametrize("spec", CARTAN_SPECS)
+def test_affine_cartan_table(spec):
+    # C[r][s] = <lam_r, h_s> from the cached columns: 2 on the diagonal,
+    # the transposed Cartan matrix on each finite block, <= 0 off the
+    # diagonal, block-diagonal by factor, and per factor the marks (1 on
+    # the affine node) a left and the theta^vee coefficients a right null
+    # vector, both from root strings and the invariant form
+    g = build_group(spec)
+    roots = simple_affine_roots(g)
+    size = len(roots)
+    cmat = [[0] * size for _ in range(size)]
+    for s, col in enumerate(affine._affine_cartan(g)):
+        for r, c in col:
+            cmat[r][s] = c
+    factor_of = {}
+    for fidx, f in enumerate(g.factors):
+        for j in f.indices:
+            factor_of[j] = fidx
+        factor_of[-(fidx + 1)] = fidx
+    fac = [factor_of[gid] for _lam, _k, gid, _h in roots]
+    for r in range(size):
+        for s in range(size):
+            if r == s:
+                assert cmat[r][s] == 2
+            else:
+                assert cmat[r][s] <= 0
+                if fac[r] != fac[s]:
+                    assert cmat[r][s] == 0
+    for fidx, f in enumerate(g.factors):
+        cm = dynkin.cartan_matrix(f.letter, f.rank)
+        _theta, theta_check = highest_root(g, f)
+        marks = positive_roots(cm)[-1]
+        idx = [r for r in range(size) if fac[r] == fidx]
+        # Bourbaki position of each finite node; the affine node has none
+        pos = {r: f.indices.index(roots[r][2]) for r in idx
+               if roots[r][2] >= 0}
+        for r in pos:
+            for s in pos:
+                assert cmat[r][s] == cm[pos[s]][pos[r]]
+        left = {r: marks[pos[r]] if r in pos else 1 for r in idx}
+        right = {r: theta_check[roots[r][2]] if r in pos else 1 for r in idx}
+        for s in idx:
+            assert sum(left[r] * cmat[r][s] for r in idx) == 0
+        for r in idx:
+            assert sum(cmat[r][s] * right[s] for s in idx) == 0
+
+
+def test_affine_cartan_diagonal_check_raises(monkeypatch):
+    # a coroot scaled by 2 puts 4 on the diagonal; a real raise, not an
+    # assert that python -O would strip
+    g = build_group("GL3")  # fresh datum: no affine Cartan table cached yet
+    roots, den, p0 = affine._affine_tables(g)
+    lam, k, gid, h = roots[0]
+    bad = [(lam, k, gid, tuple(2 * c for c in h))] + roots[1:]
+    monkeypatch.setattr(affine, "_affine_tables", lambda d: (bad, den, p0))
+    with pytest.raises(RuntimeError, match="diagonal"):
+        affine._affine_cartan(g)
+
+
+def test_alcove_walk_certificate_fires():
+    # a corrupted entry of the cached C columns makes the carried pairings
+    # disagree with those of the rebuilt end point: alcove_reduce raises
+    # instead of returning a wrong element, for every entry of the table
+    lift = (2, -3, 1)
+    table = affine._build_affine_cartan(build_group("GL3"))
+    for s, col in enumerate(table):
+        for k, (r, c) in enumerate(col):
+            bad = table[:s] + (col[:k] + ((r, c + 1),) + col[k + 1:],) \
+                + table[s + 1:]
+            g = build_group("GL3")  # fresh datum: its own memo
+            g.memo("affine_cartan", lambda d: bad)
+            with pytest.raises(RuntimeError, match="disagree"):
+                alcove_reduce(g, translation(g, lift))
+    g = build_group("GL3")
+    assert alcove_reduce(g, translation(g, lift))[1]  # a nonempty word
+
+
+CLOSED_FORM_GROUPS = {s: build_group(s) for s in (
+    "GL8", "Gext(D5)", "Gext(E6)", "Gext(E7)", "GL3", "B2*T1", "C3")}
+
+
+@pytest.mark.parametrize("spec", sorted(CLOSED_FORM_GROUPS))
+@given(st.data())
+def test_section_matches_closed_form(spec, data):
+    # the walk's element equals the Iwahori-Matsumoto closed form on a
+    # lift of every class: the class plus a drawn coroot combination
+    g = CLOSED_FORM_GROUPS[spec]
+    offset = data.draw(st.lists(st.integers(-8, 8), min_size=g.l,
+                                max_size=g.l))
+    for cls in g.component_classes():
+        lift = tuple(c + q for c, q in zip(cls, offset)) + cls[g.l:]
+        assert section_s(g, lift) == section_closed_form(g, lift)
+
+
+def test_closed_form_defect_beyond_the_guard():
+    # GL3 (0, 0, 100000) lies in the class of (0, 0, 1): defect 3 - 1 = 2
+    # from the closed form, while the library's walk stops at its guard
+    g = build_group("GL3")
+    lift = (0, 0, 100000)
+    w = section_closed_form(g, lift).linear
+    assert w == section_closed_form(g, (0, 0, 1)).linear
+    assert exactlinalg.rank([[a - int(i == j) for j, a in enumerate(row)]
+                             for i, row in enumerate(w.matrix)]) == 2
+    with pytest.raises(OrbitGuardError):
+        defect(g, lift)
 
 
 FORMULA_GROUPS = {s: build_group(s) for s in (
