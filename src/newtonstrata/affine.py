@@ -29,7 +29,7 @@ def _affine_tables(datum):
     """(roots, den, point): the simple affine roots and an interior sample
     point of the base alcove, as the int vector den * p0; built once per
     datum."""
-    return datum.memo("affine_tables", _build_affine_tables)
+    return datum.memo("affine_tables", None, _build_affine_tables)
 
 
 def _build_affine_tables(datum):
@@ -69,7 +69,7 @@ def _build_affine_tables(datum):
         roots.append((tuple(-c for c in theta), 1, -(fidx + 1),
                       tuple(-c for c in theta_check)))
     den, point = scale_to_ints(p0)
-    return roots, den, tuple(point)
+    return roots, den, point
 
 
 def simple_affine_roots(datum):
@@ -81,7 +81,7 @@ def _affine_cartan(datum):
     """The affine Cartan matrix C[r][s] = <lam_r, h_s> over the simple
     affine roots, as columns: cols[s] lists the (r, C[r][s]) with
     C[r][s] != 0; built once per datum."""
-    return datum.memo("affine_cartan", _build_affine_cartan)
+    return datum.memo("affine_cartan", None, _build_affine_cartan)
 
 
 def _build_affine_cartan(datum):

@@ -11,7 +11,9 @@ bound, on affine int forms built from `project` of the base point and the
 unit vectors, and certifies each point it finds with `project` again.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 from . import rootdata
@@ -26,11 +28,20 @@ class RetractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonPoint:
-    """A dominant rational point with parabolic face and integral lift."""
+    """A dominant rational point with parabolic face and integral lift.
+
+    `scaled` is its int form (L, L point), as `scale_to_ints` gives it,
+    built on first use or filled in by `newton_points_below`.  It takes
+    no part in `==`, `hash`, `repr` or `to_json`.  `RootDatum.scaled`
+    hands it to the readers, which compare and floor on ints."""
 
     point: tuple
     levi: frozenset  # indices j with <alpha_j, point> = 0
     lift: tuple  # integral cocharacter with p_M(lift) = point
+
+    @cached_property
+    def scaled(self):
+        return scale_to_ints(self.point)
 
     def to_json(self):
         return {
@@ -179,10 +190,12 @@ def newton_point(datum, x):
     """x as a certified NewtonPoint: x itself if it is one, else the
     certificate of is_newton_point.  ValueError if x is not a Newton point.
 
-    A NewtonPoint is trusted: a certificate per point of a poset would
+    A NewtonPoint is trusted after a length check, and carries its scaled
+    ints (`NewtonPoint.scaled`): a certificate per point of a poset would
     cost `stratum_conditions` and `d_levi_check` about as much as
     `newton_points_below`, which certifies the point of its own mu."""
     if isinstance(x, NewtonPoint):
+        datum.scaled(x)  # the length check
         return x
     np = is_newton_point(datum, x)
     if np is None:
@@ -214,7 +227,10 @@ def newton_points_below(datum, mu):
     D nu_j <= floor(D mu_j) for j in S, <alpha_j, D nu> > 0 off S, and
     <alpha_j, D nu> = 0 on S.  A failed check raises RuntimeError, and so
     does a point found under two faces, as an accepted nu has face
-    exactly S.
+    exactly S.  Points are told apart by their reduced int forms
+    (D / g, D nu / g), g the gcd of D and D nu, which each NewtonPoint
+    keeps as its `scaled`; the result is sorted on these over the lcm of
+    their scales, the order of the `Fraction` tuples.
 
     Guard: on each face the walk counts the box values it tries, the
     width of the next coordinate's box range at every node it visits, so
@@ -228,14 +244,15 @@ def newton_points_below(datum, mu):
     (3, ..., 3).  Past `rootdata.GUARD` on one face it raises
     OrbitGuardError.
     """
-    point = newton_point(datum, point_of(mu)).point
+    top = newton_point(datum, point_of(mu))
+    point = top.point
     l = datum.l
     z = datum.central_part(point[l:])
     lo = [qceil(z[i]) for i in range(l)]
     hi = [qfloor(point[i]) for i in range(l)]
     base = [0] * l + [int(c) for c in point[l:]]
-    scale, ints = scale_to_ints(point)
-    found = {}
+    scale, ints = top.scaled
+    found = {}  # reduced int form -> NewtonPoint
     for mask in range(1 << l):
         subset = frozenset(j for j in range(l) if mask >> j & 1)
         free = [i for i in range(l) if i not in subset]
@@ -250,14 +267,19 @@ def newton_points_below(datum, mu):
             if any(datum.root_pairing(j, dnu) for j in idx):
                 raise RuntimeError(
                     f"p_M({m!r}) leaves the face {sorted(subset)}")
+            g = math.gcd(den, *dnu)
+            form = (den // g, tuple([v // g for v in dnu]))
             nu = list(m)
             for j in idx:
                 nu[j] = Q(dnu[j], den)
             nu = tuple(nu)
-            if nu in found:
+            if form in found:
                 raise RuntimeError(f"{fmt_point(nu)} found under two faces")
-            found[nu] = NewtonPoint(nu, subset, m)
-    return sorted(found.values(), key=lambda np: tuple(np.point))
+            np = found[form] = NewtonPoint(nu, subset, m)
+            vars(np)["scaled"] = form  # the slot `cached_property` fills
+    common = math.lcm(*(d for d, _ints in found))
+    return [found[form] for form in sorted(
+        found, key=lambda f: tuple([v * (common // f[0]) for v in f[1]]))]
 
 
 def _face_walk(datum, subset, free, caps, lo, hi, base):
@@ -279,7 +301,7 @@ def _face_walk(datum, subset, free, caps, lo, hi, base):
     _idx, _den, c, y = datum.project(subset, base)
     const = [cj + cap for cj, cap in zip(c, caps)]
     const += [datum.root_pairing(j, y) - 1 for j in free]
-    cols, terms = datum.memo(("face_forms", subset), _unit_forms, subset,
+    cols, terms = datum.memo("face_forms", subset, _unit_forms, subset,
                              free)
     k = len(free)
     # rest[p][r]: the most that the coordinates from p on add to form r
@@ -341,25 +363,28 @@ def _unit_forms(datum, subset, free):
 
 def hasse(datum, points):
     """Covering relations of <= on a list of NewtonPoints or finite points
-    (index pairs); ValueError on a point that `RootDatum.point` refuses.
+    (index pairs); ValueError on a point that `RootDatum.scaled` refuses.
 
     b covers a when a <= b, b is not a itself (as an index), and no third
     index c has a <= c <= b.  So two copies of a point cover each other,
     and a point with three or more copies takes part in no edge.
 
     The points are compared as int tuples over one common denominator,
-    at positions sorted by head sum (the first l coordinates): a linear
-    extension, since a <= b for distinct points makes a's sum smaller.
+    the lcm of the scales of their `RootDatum.scaled` forms (the one a
+    NewtonPoint carries, unchecked but for its length), at positions
+    sorted by head sum (the first l coordinates): a linear extension,
+    since a <= b for distinct points makes a's sum smaller.
     `up[k]` is an int bitmask over positions: the other positions with
     k's tail whose heads are >= k's in every coordinate, the AND of one
     suffix-OR mask per coordinate.  The covers of k are then the least
     positions of `up[k]` that no earlier one reaches, less those with a
     copy in `up[k]`, since copies lie between each other.
     """
-    pts = [datum.point(point_of(p)) for p in points]
-    n, l = datum.n, datum.l
-    _den, flat = scale_to_ints([c for p in pts for c in p])
-    rows = [tuple(flat[k:k + n]) for k in range(0, len(flat), n)]
+    forms = [datum.scaled(p) for p in points]
+    l = datum.l
+    common = math.lcm(*(d for d, _ints in forms))
+    rows = [ints if d == common else tuple([v * (common // d) for v in ints])
+            for d, ints in forms]
     order = sorted(range(len(rows)), key=lambda a: sum(rows[a][:l]))
     rows = [rows[a] for a in order]
     copies, tails = {}, {}  # positions of each point, of each tail

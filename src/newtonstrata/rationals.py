@@ -44,10 +44,10 @@ def qceil(x):
 
 
 def scale_to_ints(xs):
-    """(L, [L*x for x in xs]): L is the lcm of the denominators of the
-    rationals xs, so every L*x is an int."""
+    """(L, ints): L is the lcm of the denominators of the rationals xs,
+    and ints is the tuple of the L*x, each an int."""
     den = math.lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
+    return den, tuple([x.numerator * (den // x.denominator) for x in xs])
 
 
 def frac_part(x):

@@ -74,7 +74,7 @@ class RootDatum:
                   if self.alpha[i][j])
             for j in range(self.l)
         )
-        self._memo = {}  # key -> table built by `memo`
+        self._memo = {}  # table name -> {key: entry built by `memo`}
 
     def _validate(self):
         if not (1 <= self.n and 0 <= self.l <= self.n):
@@ -97,14 +97,16 @@ class RootDatum:
     def __repr__(self):
         return f"RootDatum({self.label or self.factors}, n={self.n}, l={self.l})"
 
-    def memo(self, key, build, *args):
-        """The table stored under `key`, built as build(self, *args) on
-        first use.  A key is a str naming the table, or a tuple headed by
-        one."""
-        table = self._memo.get(key)
-        if table is None:
-            table = self._memo[key] = build(self, *args)
-        return table
+    def memo(self, table, key, build, *args):
+        """The entry `key` of the table named `table`, built as
+        build(self, *args) on first use.  Each table is its own dict, so
+        a key needs no table name wrapped around it; a table of one entry
+        keeps it under the key None."""
+        try:
+            return self._memo[table][key]
+        except KeyError:
+            entry = self._memo.setdefault(table, {})[key] = build(self, *args)
+            return entry
 
     # -- pairings and the partial order ------------------------------------
 
@@ -146,24 +148,44 @@ class RootDatum:
                 ints[i] = q.numerator
         return x if ints is None else tuple(ints)
 
+    def scaled(self, x, integral=False):
+        """The int form (L, L x) of a point x, with L the lcm of its
+        denominators, as `scale_to_ints` gives it.
+
+        A certified point (a `chamber.NewtonPoint`) carries this form as
+        its `scaled` and is trusted after a length check.  Any other x is
+        checked by `point` first, with its errors.  With `integral`,
+        ValueError unless every coordinate is an integer (L = 1)."""
+        if not hasattr(type(x), "scaled"):
+            return scale_to_ints(self.point(x, integral=integral))
+        form = x.scaled
+        if len(form[1]) != self.n:
+            raise ValueError(
+                f"expected {self.n} coordinates, got {len(form[1])}")
+        if integral and form[0] != 1:
+            raise ValueError("expected an integral point")
+        return form
+
     def is_dominant(self, x):
         """No simple root pairs negatively with x.  The signs are read on
-        ints: x itself when every coordinate is an int, else L x for the
-        lcm L of the denominators."""
-        x = self.point(x)
-        if not all(type(c) is int for c in x):
-            x = scale_to_ints(x)[1]
-        return all(self.root_pairing(j, x) >= 0 for j in range(self.l))
+        the int form L x of `scaled`."""
+        ints = self.scaled(x)[1]
+        return all(self.root_pairing(j, ints) >= 0 for j in range(self.l))
 
     def leq(self, x, y):
         """x <= y: y - x is a nonnegative combination of simple coroots, that
-        is y_i >= x_i for i < l and y_i == x_i after."""
-        self.point(x)
-        self.point(y)
+        is y_i >= x_i for i < l and y_i == x_i after.  Read on the int
+        forms of `scaled`, by `leq_scaled`."""
+        return self.leq_scaled(self.scaled(x), self.scaled(y))
+
+    def leq_scaled(self, x, y):
+        """`leq` on two int forms (L, L x) and (M, M y) from `scaled`,
+        cross-multiplied: M L x_i <= L M y_i."""
+        (dx, xs), (dy, ys) = x, y
         for i in range(self.l):
-            if y[i] < x[i]:
+            if ys[i] * dx < xs[i] * dy:
                 return False
-        return all(y[i] == x[i] for i in range(self.l, self.n))
+        return all(ys[i] * dx == xs[i] * dy for i in range(self.l, self.n))
 
     # -- Weyl group --------------------------------------------------------
 
@@ -244,7 +266,7 @@ class RootDatum:
         and the inverse of the Cartan block on them as adj / den, with adj an
         integer matrix and den > 0 the least scale that makes it one, the
         last invariant factor of the block (`exactlinalg.inverse`)."""
-        return self.memo(("pm", subset), RootDatum._build_pm, subset)
+        return self.memo("pm", subset, RootDatum._build_pm, subset)
 
     def _build_pm(self, subset):
         idx = sorted(subset)
@@ -288,7 +310,7 @@ class RootDatum:
         Its coordinates are `Fraction`s whatever the types given, as an int
         and an equal `Fraction` share one cache entry."""
         key = tuple(torus_coords)
-        return self.memo(("central", key), RootDatum._build_central, key)
+        return self.memo("central", key, RootDatum._build_central, key)
 
     def _build_central(self, key):
         return tuple(Q(c) for c in self.p_M((0,) * self.l + key,
@@ -305,7 +327,7 @@ class RootDatum:
         subset = tuple(sorted(set(subset)))
         if any(not 0 <= j < self.l for j in subset):
             raise ValueError("invalid Levi subset")
-        return self.memo(("levi", subset), RootDatum._build_levi, subset)
+        return self.memo("levi", subset, RootDatum._build_levi, subset)
 
     def _build_levi(self, subset):
         subset = list(subset)

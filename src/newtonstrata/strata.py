@@ -3,8 +3,8 @@
 from dataclasses import dataclass, field
 
 from .chamber import (  # noqa: F401
-    NewtonPoint, face_of, newton_point, point_of, stratum_of)
-from .rationals import NEG_INF, Q, fmt_scalar, qfloor, scale_to_ints
+    NewtonPoint, face_of, newton_point, stratum_of)
+from .rationals import NEG_INF, Q, fmt_scalar
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class StratumConditions:
 
 def index_set(datum, mu):
     """I_mu: simple roots pairing to zero against mu."""
-    return face_of(datum, datum.point(point_of(mu)))[0]
+    return face_of(datum, datum.scaled(mu)[1])[0]
 
 
 def stratum_conditions(datum, mu, closed):
@@ -60,16 +60,31 @@ def stratum_conditions(datum, mu, closed):
 
 def dim_leq(datum, mu):
     """dim of the closed stratum: sum of floors of the first l coordinates."""
-    point = datum.point(point_of(mu))
-    return int(sum(qfloor(point[i]) for i in range(datum.l)))
+    return _floor_sum(datum, datum.scaled(mu))
+
+
+def _floor_sum(datum, form):
+    """The sum of the floors of the first l coordinates of the point of an
+    int form (den, ints) from `RootDatum.scaled`: sum(v // den)."""
+    den, ints = form
+    return sum(v // den for v in ints[:datum.l])
+
+
+def _frac_sum(datum, form):
+    """den times the sum of the fractional parts of the first l
+    coordinates of the point of an int form (den, ints): sum(v % den)."""
+    den, ints = form
+    return sum(v % den for v in ints[:datum.l])
 
 
 def codim(datum, nu, mu):
-    """Codimension of the closed stratum of nu inside that of mu."""
-    nu_pt, mu_pt = point_of(nu), point_of(mu)
-    if not datum.leq(nu_pt, mu_pt):
+    """Codimension of the closed stratum of nu inside that of mu, on the
+    int forms of `RootDatum.scaled`: each point is scaled once, for the
+    order check and for the floors."""
+    nu, mu = datum.scaled(nu), datum.scaled(mu)
+    if not datum.leq_scaled(nu, mu):
         raise ValueError("codim requires nu <= mu")
-    c = dim_leq(datum, mu) - dim_leq(datum, nu)
+    c = _floor_sum(datum, mu) - _floor_sum(datum, nu)
     if c < 0:
         raise RuntimeError(f"negative codimension {c} for nu <= mu")
     return c
@@ -79,35 +94,40 @@ def codim_chai(datum, nu, mu):
     """Ceiling form of the codimension, for integral dominant mu.
 
     Uses the rational fundamental weights (zero on the center), so the
-    pairing with mu - nu only sees the semisimple part.
+    pairing with mu - nu only sees the semisimple part.  mu and nu are
+    scaled once each (`RootDatum.scaled`), and their forms serve the
+    dominance and order checks and the sum.
     """
-    nu_pt, mu_pt = point_of(nu), point_of(mu)
-    mu_int = datum.point(mu_pt, integral=True)
-    if not datum.is_dominant(mu_int):
+    mu = datum.scaled(mu, integral=True)
+    if any(datum.root_pairing(j, mu[1]) < 0 for j in range(datum.l)):
         raise ValueError("codim_chai needs an integral dominant mu")
-    if not datum.leq(nu_pt, mu_pt):
+    nu = datum.scaled(nu)
+    if not datum.leq_scaled(nu, mu):
         raise ValueError("codim_chai requires nu <= mu")
     # <varpi_i, mu - nu> = <omega_i, mu - nu> since mu - nu has no central
     # part, and ceil(mu_i - nu_i) = mu_i - floor(nu_i) for an int mu_i
-    total = sum(mu_int[i] - qfloor(nu_pt[i]) for i in range(datum.l))
+    total = sum(mu[1][:datum.l]) - _floor_sum(datum, nu)
     if total < 0:
         raise RuntimeError(f"negative codimension {total} for nu <= mu")
     return total
 
 
 def d_G(datum, nu):
-    """Sum of fractional parts of the pairings with the extended weights.
-
-    The first l coordinates are scaled once to ints v over their common
-    denominator den, and the sum is the one `Fraction` of sum(v % den)
-    over den (0 when l = 0)."""
-    point = datum.point(point_of(nu))
-    den, ints = scale_to_ints(point[:datum.l])
-    return Q(sum(v % den for v in ints), den)
+    """Sum of fractional parts of the pairings with the extended weights,
+    read on the int form (den, ints) of `RootDatum.scaled`: the one
+    `Fraction` of sum(v % den) over den (0 when l = 0)."""
+    form = datum.scaled(nu)
+    return Q(_frac_sum(datum, form), form[0])
 
 
 def d_levi_check(datum, nu):
-    """Lemma-style reduction: d_G computed in nu's own Levi agrees with d_G."""
+    """Lemma-style reduction: d_G computed in nu's own Levi agrees with d_G.
+
+    Both sides read the int form (den, ints) nu carries, and compare den
+    times d_G: the Levi side on the datum of `RootDatum.levi`, through its
+    coordinate map `to_levi`."""
     nu = newton_point(datum, nu)
     levi_datum, to_levi, _back = datum.levi(nu.levi)
-    return d_G(levi_datum, to_levi(nu.point)) == d_G(datum, nu.point)
+    den, ints = nu.scaled
+    return (_frac_sum(levi_datum, (den, to_levi(ints)))
+            == _frac_sum(datum, (den, ints)))

@@ -167,7 +167,8 @@ def _orbit_sums(datum, a):
     steps = [datum.root_pairing(j, exps) for j in range(l)]
     ratios = [math.prod(c ** e for c, e in zip(coeffs, datum.root_coords(j))
                         if e) for j in range(l)]
-    bounds = datum.memo("orbit_coordinate_bounds", _coordinate_bounds)
+    bounds = datum.memo("orbit_coordinate_bounds", None,
+                        _coordinate_bounds)
     powers = {}  # (j, m) -> r_j^m as (numerator, denominator)
     values, unique = list(a.values), [True] * n
     for k in range(l):

@@ -8,15 +8,17 @@ an independent check.  Its per-datum tables are cached in this module.
 `newton_points_below` and `hasse` are the Fraction forms of the
 enumerator and of the covering relation in `chamber`: a recursive box
 walk that projects every candidate with the public `p_M` and compares
-points with `leq`, and an O(N^3) transitive reduction.  `hasse_by_rank`
-reads the covers of a full down-set off Chai's rank function instead:
-b covers a exactly when a <= b and `dim_leq(b) = dim_leq(a) + 1`.  It
-compares adjacent rank levels only, so it checks `hasse` on posets too
-big for the transitive reduction.
+points with this module's `leq`, and an O(N^3) transitive reduction.
+`hasse_by_rank` reads the covers of a full down-set off Chai's rank
+function instead: b covers a exactly when a <= b and
+`dim_leq(b) = dim_leq(a) + 1`.  It compares adjacent rank levels only,
+so it checks `hasse` on posets too big for the transitive reduction.
 
-`d_G` and `codim_chai` are the `Fraction` forms of the two sums in
-`strata`: a `frac_part` per coordinate, and ceil(mu_i - nu_i) on the
-rational difference.
+`leq`, `is_dominant`, `dim_leq`, `codim`, `d_G`, `codim_chai` and
+`d_levi` are the `Fraction` forms of the readers that the library runs
+on int forms (`RootDatum.scaled`): a `Fraction` comparison, pairing,
+floor or `frac_part` per coordinate, and ceil(mu_i - nu_i) on the
+rational difference.  They take plain points and check nothing.
 
 `simple_reflection`, `weyl_product`, `compose` and `affine_generator`
 build Weyl and affine Weyl elements as full matrices and multiply them.
@@ -56,7 +58,7 @@ import itertools
 from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError, is_newton_point
-from newtonstrata import rootdata, strata
+from newtonstrata import rootdata
 from newtonstrata.rationals import NEG_INF, Q, frac_part, qceil, qfloor
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, WeylElement
 from newtonstrata.toruseval import LaurentPoly
@@ -372,7 +374,7 @@ def newton_points_below(datum, mu):
                     if j not in subset
                 ):
                     return
-                if not datum.leq(nu, point):
+                if not leq(datum, nu, point):
                     return
                 found[nu] = NewtonPoint(nu, subset, tuple(m))
             else:
@@ -394,7 +396,7 @@ def hasse(datum, points):
         (a, b)
         for a in range(len(pts))
         for b in range(len(pts))
-        if a != b and datum.leq(pts[a], pts[b])
+        if a != b and leq(datum, pts[a], pts[b])
     ]
     rel = set(order)
     edges = []
@@ -413,14 +415,38 @@ def hasse_by_rank(datum, points):
     pts = [p.point if isinstance(p, NewtonPoint) else tuple(p) for p in points]
     levels = {}
     for a, p in enumerate(pts):
-        levels.setdefault(strata.dim_leq(datum, p), []).append(a)
+        levels.setdefault(dim_leq(datum, p), []).append(a)
     return sorted(
         (a, b)
         for rank, lower in levels.items()
         for a in lower
         for b in levels.get(rank + 1, ())
-        if datum.leq(pts[a], pts[b])
+        if leq(datum, pts[a], pts[b])
     )
+
+
+def leq(datum, x, y):
+    """x <= y for two points, compared as `Fraction`s coordinate by
+    coordinate: y_i >= x_i for i < l and y_i == x_i after."""
+    return (all(x[i] <= y[i] for i in range(datum.l))
+            and all(x[i] == y[i] for i in range(datum.l, datum.n)))
+
+
+def is_dominant(datum, x):
+    """No simple root pairs negatively with the point x, each pairing a
+    sum of `Fraction`s."""
+    return all(sum((a * Q(x[i]) for i, a in enumerate(datum.root_coords(j))),
+                   Q(0)) >= 0 for j in range(datum.l))
+
+
+def dim_leq(datum, mu):
+    """The sum of the floors of the first l coordinates of the point mu."""
+    return sum(qfloor(mu[i]) for i in range(datum.l))
+
+
+def codim(datum, nu, mu):
+    """dim_leq(mu) - dim_leq(nu) for two points; no check of either."""
+    return dim_leq(datum, mu) - dim_leq(datum, nu)
 
 
 def d_G(datum, nu):
@@ -433,6 +459,13 @@ def codim_chai(datum, nu, mu):
     """Chai's ceiling sum over the first l coordinates of the points nu and
     mu, on the rational differences mu_i - nu_i; no check of either."""
     return sum(qceil(Q(mu[i]) - nu[i]) for i in range(datum.l))
+
+
+def d_levi(datum, nu, levi):
+    """Whether `d_G` of the point nu in the Levi sub-datum of the simple
+    roots `levi` equals `d_G` of nu, both as `Fraction` sums."""
+    levi_datum, to_levi, _back = datum.levi(levi)
+    return d_G(levi_datum, to_levi(nu)) == d_G(datum, nu)
 
 
 def weyl_orbit(datum, lam):

@@ -317,7 +317,7 @@ def test_alcove_walk_certificate_fires():
             bad = table[:s] + (col[:k] + ((r, c + 1),) + col[k + 1:],) \
                 + table[s + 1:]
             g = build_group("GL3")  # fresh datum: its own memo
-            g.memo("affine_cartan", lambda d: bad)
+            g.memo("affine_cartan", None, lambda d: bad)
             with pytest.raises(RuntimeError, match="disagree"):
                 alcove_reduce(g, translation(g, lift))
     g = build_group("GL3")

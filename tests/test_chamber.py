@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newtonstrata import rootdata
+from newtonstrata import chamber, rootdata
 from newtonstrata.chamber import (
     NewtonPoint,
     RetractionError,
@@ -196,8 +196,7 @@ def test_newton_points_below_matches_oracle(data):
 def _plant(g, subset, solver):
     """Make `solver` the pm_solver of `subset` on a datum that has not
     built that solver yet."""
-    key = ("pm", frozenset(subset))
-    assert g.memo(key, lambda _d: solver) is solver
+    assert g.memo("pm", frozenset(subset), lambda _d: solver) is solver
     assert g.pm_solver(frozenset(subset)) is solver
 
 
@@ -205,7 +204,22 @@ def test_newton_points_below_face_check():
     g = build_group("GL2")
     # a wrong solver for the face {0} that passes the cap test
     _plant(g, {0}, ([0], [[0]], 1))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="leaves the face"):
+        newton_points_below(g, (Q(1), Q(1)))
+
+
+@pytest.mark.parametrize("walk, match", [
+    # a leaf found twice: the int-form key sees the repeat
+    (lambda leaves: leaves + leaves, "found under two faces"),
+    # (0, 1) pairs negatively with alpha_1 off the face
+    (lambda leaves: leaves + [(0, 1)], "but not its checks"),
+], ids=["twice", "checks"])
+def test_newton_points_below_self_checks_raise(monkeypatch, walk, match):
+    g = build_group("GL2")
+    face_walk = chamber._face_walk
+    monkeypatch.setattr(chamber, "_face_walk",
+                        lambda *args: walk(list(face_walk(*args))))
+    with pytest.raises(RuntimeError, match=match):
         newton_points_below(g, (Q(1), Q(1)))
 
 

@@ -7,7 +7,9 @@ allowed, and, where a lift is read, a non-integral coordinate.  Among
 the rows are five that once gave wrong answers on GL2: p_M, chi and the
 character report accepted (0, 1, 5); defect read (0, 1/2) as (0, 0) and
 failed its own class check, and took (0,) without a word.
-`dominant_rep` sits below the gate and checks only the length.
+`dominant_rep` sits below the gate and checks only the length.  A
+certified NewtonPoint is trusted after a length check alone, so a second
+table hands every reader NewtonPoints of other groups.
 """
 
 import pytest
@@ -99,6 +101,51 @@ def test_point_returns_a_checked_tuple():
     assert lift == (2, -3) and all(type(c) is int for c in lift)
     d = G.point((NEG_INF, Q(4)), neg_inf=True, integral=True)
     assert d[0] is NEG_INF and type(d[1]) is int
+
+
+# Certified points of other groups.  A NewtonPoint is trusted after a
+# length check only, so every reader must refuse one of the wrong length:
+# GL3's (2, 3, 3) once gave GL2 a two-relation stratum system, and GL4 an
+# IndexError from `to_json` and `d_levi_check`.
+FOREIGN = {
+    "GL3 (2, 3, 3)": chamber.is_newton_point(build_group("GL3"), (2, 3, 3)),
+    "GL1 (4,)": chamber.is_newton_point(build_group("GL1"), (4,)),
+}
+READERS = {
+    "newton_point": chamber.newton_point,
+    "newton_points_below": chamber.newton_points_below,
+    "hasse": lambda g, x: chamber.hasse(g, [x]),
+    "hasse_dot": lambda g, x: chamber.hasse_dot(g, [x]),
+    "scaled": lambda g, x: g.scaled(x),
+    "scaled integral": lambda g, x: g.scaled(x, integral=True),
+    "is_dominant": lambda g, x: g.is_dominant(x),
+    "leq left": lambda g, x: g.leq(x, g.point((1,) * g.n)),
+    "leq right": lambda g, x: g.leq(g.point((1,) * g.n), x),
+    "index_set": strata.index_set,
+    "stratum_conditions": lambda g, x: strata.stratum_conditions(
+        g, x, closed=False).to_json(),
+    "stratum_conditions closed": lambda g, x: strata.stratum_conditions(
+        g, x, closed=True).to_json(),
+    "dim_leq": strata.dim_leq,
+    "d_G": strata.d_G,
+    "d_levi_check": strata.d_levi_check,
+    "codim nu": lambda g, x: strata.codim(g, x, (2,) * g.n),
+    "codim mu": lambda g, x: strata.codim(g, (0,) * g.n, x),
+    "codim_chai nu": lambda g, x: strata.codim_chai(g, x, (2,) * g.n),
+    "codim_chai mu": lambda g, x: strata.codim_chai(g, (0,) * g.n, x),
+}
+FOREIGN_ROWS = [(spec, name, point)
+                for spec in ("GL2", "GL4")
+                for name in READERS
+                for point in FOREIGN]
+
+
+@pytest.mark.parametrize("spec, name, point", FOREIGN_ROWS, ids=[
+    f"{spec}-{name}-{point}" for spec, name, point in FOREIGN_ROWS])
+def test_foreign_newton_point_raises_value_error(spec, name, point):
+    with pytest.raises(ValueError) as exc:
+        READERS[name](build_group(spec), FOREIGN[point])
+    assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("call", [

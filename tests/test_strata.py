@@ -114,11 +114,14 @@ def test_codim_self_checks_raise(monkeypatch):
     # the non-negativity checks survive python -O
     g = build_group("GL2")
     nu, mu = (Q(1, 2), Q(1)), (Q(1), Q(1))
-    monkeypatch.setattr(strata, "dim_leq", lambda datum, p: -p[0])
+    # the floor sum of an int form (den, ints), patched to minus the first
+    # coordinate: dim(mu) - dim(nu) = -1 + 1/2
+    monkeypatch.setattr(strata, "_floor_sum",
+                        lambda datum, form: -Q(form[1][0], form[0]))
     with pytest.raises(RuntimeError):
         codim(g, nu, mu)
     # the ceiling sum reads mu_i - floor(nu_i); a floor of 2 makes it -1
-    monkeypatch.setattr(strata, "qfloor", lambda x: 2)
+    monkeypatch.setattr(strata, "_floor_sum", lambda datum, form: 2)
     with pytest.raises(RuntimeError):
         codim_chai(g, nu, mu)
 
