@@ -123,9 +123,10 @@ class RootDatum:
 
     def point(self, x, neg_inf=False, integral=False):
         """x as a tuple, checked where it enters the library: ValueError
-        unless it has n coordinates, -inf only with `neg_inf` and then only
-        in the first l, and with `integral` an integer in every finite
-        slot; those come back as ints."""
+        unless it has n coordinates, each an int or a `Fraction` (a float
+        is refused), -inf only with `neg_inf` and then only in the first
+        l, and with `integral` an integer in every finite slot; those
+        come back as ints."""
         if type(x) is not tuple:
             x = tuple(x)
         if len(x) != self.n:
@@ -133,13 +134,20 @@ class RootDatum:
         free = self.l if neg_inf else 0
         ints = None
         for i, c in enumerate(x):
+            t = type(c)
+            if t is int:
+                continue
             if c is NEG_INF:
                 if i >= free:
                     raise ValueError(
                         f"-inf in torus coordinate {i + 1}" if neg_inf else
                         f"-inf in coordinate {i + 1} of a finite point")
-            elif integral and type(c) is not int:
-                q = c if type(c) is Q else Q(c)
+                continue
+            if t is not Q and not isinstance(c, (int, Q)):
+                raise ValueError(f"coordinate {i + 1} is {c!r}, not an int"
+                                 " or a Fraction")
+            if integral:
+                q = c if t is Q else Q(c)
                 if q.denominator != 1:
                     raise ValueError(f"coordinate {i + 1} is {c}, not an"
                                      " integer")

@@ -146,17 +146,46 @@ def _coordinate_bounds(datum):
             for k in range(datum.l)]
 
 
+def _orbit_skeleton(datum, k):
+    """The walk `orbit_tree(omega_k)` less its root omega_k, as three
+    byte columns and the greatest depth: (js, ps, depths, height).
+    Node i is s_j of the last node of depth d - 1 before it (the root
+    has depth 0), with j = js[i], d = depths[i] and ps[i] = -mu_j > 0
+    for its coordinate mu_j.  The walk depends only on the datum and k,
+    so it runs once per datum, under the memo table "orbit_skeleton"; an
+    OrbitGuardError from it leaves no entry.
+    """
+    return datum.memo("orbit_skeleton", k, _build_orbit_skeleton, k)
+
+
+def _build_orbit_skeleton(datum, k, column=bytearray):
+    js, ps, depths = column(), column(), column()
+    walk = datum.orbit_tree(tuple(int(i == k) for i in range(datum.n)))
+    next(walk)  # the root
+    try:
+        for mu, j, depth in walk:
+            js.append(j)
+            ps.append(-mu[j])
+            depths.append(depth)
+    except ValueError:  # a value past a byte: more than 256 simple roots
+        return _build_orbit_skeleton(datum, k, list)
+    return js, ps, depths, max(depths, default=0)
+
+
 def _orbit_sums(datum, a):
-    """The orbit-sum coordinates at a, each orbit walked once, and for each
-    coordinate whether a single orbit term has the least exponent before
-    cancellation (the torus coordinates count as single terms).
+    """The orbit sums at a of the fundamental weights, on ints: (D, orbits)
+    with orbits[k] = (K, sums, unique) for k < l.  The sum over the
+    W-orbit of omega_k is the sum of (C / K) * pi^(E / D) over the items
+    E: C of `sums`, and `unique` tells whether a single orbit term has
+    the least exponent before cancellation.
 
     With a_i = c_i * pi^v_i the term of mu is prod_i c_i^mu_i *
-    pi^<mu, v>.  Both parts are carried down `orbit_tree` as ints: the
-    exponent times the common denominator D of the v_i, by
-    E(s_j mu) = E(mu) - mu_j <alpha_j, D v>, and the coefficient times a
-    scale K that makes it integral on the whole orbit, multiplied by
-    r_j^(-mu_j) with r_j = prod_i c_i^(alpha_j)_i.
+    pi^<mu, v>.  Each orbit replays its `_orbit_skeleton` from omega_k
+    and carries both parts down it as ints: the exponent times the
+    common denominator D of the v_i, by E(s_j mu) = E(mu) -
+    mu_j <alpha_j, D v>, and the coefficient times a scale K that makes
+    it integral on the whole orbit, multiplied by r_j^(-mu_j) with
+    r_j = prod_i c_i^(alpha_j)_i.
     """
     n, l = datum.n, datum.l
     if len(a.values) != n:
@@ -164,59 +193,79 @@ def _orbit_sums(datum, a):
     monos = [next(iter(x.terms.items())) for x in a.values]
     den, exps = scale_to_ints([v for v, _c in monos])
     coeffs = [c for _v, c in monos]
-    steps = [datum.root_pairing(j, exps) for j in range(l)]
-    ratios = [math.prod(c ** e for c, e in zip(coeffs, datum.root_coords(j))
-                        if e) for j in range(l)]
     bounds = datum.memo("orbit_coordinate_bounds", None,
                         _coordinate_bounds)
-    powers = {}  # (j, m) -> r_j^m as (numerator, denominator)
-    values, unique = list(a.values), [True] * n
+    # moves[j][p] for 0 < p <= top: the exponent step -p <alpha_j, D v>
+    # and r_j^-p as (numerator, denominator)
+    top = max(map(max, bounds), default=0)
+    moves = []
+    for j in range(l):
+        step = datum.root_pairing(j, exps)
+        ratio = math.prod(c ** e for c, e in zip(coeffs, datum.root_coords(j))
+                          if e)
+        row = [None]
+        for p in range(1, top + 1):
+            r = ratio ** -p
+            row.append((-p * step, r.numerator, r.denominator))
+        moves.append(row)
+    orbits = []
     for k in range(l):
+        js, ps, depths, height = _orbit_skeleton(datum, k)
         scale = math.prod((abs(c.numerator) * c.denominator) ** b
                           for c, b in zip(coeffs, bounds[k]))
-        state, sums = {}, {}
-        least, hits = math.inf, 0
-        omega = tuple(int(i == k) for i in range(n))
-        for mu, j, depth in datum.orbit_tree(omega):
-            if depth:
-                m = mu[j]
-                e, c = state[depth - 1]
-                e += m * steps[j]
-                frac = powers.get((j, m))
-                if frac is None:
-                    r = ratios[j] ** m
-                    frac = powers[(j, m)] = (r.numerator, r.denominator)
-                c, rem = divmod(c * frac[0], frac[1])
-            else:  # the root: omega_k is dominant
-                q = scale * coeffs[k]
-                e, c, rem = exps[k], q.numerator, q.denominator != 1
+        q = scale * coeffs[k]
+        if q.denominator != 1:
+            raise RuntimeError("scaled orbit coefficient is not integral")
+        e, c = exps[k], q.numerator  # the root: omega_k is dominant
+        es, cs, sums = [e] * (height + 1), [c] * (height + 1), {e: c}
+        least, hits = e, 1
+        for j, p, depth in zip(js, ps, depths):
+            step, num, rden = moves[j][p]
+            e = es[depth - 1] + step
+            c, rem = divmod(cs[depth - 1] * num, rden)
             if rem:
                 raise RuntimeError("scaled orbit coefficient is not integral")
-            state[depth] = e, c
+            es[depth] = e
+            cs[depth] = c
             sums[e] = sums.get(e, 0) + c
             if e < least:
                 least, hits = e, 1
             elif e == least:
                 hits += 1
-        values[k] = LaurentPoly(
-            {Q(e, den): Q(c, scale) for e, c in sums.items()})
-        unique[k] = hits == 1
-    return values, tuple(v.val() for v in values), unique
+        orbits.append((scale, sums, hits == 1))
+    return den, orbits
 
 
 def eval_c(datum, a):
-    """Values of the symmetric-orbit coordinates and their valuation vector."""
-    values, d_c, _unique = _orbit_sums(datum, a)
-    return values, d_c
+    """Values of the symmetric-orbit coordinates and their valuation vector.
+
+    The first l values are the `LaurentPoly` of the `_orbit_sums`, the
+    others the torus coordinates of a themselves."""
+    den, orbits = _orbit_sums(datum, a)
+    values = [LaurentPoly({Q(e, den): Q(c, scale) for e, c in sums.items()})
+              for scale, sums, _unique in orbits]
+    values += a.values[datum.l:]
+    return values, tuple(v.val() for v in values)
 
 
 def check_thm_rnu(datum, a):
     """End-to-end check: the retraction of the valuation vector of the orbit
     sums equals the dominant representative of nu_a, with the expected
-    inequalities and strictness pattern."""
-    _values, d_c, unique = _orbit_sums(datum, a)
+    inequalities and strictness pattern.
+
+    The valuation vector is read on the int `_orbit_sums`, with no
+    `LaurentPoly`: d_c[k] = -E / D for the least exponent E whose sum C is
+    not 0, or -inf when every sum cancels, for k < l, and the torus part
+    of nu_a after."""
+    den, orbits = _orbit_sums(datum, a)
+    nu = nu_a(datum, a)
+    d_c = []
+    for _scale, sums, _unique in orbits:
+        live = [e for e, c in sums.items() if c]
+        d_c.append(Q(-min(live), den) if live else NEG_INF)
+    d_c = tuple(d_c) + nu[datum.l:]
     y, _face = retract(datum, d_c)
-    dom, _word = datum.dominant_rep(nu_a(datum, a))
+    dom, _word = datum.dominant_rep(nu)
     imu = index_set(datum, dom)
     # d_c <= dom, with equality off the face (imu holds indices < l only)
     ineq_ok = all(
@@ -225,7 +274,7 @@ def check_thm_rnu(datum, a):
     )
     # strictness: away from the face, a unique orbit term attains the max
     # of <lam, nu_a>, i.e. the least exponent
-    strict_ok = all(unique[i] for i in range(datum.l) if i not in imu)
+    strict_ok = all(orbits[i][2] for i in range(datum.l) if i not in imu)
     ok = y == dom and ineq_ok and strict_ok
     return {
         "d_c": d_c,

@@ -103,6 +103,23 @@ def test_point_returns_a_checked_tuple():
     assert d[0] is NEG_INF and type(d[1]) is int
 
 
+# A float is neither an int nor a Fraction: each gate refuses it, even
+# an integral 1.0 or a float -inf.  `leq` on (0.5, 1) once raised
+# AttributeError.
+FLOATS = [(0.5, 1), (1, 1.0), (float("-inf"), 1)]
+FLOAT_ENTRIES = ("point", "point neg_inf", "point integral", "point both",
+                 "retract", "is_dominant", "leq left", "leq right", "d_G")
+
+
+@pytest.mark.parametrize("name", FLOAT_ENTRIES)
+@pytest.mark.parametrize("x", FLOATS, ids=str)
+def test_float_coordinate_raises_value_error(name, x):
+    call, _kinds = ENTRIES[name]
+    with pytest.raises(ValueError, match="not an int or a Fraction") as exc:
+        call(G, x)
+    assert "\n" not in str(exc.value)
+
+
 # Certified points of other groups.  A NewtonPoint is trusted after a
 # length check only, so every reader must refuse one of the wrong length:
 # GL3's (2, 3, 3) once gave GL2 a two-relation stratum system, and GL4 an

@@ -1,6 +1,7 @@
 """Valued-field arithmetic, torus evaluation, classical Newton polygons."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 
 from newtonstrata.chamber import retract
 from newtonstrata.rationals import NEG_INF, Q
-from newtonstrata.rootdata import RootDatum, build_group
+from newtonstrata import rootdata
+from newtonstrata.dynkin import RANK_BOUNDS
+from newtonstrata.rootdata import OrbitGuardError, RootDatum, build_group
 from newtonstrata.strata import index_set
 from newtonstrata.toruseval import (
     LaurentPoly,
     TorusPoint,
+    _orbit_skeleton,
     _orbit_sums,
     check_thm_rnu,
     classical_newton_slopes,
@@ -246,9 +250,11 @@ def test_eval_c_matches_plain_orbit_sums(case):
     assert values[g.l:] == list(a.values[g.l:])
     assert d_c == tuple(v.val() for v in values)
     # the least-exponent counts of every orbit, the face included
-    assert _orbit_sums(g, a)[2][:g.l] == strict
-    # strictness: a unique orbit term maximizes <lam, nu_a> off the face
+    assert [unique for _k, _sums, unique in _orbit_sums(g, a)[1]] == strict
+    # check_thm_rnu reads the same d_c off the int sums
     rep = check_thm_rnu(g, a)
+    assert rep["d_c"] == d_c
+    # strictness: a unique orbit term maximizes <lam, nu_a> off the face
     face = index_set(g, rep["nu_dominant"])
     assert rep["strict_max_unique"] == all(
         strict[i] for i in range(g.l) if i not in face)
@@ -270,3 +276,106 @@ def test_check_thm_rnu_walks_each_orbit_once(monkeypatch):
     assert rep["pass"]
     assert index_set(g, rep["nu_dominant"]) == frozenset()
     assert len(calls) == g.l
+    # the walks depend only on the datum: a repeat call replays the
+    # skeletons, and a new datum walks its orbits again
+    assert check_thm_rnu(g, a) == rep
+    assert len(calls) == g.l
+    assert check_thm_rnu(build_group("GL4"), a) == rep
+    assert len(calls) == 2 * g.l
+
+
+def _skeleton_matches_walk(g, k):
+    js, ps, depths, height = _orbit_skeleton(g, k)
+    omega = tuple(int(i == k) for i in range(g.n))
+    walk = g.orbit_tree(omega)
+    assert next(walk) == (omega, -1, 0)  # the root, left out
+    nodes = 0
+    for node, (mu, j, depth) in zip(zip(js, ps, depths), walk):
+        assert node == (j, -mu[j], depth)
+        nodes += 1
+    assert nodes == len(js) == len(ps) == len(depths)
+    assert next(walk, None) is None
+    assert height == max(depths, default=0)
+    return nodes
+
+
+SKELETON_GROUPS = [f"{letter}{rank}"
+                   for letter, (lo, hi) in sorted(RANK_BOUNDS.items())
+                   for rank in range(lo, hi + 1)] + sorted(ORBIT_GROUPS)
+
+
+@pytest.mark.parametrize("spec", SKELETON_GROUPS)
+def test_orbit_skeleton_replays_the_walk(spec):
+    g = build_group(spec)
+    for k in range(g.l):
+        _skeleton_matches_walk(g, k)
+        # one entry per orbit, and a repeat hands back the same entry
+        assert _orbit_skeleton(g, k) is _orbit_skeleton(g, k)
+    assert sorted(g._memo["orbit_skeleton"]) == list(range(g.l))
+
+
+def test_orbit_skeleton_is_compact():
+    # every orbit of E8 (881,760 nodes less the 8 roots) at one byte per
+    # column; the columns' own headers and spare room stay small
+    g = build_group("E8")
+    skeletons = [_orbit_skeleton(g, k) for k in range(g.l)]
+    nodes = sum(len(js) for js, _ps, _depths, _height in skeletons)
+    assert nodes == 881_760 - g.l
+    columns = [c for skeleton in skeletons for c in skeleton[:3]]
+    assert {type(c) for c in columns} == {bytearray}
+    assert sum(sys.getsizeof(c) for c in columns) <= 4 * nodes
+    assert max(height for *_columns, height in skeletons) < 256
+
+
+def test_orbit_skeleton_past_a_byte():
+    # over 256 simple roots: an index no longer fits a byte, and the
+    # skeleton is rebuilt in lists
+    g = build_group("*".join(["A1"] * 257))
+    for k in (0, 255, 256):
+        assert _skeleton_matches_walk(g, k) == 1
+    assert type(_orbit_skeleton(g, 255)[0]) is bytearray
+    assert type(_orbit_skeleton(g, 256)[0]) is list
+
+
+def test_orbit_skeleton_guard(monkeypatch):
+    # F4's orbits have 24 to 96 elements
+    g = build_group("F4")
+    a = parse_torus_point(",".join(["1*pi^(-1)"] * g.n))
+    monkeypatch.setattr(rootdata, "GUARD", 23)
+    for _ in range(2):  # a failed build leaves nothing to hit
+        with pytest.raises(OrbitGuardError):
+            check_thm_rnu(g, a)
+        with pytest.raises(OrbitGuardError):
+            _orbit_skeleton(g, 0)
+        assert not g._memo.get("orbit_skeleton")
+    monkeypatch.setattr(rootdata, "GUARD", 96)
+    assert check_thm_rnu(g, a)["pass"]
+    assert sorted(g._memo["orbit_skeleton"]) == list(range(g.l))
+
+
+def test_check_thm_rnu_builds_no_laurent_poly(monkeypatch):
+    # the torus points are built first; their orbit sums are then read on
+    # ints.  The GL2 point cancels to 0 in its orbit sum (d_c = -inf).
+    points = [(build_group(spec), parse_torus_point(a)) for spec, a in (
+        ("GL2", "1*pi^(-1),-1*pi^(-2)"),
+        ("GL3", "2*pi^(-1/2),-1*pi^(1),1*pi^(0)"),
+        ("G2", "-2*pi^(1/3),1*pi^(-2)"),
+        ("B2*T1", "1*pi^(0),2*pi^(-1),-1*pi^(3/2)"),
+        ("Gext(E6)", ",".join(["1*pi^(-1)", "-1*pi^(0)"] * 3 + ["2*pi^(1)"])),
+    )]
+    expected = [check_thm_rnu(g, a) for g, a in points]
+    assert expected[0]["d_c"] == (NEG_INF, 2)
+    built = []
+    init = LaurentPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counted)
+    for (g, a), rep in zip(points, expected):
+        assert check_thm_rnu(g, a) == rep and rep["pass"]
+        assert check_thm_rnu(build_group(g.label), a) == rep  # fresh datum
+    assert built == []
+    eval_c(*points[0])
+    assert built  # the counter sees the values eval_c builds
