@@ -113,7 +113,7 @@ def _weyl_element(datum, image):
     """(w, word) with w(den * p0) = image, which fixes w as p0 is regular:
     `dominant_rep` descends the image along `word`, and w = s_{word[0]}
     ... s_{word[-1]} is built from the identity, each s_j changing row j.
-    RuntimeError unless the descent ends at den * p0."""
+    RuntimeError if the descent misses den * p0 or w misses the image."""
     _roots, _den, p0 = _affine_tables(datum)
     y, word = datum.dominant_rep(image)
     if y != p0:
@@ -125,7 +125,10 @@ def _weyl_element(datum, image):
             if c:
                 row = [a - c * b for a, b in zip(row, r)]
         rows[j] = row
-    return WeylElement(tuple(map(tuple, rows))), word
+    w = WeylElement(tuple(map(tuple, rows)))
+    if w.act(p0) != tuple(image):
+        raise RuntimeError("rebuilt Weyl element misses the image")
+    return w, word
 
 
 def alcove_reduce(datum, x):
@@ -267,12 +270,11 @@ def reflection_char_multiset_check(datum, nu):
     Factors the characteristic polynomial of w_nu into cyclotomics and
     matches, order by order, the multiplicities against the denominators
     of the characters chi_i, requiring full unit-group orbits.  w_nu is
-    certified a Weyl group element by `weyl_word`, so it has finite order
-    and its characteristic polynomial is a product of Phi_d with
+    certified a Weyl group element by `_weyl_element`, so it has finite
+    order and its characteristic polynomial is a product of Phi_d with
     phi(d) <= n; phi(d) >= sqrt(d/2) bounds the search by d <= 2n^2.
     """
     w = w_nu(datum, nu)
-    weyl_word(datum, w)
     poly = exactlinalg.charpoly([list(r) for r in w.matrix])
     mults = {}
     for d in range(1, 2 * datum.n ** 2 + 1):

@@ -17,8 +17,7 @@ from functools import cached_property
 from itertools import groupby
 
 from . import rootdata
-from .rationals import (
-    NEG_INF, Q, fmt_point, qceil, qfloor, scale_to_ints)
+from .rationals import NEG_INF, Q, fmt_point, qceil, scale_to_ints
 from .rootdata import OrbitGuardError
 
 
@@ -30,10 +29,10 @@ class RetractionError(RuntimeError):
 class NewtonPoint:
     """A dominant rational point with parabolic face and integral lift.
 
-    `scaled` is its int form (L, L point), as `scale_to_ints` gives it,
-    built on first use or filled in by `newton_points_below`.  It takes
-    no part in `==`, `hash`, `repr` or `to_json`.  `RootDatum.scaled`
-    hands it to the readers, which compare and floor on ints."""
+    `scaled` is its int form (L, L point), as `scale_to_ints` gives it:
+    `is_newton_point` and `newton_points_below` fill it in, else it is
+    built on first use.  It takes no part in `==`, `hash`, `repr` or
+    `to_json`; `RootDatum.scaled` hands it to the readers, on ints."""
 
     point: tuple
     levi: frozenset  # indices j with <alpha_j, point> = 0
@@ -55,12 +54,12 @@ def finite_ize(datum, d):
     """The d -> d' map: clamp the semisimple part from below by the center.
 
     Valid for inputs with -inf allowed in the first l slots only; the
-    retraction of d equals the retraction of the returned finite point.
+    retraction of d equals the retraction of the returned finite point,
+    whose torus part is d's as `central_part` gives it, in `Fraction`s.
     """
     d = datum.point(d, neg_inf=True)
     l = datum.l
-    torus = tuple(Q(c) for c in d[l:])
-    g = datum.central_part(torus)
+    g = datum.central_part(d[l:])
     out = []
     for i in range(l):
         di = d[i]
@@ -70,7 +69,7 @@ def finite_ize(datum, d):
             out.append(gi)
         else:
             out.append(Q(di))
-    return tuple(out) + torus
+    return tuple(out) + g[l:]
 
 
 def _accepts(datum, dprime, subset):
@@ -158,27 +157,24 @@ def is_newton_point(datum, y):
 
     In omega-coordinates the lattice condition reduces to integrality of
     the coordinates away from the face.  A point of the wrong length or
-    with -inf coordinates is not one.
+    with -inf coordinates is not one.  y is read once, as the int form
+    (L, L y) of `RootDatum.scaled`, which the NewtonPoint carries; its
+    `Fraction`s are built from it.  RuntimeError unless p_M(lift) = y.
     """
     try:
-        y = tuple(Q(c) for c in datum.point(y))
+        scale, ints = datum.scaled(y)
     except ValueError:
         return None
-    face, negative = face_of(datum, scale_to_ints(y)[1])
-    if negative:
+    face, negative = face_of(datum, ints)
+    if negative or any(v % scale for i, v in enumerate(ints) if i not in face):
         return None
-    lift = []
-    for i, c in enumerate(y):
-        if i in face:
-            lift.append(qfloor(c))
-        else:
-            if c.denominator != 1:
-                return None
-            lift.append(int(c))
-    lift = tuple(lift)
-    if datum.p_M(lift, face) != y:
-        raise RuntimeError(f"lift {lift!r} does not project to {y!r}")
-    return NewtonPoint(y, face, lift)
+    lift = tuple([v // scale for v in ints])
+    point = tuple([Q(v, scale) for v in ints])
+    if datum.p_M(lift, face) != point:
+        raise RuntimeError(f"lift {lift!r} does not project to {point!r}")
+    np = NewtonPoint(point, face, lift)
+    vars(np)["scaled"] = scale, ints  # the slot `cached_property` fills
+    return np
 
 
 def point_of(x):
@@ -218,19 +214,19 @@ def newton_points_below(datum, mu):
     the point of mu, a NewtonPoint or not, is not a Newton point.
 
     The dominant points below mu are pinched coordinatewise between the
-    central part of mu and mu itself.  So a Newton point nu with face S is
-    p_M(m) for one int m: zero on S, in the box lo_i <= m_i <= hi_i at the
-    free i (not in S), and equal to mu in the torus slots.  `_face_walk`
-    finds these m by branch and bound, face by face.  At each m it
-    returns, `RootDatum.project` gives D nu on ints (D the denominator of
-    the solver of S), and three checks certify the point: the caps
+    central part of mu and mu.  So a Newton point nu with face S is p_M(m)
+    for one int m: zero on S, in the box lo_i <= m_i <= hi_i at the free i
+    (not in S), hi_i read off mu's int form, and mu's in the torus slots.
+    `_face_walk` finds these m by branch and bound, face by face.  At each
+    m it returns, `RootDatum.project` gives D nu on ints (D the denominator
+    of the solver of S), and three checks certify the point: the caps
     D nu_j <= floor(D mu_j) for j in S, <alpha_j, D nu> > 0 off S, and
     <alpha_j, D nu> = 0 on S.  A failed check raises RuntimeError, and so
-    does a point found under two faces, as an accepted nu has face
-    exactly S.  Points are told apart by their reduced int forms
-    (D / g, D nu / g), g the gcd of D and D nu, which each NewtonPoint
-    keeps as its `scaled`; the result is sorted on these over the lcm of
-    their scales, the order of the `Fraction` tuples.
+    does a point found under two faces, as an accepted nu has face exactly
+    S.  Points are told apart by their reduced int forms (D / g, D nu / g),
+    g the gcd of D and D nu, which each NewtonPoint keeps as its `scaled`;
+    the result is sorted on these over the lcm of their scales, the order
+    of the `Fraction` tuples.
 
     Guard: on each face the walk counts the box values it tries, the
     width of the next coordinate's box range at every node it visits, so
@@ -245,13 +241,11 @@ def newton_points_below(datum, mu):
     OrbitGuardError.
     """
     top = newton_point(datum, point_of(mu))
-    point = top.point
     l = datum.l
-    z = datum.central_part(point[l:])
-    lo = [qceil(z[i]) for i in range(l)]
-    hi = [qfloor(point[i]) for i in range(l)]
-    base = [0] * l + [int(c) for c in point[l:]]
     scale, ints = top.scaled
+    lo = [qceil(c) for c in datum.central_part(top.point[l:])[:l]]
+    hi = [v // scale for v in ints[:l]]
+    base = [0] * l + [v // scale for v in ints[l:]]
     found = {}  # reduced int form -> NewtonPoint
     for mask in range(1 << l):
         subset = frozenset(j for j in range(l) if mask >> j & 1)

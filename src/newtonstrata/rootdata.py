@@ -315,9 +315,11 @@ class RootDatum:
     def central_part(self, torus_coords):
         """The point of the center subspace with the given last n-l
         coordinates: p_M of (0, ..., 0, torus_coords) over all simple roots.
-        Its coordinates are `Fraction`s whatever the types given, as an int
-        and an equal `Fraction` share one cache entry."""
+        Its coordinates are `Fraction`s whatever the types given: an int
+        and an equal `Fraction` share one cache entry, a float is refused."""
         key = tuple(torus_coords)
+        if not all(type(c) is int or type(c) is Q for c in key):
+            self.point((0,) * self.l + key)
         return self.memo("central", key, RootDatum._build_central, key)
 
     def _build_central(self, key):

@@ -256,7 +256,7 @@ def check_thm_rnu(datum, a):
     The valuation vector is read on the int `_orbit_sums`, with no
     `LaurentPoly`: d_c[k] = -E / D for the least exponent E whose sum C is
     not 0, or -inf when every sum cancels, for k < l, and the torus part
-    of nu_a after."""
+    of nu_a after.  The descent of nu_a and I_mu run on its int form."""
     den, orbits = _orbit_sums(datum, a)
     nu = nu_a(datum, a)
     d_c = []
@@ -265,8 +265,10 @@ def check_thm_rnu(datum, a):
         d_c.append(Q(-min(live), den) if live else NEG_INF)
     d_c = tuple(d_c) + nu[datum.l:]
     y, _face = retract(datum, d_c)
-    dom, _word = datum.dominant_rep(nu)
+    scale, ints = scale_to_ints(nu)
+    dom, _word = datum.dominant_rep(ints)
     imu = index_set(datum, dom)
+    dom = tuple([Q(v, scale) for v in dom])
     # d_c <= dom, with equality off the face (imu holds indices < l only)
     ineq_ok = all(
         (v is NEG_INF or v <= dom[i]) and (i in imu or v == dom[i])

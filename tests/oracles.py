@@ -9,6 +9,11 @@ an independent check.  Its per-datum tables are cached in this module.
 enumerator and of the covering relation in `chamber`: a recursive box
 walk that projects every candidate with the public `p_M` and compares
 points with this module's `leq`, and an O(N^3) transitive reduction.
+The enumerator certifies mu with `is_newton_point`, the `Fraction` form
+of the library's certificate: the face read on `Fraction` pairings, a
+floor or a denominator per coordinate, and the lift checked with `p_M`.
+It shares no code with the int form that `chamber.is_newton_point` reads
+off `RootDatum.scaled`.
 `hasse_by_rank` reads the covers of a full down-set off Chai's rank
 function instead: b covers a exactly when a <= b and
 `dim_leq(b) = dim_leq(a) + 1`.  It compares adjacent rank levels only,
@@ -57,7 +62,7 @@ import itertools
 
 from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
-from newtonstrata.chamber import NewtonPoint, RetractionError, is_newton_point
+from newtonstrata.chamber import NewtonPoint, RetractionError
 from newtonstrata import rootdata
 from newtonstrata.rationals import NEG_INF, Q, frac_part, qceil, qfloor
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, WeylElement
@@ -348,6 +353,34 @@ def section_closed_form(datum, lift):
         if min(pairs) <= 0 or sum(m * c for m, c in zip(ms, pairs)) >= 1:
             raise RuntimeError("descent did not end in the open alcove")
     return AffineWeylElement(p, weyl_product(datum, word))
+
+
+def is_newton_point(datum, y):
+    """y as a NewtonPoint, or None: dominant, with every coordinate off its
+    face an integer.  The point is checked by `RootDatum.point` and read
+    as `Fraction`s; the lift, the floors of its coordinates, must project
+    to it under `p_M` (RuntimeError otherwise)."""
+    try:
+        y = tuple(Q(c) for c in datum.point(y))
+    except ValueError:
+        return None
+    pairings = [sum((a * y[i] for i, a in enumerate(datum.root_coords(j))),
+                    Q(0)) for j in range(datum.l)]
+    if any(p < 0 for p in pairings):
+        return None
+    face = frozenset(j for j, p in enumerate(pairings) if p == 0)
+    lift = []
+    for i, c in enumerate(y):
+        if i in face:
+            lift.append(qfloor(c))
+        else:
+            if c.denominator != 1:
+                return None
+            lift.append(int(c))
+    lift = tuple(lift)
+    if datum.p_M(lift, face) != y:
+        raise RuntimeError(f"lift {lift!r} does not project to {y!r}")
+    return NewtonPoint(y, face, lift)
 
 
 def newton_points_below(datum, mu):

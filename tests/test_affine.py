@@ -21,7 +21,8 @@ from newtonstrata.affine import (
     weyl_word,
 )
 from newtonstrata.rationals import Q
-from newtonstrata.rootdata import OrbitGuardError, WeylElement, build_group
+from newtonstrata.rootdata import (
+    OrbitGuardError, RootDatum, WeylElement, build_group)
 from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
 from oracles import (
@@ -135,6 +136,39 @@ def test_defect_identity_reports():
             rep = verify_defect_identity(g, cls)
             assert rep["pass"], rep
             assert rep["d_G"] == Q(rep["defect"], 2)
+
+
+@pytest.mark.parametrize("spec, lift", [
+    ("GL3", (0, 0, 1)), ("GL4", (0, 0, 0, 2)), ("Gext(E6)", (0,) * 6 + (1,))])
+def test_defect_and_character_checks_build_three_weyl_elements(
+        monkeypatch, spec, lift):
+    # the report's w_word, its section and the character check's section:
+    # the character check takes the certified w_nu as it is built
+    g = build_group(spec)
+    calls = []
+    build = affine._weyl_element
+
+    def counted(datum, image):
+        calls.append(image)
+        return build(datum, image)
+
+    monkeypatch.setattr(affine, "_weyl_element", counted)
+    assert verify_defect_identity(g, lift)["pass"]
+    assert reflection_char_multiset_check(g, lift)["pass"]
+    assert len(calls) == 3
+
+
+def test_weyl_element_certifies_its_rows(monkeypatch):
+    # a wrong row rebuild (here a wrong alpha_0, once the affine tables are
+    # built) misses the image; a real raise, not an assert that python -O
+    # would strip
+    g = build_group("GL3")
+    section_s(g, (0, 0, 1))
+    coords = RootDatum.root_coords
+    monkeypatch.setattr(RootDatum, "root_coords", lambda self, j: tuple(
+        c + (j == 0) for c in coords(self, j)))
+    with pytest.raises(RuntimeError, match="misses the image"):
+        section_s(g, (0, 0, 1))
 
 
 def test_chi_gl2():

@@ -1,5 +1,6 @@
 """Retraction onto the dominant chamber and the Newton point poset."""
 
+import functools
 import random
 
 import pytest
@@ -19,8 +20,8 @@ from newtonstrata.chamber import (
     retract_exhaustive,
     stratum_of,
 )
-from newtonstrata.rationals import NEG_INF, Q, qfloor
-from newtonstrata.rootdata import OrbitGuardError, build_group
+from newtonstrata.rationals import NEG_INF, Q, qfloor, scale_to_ints
+from newtonstrata.rootdata import OrbitGuardError, RootDatum, build_group
 from newtonstrata.strata import codim, codim_chai
 import oracles
 from oracles import retract_closest
@@ -128,6 +129,71 @@ def test_is_newton_point_regular_integral():
     y = (Q(3), Q(4), Q(4))  # slopes (3,1,0): dominant regular
     np = is_newton_point(g, y)
     assert np is not None and np.levi == frozenset() and np.lift == (3, 4, 4)
+
+
+def test_is_newton_point_certificate_raises(monkeypatch):
+    # a lift that misses the point under p_M is a bug, not a "no"; a real
+    # raise, not an assert that python -O would strip
+    g = build_group("GL2")
+    monkeypatch.setattr(RootDatum, "p_M", lambda self, x, subset: (Q(9),) * 2)
+    with pytest.raises(RuntimeError, match="does not project"):
+        is_newton_point(g, (Q(1, 2), 1))
+
+
+CERTIFY_GROUPS = ("GL2", "GL4", "B2*T1", "G2", "Gext(E6)", "T2")
+CERTIFY_KINDS = ("below", "dominant", "any", "off face", "short", "long",
+                 "-inf", "float")
+
+
+@functools.lru_cache(maxsize=None)
+def _group(spec):
+    return build_group(spec)
+
+
+@functools.lru_cache(maxsize=None)
+def _points_below(spec, raw):
+    g = _group(spec)
+    return tuple(newton_points_below(g, g.dominant_rep(raw)[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_newton_point_matches_fraction_oracle(data):
+    # the int certificate against its `Fraction` form in `oracles`: both
+    # refuse the point, or both certify it alike, and the library's
+    # NewtonPoint carries the int form it was certified on
+    spec = data.draw(st.sampled_from(CERTIFY_GROUPS))
+    g = _group(spec)
+    kind = data.draw(st.sampled_from(CERTIFY_KINDS))
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    raw = data.draw(st.tuples(*[st.integers(-1, 1)] * g.n))
+    np = data.draw(st.sampled_from(_points_below(spec, raw)))
+    y = list(np.point)
+    i = data.draw(st.integers(0, g.n - 1))
+    if kind == "dominant":
+        y = g.dominant_rep(data.draw(st.tuples(*[rational] * g.n)))[0]
+    elif kind == "any":
+        y = data.draw(st.tuples(*[rational] * g.n))
+    elif kind == "off face" and i not in np.levi:
+        y[i] += Q(1, data.draw(st.integers(2, 4)))
+    elif kind in ("short", "long"):
+        y = y[:-1] if kind == "short" else y + [Q(0)]
+    elif kind == "-inf":
+        y[i] = NEG_INF
+    elif kind == "float":
+        y[i] = float(y[i])
+    y = tuple(y)
+    got, want = is_newton_point(g, y), oracles.is_newton_point(g, y)
+    if want is None:
+        assert got is None
+        return
+    assert (got.point, got.levi, got.lift) == (want.point, want.levi,
+                                               want.lift)
+    assert all(type(c) is Q for c in got.point)
+    assert all(type(m) is int for m in got.lift)
+    assert "scaled" in vars(got) and got.scaled == scale_to_ints(got.point)
+    if kind == "below":  # the enumerator's lift is 0 on the face
+        assert (got.point, got.levi) == (np.point, np.levi)
 
 
 def test_stratum_of_gl2():

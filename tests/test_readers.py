@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from newtonstrata.chamber import hasse, newton_points_below
-from newtonstrata.rationals import Q, scale_to_ints
+from newtonstrata import chamber, rootdata
+from newtonstrata.chamber import (
+    hasse, is_newton_point, newton_points_below, stratum_of)
+from newtonstrata.rationals import NEG_INF, Q, scale_to_ints
 from newtonstrata.rootdata import RootDatum, build_group
 from newtonstrata.strata import (
     codim, codim_chai, d_G, d_levi_check, dim_leq, stratum_conditions)
@@ -129,3 +131,25 @@ def test_carried_form_is_reduced(spec):
     for p in newton_points_below(g, mu):
         assert "scaled" in vars(p)
         assert p.scaled == scale_to_ints(p.point)
+
+
+@pytest.mark.parametrize("spec, d", [
+    ("GL3", (0, 1, 3)), ("G2", (NEG_INF, 2)), ("T2", (3, -1)),
+    ("Gext(E6)", (2, NEG_INF, 1, 0, -1, 3, 1))])
+def test_certified_points_arrive_scaled(monkeypatch, spec, d):
+    # `stratum_of` and `is_newton_point` hand back the int form they
+    # certified on, so the readers after them scale nothing
+    g = build_group(spec)
+    np = stratum_of(g, d)
+    points = [np, is_newton_point(g, np.point)]
+    for p in points:
+        assert "scaled" in vars(p) and p.scaled == scale_to_ints(p.point)
+    counts = [_count_calls(monkeypatch, module, ["scale_to_ints"])
+              for module in (rootdata, chamber)]
+    for p in points:
+        dim_leq(g, p)
+        codim(g, p, np)
+        d_G(g, p)
+    assert sum(c["n"] for c in counts) == 0
+    dim_leq(g, np.point)  # the counter sees a plain point scaled
+    assert sum(c["n"] for c in counts) == 1

@@ -109,6 +109,21 @@ def test_central_part_types_ignore_call_order(first, second):
         assert z == (Q(1, 2), 1) and all(type(c) is Q for c in z)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_central_part_refuses_a_float(warm):
+    # 1.0 == 1 with one hash: a float was once looked up under the int's
+    # entry on a warm datum, and refused only on a fresh one
+    g = build_group("GL2")
+    if warm:
+        assert g.central_part((1,)) == (Q(1, 2), 1)
+    with pytest.raises(ValueError, match="not an int or a Fraction") as exc:
+        g.central_part((1.0,))
+    assert "\n" not in str(exc.value)
+    # an int and an equal Fraction still share one entry
+    assert g.central_part((Q(1),)) == g.central_part((1,)) == (Q(1, 2), 1)
+    assert list(g._memo["central"]) == [(1,)]
+
+
 def test_dominant_rep_examples():
     a1 = build_group("A1")
     assert a1.dominant_rep((Q(-3),)) == ((3,), (0,))

@@ -1,7 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "newtonstrata"
 
@@ -107,3 +112,47 @@ def test_memo_is_the_only_cache_on_a_root_datum():
     # the datum itself, the root supports built with it, and `memo`'s table
     assert slots == ("n", "l", "alpha", "factors", "label", "_root_support",
                      "_memo")
+
+
+# Each snippet breaks one certificate; run under `python -O`, it prints
+# whether the call raised that certificate's RuntimeError (its message
+# holds `expect`), and __debug__: the certificate is a raise, not an
+# assert.
+BROKEN_CERTIFICATES = {
+    "is_newton_point p_M": """
+from newtonstrata.chamber import is_newton_point
+from newtonstrata.rationals import Q
+from newtonstrata.rootdata import RootDatum, build_group
+g = build_group("GL2")
+RootDatum.p_M = lambda self, x, subset: (Q(9),) * self.n
+call = lambda: is_newton_point(g, (Q(1, 2), 1))
+expect = "does not project"
+""",
+    "_weyl_element rows": """
+from newtonstrata.affine import section_s
+from newtonstrata.rootdata import RootDatum, build_group
+g = build_group("GL3")
+section_s(g, (0, 0, 1))
+coords = RootDatum.root_coords
+RootDatum.root_coords = lambda self, j: tuple(
+    c + (j == 0) for c in coords(self, j))
+call = lambda: section_s(g, (0, 0, 1))
+expect = "misses the image"
+""",
+}
+CATCH = """
+try:
+    call()
+except RuntimeError as exc:
+    print(expect in str(exc), __debug__)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_CERTIFICATES))
+def test_broken_certificate_raises_under_python_O(name):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_CERTIFICATES[name] + CATCH],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "False"]

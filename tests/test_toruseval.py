@@ -353,16 +353,21 @@ def test_orbit_skeleton_guard(monkeypatch):
     assert sorted(g._memo["orbit_skeleton"]) == list(range(g.l))
 
 
+# fixed torus points; the GL2 one cancels to 0 in its orbit sum
+RNU_POINTS = (
+    ("GL2", "1*pi^(-1),-1*pi^(-2)"),
+    ("GL3", "2*pi^(-1/2),-1*pi^(1),1*pi^(0)"),
+    ("G2", "-2*pi^(1/3),1*pi^(-2)"),
+    ("B2*T1", "1*pi^(0),2*pi^(-1),-1*pi^(3/2)"),
+    ("Gext(E6)", ",".join(["1*pi^(-1)", "-1*pi^(0)"] * 3 + ["2*pi^(1)"])),
+)
+
+
 def test_check_thm_rnu_builds_no_laurent_poly(monkeypatch):
     # the torus points are built first; their orbit sums are then read on
     # ints.  The GL2 point cancels to 0 in its orbit sum (d_c = -inf).
-    points = [(build_group(spec), parse_torus_point(a)) for spec, a in (
-        ("GL2", "1*pi^(-1),-1*pi^(-2)"),
-        ("GL3", "2*pi^(-1/2),-1*pi^(1),1*pi^(0)"),
-        ("G2", "-2*pi^(1/3),1*pi^(-2)"),
-        ("B2*T1", "1*pi^(0),2*pi^(-1),-1*pi^(3/2)"),
-        ("Gext(E6)", ",".join(["1*pi^(-1)", "-1*pi^(0)"] * 3 + ["2*pi^(1)"])),
-    )]
+    points = [(build_group(spec), parse_torus_point(a))
+              for spec, a in RNU_POINTS]
     expected = [check_thm_rnu(g, a) for g, a in points]
     assert expected[0]["d_c"] == (NEG_INF, 2)
     built = []
@@ -379,3 +384,25 @@ def test_check_thm_rnu_builds_no_laurent_poly(monkeypatch):
     assert built == []
     eval_c(*points[0])
     assert built  # the counter sees the values eval_c builds
+
+
+def test_check_thm_rnu_descends_on_ints(monkeypatch):
+    # nu_a descends to its dominant representative on its int form, on a
+    # warm and on a fresh datum; the report's nu_dominant is `Fraction`s
+    points = [(build_group(spec), parse_torus_point(a))
+              for spec, a in RNU_POINTS]
+    expected = [check_thm_rnu(g, a) for g, a in points]
+    seen = []
+    descend = RootDatum.dominant_rep
+
+    def counted(self, x):
+        seen.append(tuple(x))
+        return descend(self, x)
+
+    monkeypatch.setattr(RootDatum, "dominant_rep", counted)
+    for (g, a), rep in zip(points, expected):
+        assert check_thm_rnu(g, a) == rep and rep["pass"]
+        assert check_thm_rnu(build_group(g.label), a) == rep
+        assert all(type(c) is Q for c in rep["nu_dominant"])
+    assert len(seen) >= 2 * len(points)
+    assert all(type(c) is int for x in seen for c in x)
