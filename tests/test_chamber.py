@@ -187,6 +187,7 @@ def test_is_newton_point_matches_fraction_oracle(data):
     if want is None:
         assert got is None
         return
+    assert got is not None
     assert (got.point, got.levi, got.lift) == (want.point, want.levi,
                                                want.lift)
     assert all(type(c) is Q for c in got.point)
