@@ -225,16 +225,42 @@ def weyl_word(datum, w):
     return list(word)
 
 
-def _fixed_corank(w):
-    """rank(w - 1): the corank of the fixed space of a Weyl element."""
-    ident = exactlinalg.identity(len(w.matrix))
-    return exactlinalg.rank(
-        [[a - b for a, b in zip(r, e)] for r, e in zip(w.matrix, ident)])
-
-
 def defect(datum, nu):
     """Corank of the fixed space of w_nu, exact over the rationals."""
-    return _fixed_corank(w_nu(datum, nu))
+    return _w_nu_invariants(datum, nu)[1]
+
+
+def _w_nu_invariants(datum, nu):
+    """(word, rank(w - 1), sorted (d, multiplicity of Phi_d) pairs, fully
+    factored) for w = w_nu.  `section_s` runs for every lift, with all its
+    checks; the rest is built once per matrix of w, which depends only on
+    the class of nu, so the table keeps at most one entry per component
+    class, and a lift whose walk went wrong gets an entry of its own."""
+    w = w_nu(datum, nu)
+    return datum.memo("weyl_invariants", w.matrix, _build_weyl_invariants, w)
+
+
+def _build_weyl_invariants(datum, w):
+    """`weyl_word` certifies w a Weyl group element, so it has finite
+    order and its characteristic polynomial is a product of Phi_d with
+    phi(d) <= n; phi(d) >= sqrt(d/2) bounds the search by d <= 2n^2."""
+    word = tuple(weyl_word(datum, w))
+    ident = exactlinalg.identity(datum.n)
+    corank = exactlinalg.rank(
+        [[a - b for a, b in zip(r, e)] for r, e in zip(w.matrix, ident)])
+    poly = exactlinalg.charpoly(w.matrix)
+    mults = {}
+    for d in range(1, 2 * datum.n ** 2 + 1):
+        if poly == [1]:
+            break
+        phi_d = exactlinalg.cyclotomic(d)
+        while len(phi_d) <= len(poly):  # phi(d) <= the remaining degree
+            q, r = exactlinalg.poly_divmod(poly, phi_d)
+            if any(r):
+                break
+            poly = q
+            mults[d] = mults.get(d, 0) + 1
+    return word, corank, tuple(sorted(mults.items())), poly == [1]
 
 
 def _chis(datum, nu):
@@ -249,14 +275,13 @@ def chi(datum, i, nu):
 
 def verify_defect_identity(datum, nu):
     """Report comparing d_G, half the defect, and the character sum."""
-    w = section_s(datum, nu).linear
-    dfct = _fixed_corank(w)
+    word, dfct, _mults, _full = _w_nu_invariants(datum, nu)
     dg = d_G(datum, datum.central_part(nu[datum.l:]))
     chi_sum = sum(_chis(datum, nu), Q(0))
     ok = dg == Q(dfct, 2) and 2 * chi_sum == dfct
     return {
         "nu": [int(c) for c in nu[datum.l:]],
-        "w_word": [j + 1 for j in weyl_word(datum, w)],
+        "w_word": [j + 1 for j in word],
         "defect": dfct,
         "d_G": dg,
         "chi_sum_twice": 2 * chi_sum,
@@ -267,27 +292,13 @@ def verify_defect_identity(datum, nu):
 def reflection_char_multiset_check(datum, nu):
     """Galois-invariant form of the character decomposition.
 
-    Factors the characteristic polynomial of w_nu into cyclotomics and
-    matches, order by order, the multiplicities against the denominators
-    of the characters chi_i, requiring full unit-group orbits.  w_nu is
-    certified a Weyl group element by `_weyl_element`, so it has finite
-    order and its characteristic polynomial is a product of Phi_d with
-    phi(d) <= n; phi(d) >= sqrt(d/2) bounds the search by d <= 2n^2.
+    Reads the factorisation of the characteristic polynomial of w_nu into
+    cyclotomics from `_w_nu_invariants` and matches, order by order, the
+    multiplicities against the denominators of the characters chi_i,
+    requiring full unit-group orbits.
     """
-    w = w_nu(datum, nu)
-    poly = exactlinalg.charpoly([list(r) for r in w.matrix])
-    mults = {}
-    for d in range(1, 2 * datum.n ** 2 + 1):
-        if poly == [1]:
-            break
-        phi_d = exactlinalg.cyclotomic(d)
-        while len(phi_d) <= len(poly):  # phi(d) <= the remaining degree
-            q, r = exactlinalg.poly_divmod(poly, phi_d)
-            if any(r):
-                break
-            poly = q
-            mults[d] = mults.get(d, 0) + 1
-    fully_factored = poly == [1]
+    _word, _corank, mults, fully_factored = _w_nu_invariants(datum, nu)
+    mults = dict(mults)
     by_denom = {}
     for c in _chis(datum, nu):
         by_denom.setdefault(c.denominator, []).append(c)

@@ -158,8 +158,10 @@ def is_newton_point(datum, y):
     In omega-coordinates the lattice condition reduces to integrality of
     the coordinates away from the face.  A point of the wrong length or
     with -inf coordinates is not one.  y is read once, as the int form
-    (L, L y) of `RootDatum.scaled`, which the NewtonPoint carries; its
-    `Fraction`s are built from it.  RuntimeError unless p_M(lift) = y.
+    (L, L y) of `RootDatum.scaled`, which the NewtonPoint carries.  As in
+    `newton_points_below`, its coordinates off the face are the ints of
+    the lift and those on the face `Fraction`s.  RuntimeError unless
+    p_M(lift) = y.
     """
     try:
         scale, ints = datum.scaled(y)
@@ -169,7 +171,8 @@ def is_newton_point(datum, y):
     if negative or any(v % scale for i, v in enumerate(ints) if i not in face):
         return None
     lift = tuple([v // scale for v in ints])
-    point = tuple([Q(v, scale) for v in ints])
+    point = tuple([Q(v, scale) if i in face else m
+                   for i, (v, m) in enumerate(zip(ints, lift))])
     if datum.p_M(lift, face) != point:
         raise RuntimeError(f"lift {lift!r} does not project to {point!r}")
     np = NewtonPoint(point, face, lift)

@@ -7,6 +7,7 @@ read it.  No floating point anywhere.
 """
 
 import functools
+import operator
 
 
 def identity(n):
@@ -14,11 +15,8 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    nc = len(b[0])
-    return [
-        [sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(nc)]
-        for arow in a
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def charpoly(mat):

@@ -45,7 +45,10 @@ reference for the reverse search `RootDatum.orbit_tree`; `eval_char`
 evaluates one character at a torus point, the reference for the orbit
 sums that `toruseval` carries down that walk.  `charpoly` is the
 `Fraction` Faddeev-LeVerrier form of the integer `exactlinalg.charpoly`,
-and `det` a cofactor expansion to check both against.
+and `det` a cofactor expansion to check both against.  `mat_mul`, the
+triple-loop product that `charpoly`, `compose` and `matrix_order` use,
+is the reference for `exactlinalg.mat_mul`, so no oracle multiplies
+with the kernel it checks.
 
 `fraction_inverse` is Gauss-Jordan over `Fraction`: the KKT oracle's
 rational invariant form is inverted with it, so `retract_closest` shares
@@ -136,6 +139,13 @@ def mat_vec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
+def mat_mul(a, b):
+    """The product a b by the triple loop over rows, columns and the inner
+    index: the reference for `exactlinalg.mat_mul`."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
 @functools.cache
 def form_duals(datum):
     """Dual vectors v_j with B(v_j, .) = <alpha_j, .>."""
@@ -209,7 +219,7 @@ def compose(x, y):
                                         x.linear.act(y.translation)))
         return AffineWeylElement(t, compose(x.linear, y.linear))
     return WeylElement(tuple(
-        tuple(r) for r in exactlinalg.mat_mul(x.matrix, y.matrix)))
+        tuple(r) for r in mat_mul(x.matrix, y.matrix)))
 
 
 def matrix_order(m, cap=10000):
@@ -219,7 +229,7 @@ def matrix_order(m, cap=10000):
     for k in range(1, cap + 1):
         if acc == ident:
             return k
-        acc = exactlinalg.mat_mul(acc, m)
+        acc = mat_mul(acc, m)
     raise RuntimeError("matrix order exceeds cap")
 
 
@@ -547,7 +557,7 @@ def charpoly(mat):
         if k > 1:
             for i in range(n):
                 a[i][i] += coeffs[-1]
-            a = exactlinalg.mat_mul(m, a)
+            a = mat_mul(m, a)
         coeffs.append(-sum(a[i][i] for i in range(n)) / k)
     return coeffs[::-1]
 

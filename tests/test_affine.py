@@ -1,5 +1,6 @@
 """Extended affine Weyl group: section, defect, characters."""
 
+import copy
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from newtonstrata.rootdata import (
     OrbitGuardError, RootDatum, WeylElement, build_group)
 from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
+from oracles import charpoly as charpoly_fraction
 from oracles import (
     affine_generator, compose, highest_root, matrix_order, positive_roots,
     section_closed_form, weyl_product)
@@ -142,8 +144,9 @@ def test_defect_identity_reports():
     ("GL3", (0, 0, 1)), ("GL4", (0, 0, 0, 2)), ("Gext(E6)", (0,) * 6 + (1,))])
 def test_defect_and_character_checks_build_three_weyl_elements(
         monkeypatch, spec, lift):
-    # the report's w_word, its section and the character check's section:
-    # the character check takes the certified w_nu as it is built
+    # on a fresh datum: the two sections and the `weyl_word` certificate
+    # of the one "weyl_invariants" entry both reports read; on a repeat
+    # only the two sections, each with every certificate it has
     g = build_group(spec)
     calls = []
     build = affine._weyl_element
@@ -153,9 +156,70 @@ def test_defect_and_character_checks_build_three_weyl_elements(
         return build(datum, image)
 
     monkeypatch.setattr(affine, "_weyl_element", counted)
-    assert verify_defect_identity(g, lift)["pass"]
-    assert reflection_char_multiset_check(g, lift)["pass"]
-    assert len(calls) == 3
+    for builds in (3, 2):
+        calls.clear()
+        assert verify_defect_identity(g, lift)["pass"]
+        assert reflection_char_multiset_check(g, lift)["pass"]
+        assert len(calls) == builds
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_weyl_invariants_are_read_once_per_class(monkeypatch):
+    # the criterion 5 and 6 loop (every class, three lifts, both reports
+    # and the defect): `charpoly` runs once per table entry, the table
+    # keeps at most one entry per component class, and each entry is what
+    # the oracles give: the word's product is w, the cyclotomic factors
+    # multiply out to the Fraction charpoly, and rank(w - 1) is n less the
+    # multiplicity of Phi_1 (w has finite order)
+    polys = []
+    charpoly = exactlinalg.charpoly
+    monkeypatch.setattr(exactlinalg, "charpoly",
+                        lambda m: polys.append(m) or charpoly(m))
+    rng = random.Random(55)
+    for spec in ("GL8", "Gext(E6)", "Gext(E7)"):
+        g = build_group(spec)
+        classes = g.component_classes()
+        polys.clear()
+        for cls in classes:
+            for lift in (cls, random_lift(g, cls, rng),
+                         random_lift(g, cls, rng)):
+                rep = verify_defect_identity(g, lift)
+                assert rep["pass"]
+                assert reflection_char_multiset_check(g, lift)["pass"]
+                assert defect(g, lift) == rep["defect"]
+        table = g._memo["weyl_invariants"]
+        assert len(polys) == len(table) <= len(classes)
+        for matrix, (word, corank, mults, full) in table.items():
+            assert weyl_product(g, word).matrix == matrix
+            product = [1]
+            for d, mult in mults:
+                for _ in range(mult):
+                    product = _poly_mul(product, exactlinalg.cyclotomic(d))
+            assert full and product == charpoly_fraction(matrix)
+            assert corank == g.n - dict(mults).get(1, 0)
+
+
+def test_reports_share_nothing_with_the_table():
+    # a caller that changes a report changes neither the table nor the
+    # next report
+    g = build_group("Gext(E6)")
+    lift = (0,) * 6 + (1,)
+    reports = (verify_defect_identity(g, lift),
+               reflection_char_multiset_check(g, lift))
+    expect = copy.deepcopy(reports)
+    reports[0]["w_word"].reverse()
+    reports[0]["w_word"].append(0)
+    reports[1]["orders"][0]["cyclotomic_multiplicity"] += 1
+    reports[1]["orders"].append({})
+    assert (verify_defect_identity(g, lift),
+            reflection_char_multiset_check(g, lift)) == expect
 
 
 def test_weyl_element_certifies_its_rows(monkeypatch):

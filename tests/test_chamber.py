@@ -190,7 +190,9 @@ def test_is_newton_point_matches_fraction_oracle(data):
     assert got is not None
     assert (got.point, got.levi, got.lift) == (want.point, want.levi,
                                                want.lift)
-    assert all(type(c) is Q for c in got.point)
+    # as in `newton_points_below`: Fractions on the face, ints off it
+    assert [type(c) for c in got.point] == [
+        Q if i in got.levi else int for i in range(g.n)]
     assert all(type(m) is int for m in got.lift)
     assert "scaled" in vars(got) and got.scaled == scale_to_ints(got.point)
     if kind == "below":  # the enumerator's lift is 0 on the face

@@ -24,6 +24,7 @@ from newtonstrata.exactlinalg import (
 from newtonstrata.rationals import Q
 from oracles import charpoly as charpoly_fraction
 from oracles import det, fraction_inverse, mat_vec
+from oracles import mat_mul as mat_mul_loops
 
 
 def test_solve_and_inverse():
@@ -51,6 +52,34 @@ def test_inverse_needs_square():
     for mat in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
         with pytest.raises(ValueError):
             inverse(mat)
+
+
+SCALARS = st.one_of(st.integers(-50, 50),
+                    st.fractions(-50, 50, max_denominator=12))
+
+
+@given(st.data(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["int", "fraction"]))
+def test_mat_mul_matches_triple_loop(data, rows, inner, cols, kind):
+    # rectangular shapes, 1 x k and k x 1 among them; exact on ints and
+    # on Fractions alike, and ints stay ints
+    entries = st.integers(-50, 50) if kind == "int" else SCALARS
+    a = data.draw(_matrix(rows, inner, entries))
+    b = data.draw(_matrix(inner, cols, entries))
+    got = mat_mul(a, b)
+    assert got == mat_mul_loops(a, b)
+    assert len(got) == rows and all(len(row) == cols for row in got)
+    if kind == "int":
+        assert all(type(x) is int for row in got for x in row)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1, 2, 3]], [[4], [5], [6]]),  # 1 x k times k x 1
+    ([[4], [5], [6]], [[1, 2, 3]]),  # k x 1 times 1 x k
+    ([[Q(1, 2), Q(-1, 3)]], [[Q(2)], [Q(3)]]),
+])
+def test_mat_mul_thin_shapes(a, b):
+    assert mat_mul(a, b) == mat_mul_loops(a, b)
 
 
 def test_charpoly_constant_first():
@@ -144,8 +173,8 @@ def test_mat_vec():
 _ENTRY = st.integers(-5, 5)
 
 
-def _matrix(rows, cols):
-    return st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+def _matrix(rows, cols, entries=_ENTRY):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
 

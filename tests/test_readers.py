@@ -60,6 +60,37 @@ def test_readers_agree_on_certified_and_plain_points(data):
             assert g.leq(a, b.point) is g.leq(a.point, b) is expect
 
 
+def _certified(np):
+    """repr of the point and face of a NewtonPoint.  The lifts differ:
+    the certificate's is the floor of the point, the enumerator's 0 on
+    the face.  Both are printed, so each is checked by p_M(lift) = point
+    instead."""
+    return repr((np.point, np.levi))
+
+
+def test_certificate_and_enumerator_agree_on_gl3_top():
+    g = build_group("GL3")
+    assert repr(is_newton_point(g, (2, 3, 3))) \
+        == repr(newton_points_below(g, (2, 3, 3))[-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_certificate_and_enumerator_build_one_point(data):
+    # `is_newton_point` and `newton_points_below` give one point the same
+    # coordinate types: ints off the face, Fractions on it
+    g = build_group(data.draw(st.sampled_from(GROUPS)))
+    raw = data.draw(st.tuples(*[st.integers(-3, 3)] * g.n))
+    mu = g.dominant_rep(tuple(Q(c) for c in raw))[0]
+    points = newton_points_below(g, mu)
+    nu = points[data.draw(st.integers(0, len(points) - 1))]
+    p = tuple(Q(c) for c in nu.point)
+    found = [is_newton_point(g, p), newton_points_below(g, p)[-1], nu]
+    assert len({_certified(np) for np in found}) == 1
+    for np in found:
+        assert g.p_M(np.lift, np.levi) == np.point
+
+
 # a fixed criterion-8 input: the dominant representative of
 # (1, -1, 2, -1) on F4, with 111 Newton points below it
 F4_MU = (Q(8), Q(15), Q(11), Q(6))

@@ -114,6 +114,39 @@ def test_memo_is_the_only_cache_on_a_root_datum():
                      "_memo")
 
 
+# Every `memo` table in src/, with what bounds its number of entries on
+# one datum (l simple roots, n coordinates).
+MEMO_TABLES = {
+    "pm": "one per subset of the simple roots: at most 2^l",
+    "levi": "one per subset of the simple roots: at most 2^l",
+    "face_forms": "one per face, a subset of the simple roots: at most 2^l",
+    "central": "unbounded: keyed by the raw torus coordinates it is given,"
+    " so it grows with the number of distinct inputs",
+    "orbit_skeleton": "one per fundamental weight omega_k: at most l",
+    "orbit_coordinate_bounds": "one entry",
+    "affine_tables": "one entry",
+    "affine_cartan": "one entry",
+    "weyl_invariants": "keyed by the matrix of w_nu, which depends only on"
+    " the class of nu: at most one per component class",
+}
+
+
+def test_every_memo_table_is_listed_with_its_bound():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "memo"):
+                table = node.args[0]
+                # a computed table name could not be listed here
+                assert isinstance(table, ast.Constant), \
+                    f"{path.name}:{node.lineno}"
+                found.add(table.value)
+    assert sorted(found - MEMO_TABLES.keys()) == []  # list it, with its bound
+    assert sorted(MEMO_TABLES.keys() - found) == []  # a stale entry
+
+
 # Each snippet breaks one certificate; run under `python -O`, it prints
 # whether the call raised that certificate's RuntimeError (its message
 # holds `expect`), and __debug__: the certificate is a raise, not an
