@@ -1,6 +1,7 @@
 """Extended affine Weyl group: alcove reduction, the base-alcove section,
 defect, and the character decomposition of the reflection representation."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -8,6 +9,10 @@ from . import dynkin, exactlinalg
 from .rationals import Q, frac_part, scale_to_ints
 from .rootdata import OrbitGuardError, WeylElement
 from .strata import d_G
+
+# The most reflections `alcove_reduce` makes, and the most l(t_nu) that
+# `section_s` accepts, before raising OrbitGuardError.
+ALCOVE_GUARD = 100000
 
 
 @dataclass(frozen=True)
@@ -110,25 +115,23 @@ def _pairings(roots, den, point, t):
 
 
 def _weyl_element(datum, image):
-    """(w, word) with w(den * p0) = image, which fixes w as p0 is regular:
-    `dominant_rep` descends the image along `word`, and w = s_{word[0]}
-    ... s_{word[-1]} is built from the identity, each s_j changing row j.
-    RuntimeError if the descent misses den * p0 or w misses the image."""
-    _roots, _den, p0 = _affine_tables(datum)
+    """(w, word, y): `dominant_rep` descends the image to the dominant y
+    along `word`, and w = s_{word[0]} ... s_{word[-1]} is built from the
+    identity, each s_j changing row j, so that w(y) = image; w is fixed
+    when y is regular.  RuntimeError if w misses the image."""
     y, word = datum.dominant_rep(image)
-    if y != p0:
-        raise RuntimeError("descent failed: not a Weyl group element")
+    coords = [datum.root_coords(j) for j in range(datum.l)]
     rows = exactlinalg.identity(datum.n)
     for j in reversed(word):
         row = rows[j]
-        for c, r in zip(datum.root_coords(j), rows):
+        for c, r in zip(coords[j], rows):
             if c:
                 row = [a - c * b for a, b in zip(row, r)]
         rows[j] = row
     w = WeylElement(tuple(map(tuple, rows)))
-    if w.act(p0) != tuple(image):
+    if w.act(y) != tuple(image):
         raise RuntimeError("rebuilt Weyl element misses the image")
-    return w, word
+    return w, word, y
 
 
 def alcove_reduce(datum, x):
@@ -144,9 +147,13 @@ def alcove_reduce(datum, x):
     once from each generator's total val and shift, and their pairings
     must equal the carried ones, a certificate of the incremental state
     (RuntimeError otherwise).  The linear part is read off the end point
-    minus den * t by `_weyl_element`.  Raises RuntimeError on a 0 pairing
-    before the first negative one (the sample point is on an affine wall)
-    and OrbitGuardError at 100,000 reflections.
+    minus den * t by `_weyl_element`, whose descent must end at den * p0.
+    Raises RuntimeError on a 0 pairing before the first negative one (the
+    sample point is on an affine wall) and OrbitGuardError at
+    ALCOVE_GUARD reflections.
+
+    `section_s` finds x0 for a translation without this walk; the walk
+    stays as its test reference.
     """
     roots, den, p0 = _affine_tables(datum)
     cols = _affine_cartan(datum)
@@ -171,8 +178,9 @@ def alcove_reduce(datum, x):
             vals[r] -= val * c
             shifts[r] -= shift * c
         word.append(roots[s][2])
-        if len(word) >= 100000:
-            raise OrbitGuardError("alcove reduction exceeds guard 100000")
+        if len(word) >= ALCOVE_GUARD:
+            raise OrbitGuardError(
+                f"alcove reduction exceeds guard {ALCOVE_GUARD}")
     for (_lam, _k, _gid, h), dv, ds in zip(roots, total_val, total_shift):
         for i, c in enumerate(h):
             if c:
@@ -181,27 +189,122 @@ def alcove_reduce(datum, x):
     if _pairings(roots, den, point, t) != (vals, shifts):
         raise RuntimeError("alcove walk pairings disagree with the end point")
     image = [p - den * s for p, s in zip(point, t)]
-    return AffineWeylElement(tuple(t), _weyl_element(datum, image)[0]), word
+    w, _word, end = _weyl_element(datum, image)
+    if end != p0:
+        raise RuntimeError("descent failed: not a Weyl group element")
+    return AffineWeylElement(tuple(t), w), word
 
 
 def stabilizes_base_alcove(datum, x):
     """True iff x permutes the set of simple affine roots, tested on the
-    roots pulled back along x: (lam, k) -> (lam o linear, <lam, t> + k)."""
+    roots pulled back along x: (lam, k) -> (lam o linear, <lam, t> + k).
+    lam o linear is the combination of the rows of the matrix with the
+    nonzero coefficients of lam."""
     roots = simple_affine_roots(datum)
     rows, t = x.linear.matrix, x.translation
-    pulled = {
-        (tuple(sum(c * r[j] for c, r in zip(lam, rows) if c)
-               for j in range(datum.n)),
-         sum(c * s for c, s in zip(lam, t) if c) + k)
-        for lam, k, _g, _h in roots
-    }
+    pulled = set()
+    for lam, k, _g, _h in roots:
+        row = (0,) * datum.n
+        for c, r in zip(lam, rows):
+            if c:
+                row = [a + c * b for a, b in zip(row, r)]
+        pulled.add((tuple(row), sum(c * s for c, s in zip(lam, t) if c) + k))
     return pulled == {(lam, k) for lam, k, _g, _h in roots}
+
+
+def _alcove_vertices(datum):
+    """(den, vertices, weights): den from `pm_solver` over all simple
+    roots, the vertices of the closed base alcove that can be integral,
+    less the central part, as the int vectors den * v, and den times the
+    coefficients k_j of 2 rho = sum_j k_j alpha_j (the sum of the positive
+    roots); built once per datum."""
+    return datum.memo("alcove_vertices", None, _build_alcove_vertices)
+
+
+def _build_alcove_vertices(datum):
+    """The fundamental coweight varpi_j^vee is column j of adj / den, with
+    torus part 0, and 2 rho pairs to 2 with every simple coroot, so den
+    k_j = 2 sum_i adj[i][j].  A vertex of the closed base alcove is, up to
+    the central part, a sum over the factors of 0 or varpi_j^vee / m_j;
+    only the m_j = 1 are kept, as the elements of Omega carry the special
+    vertex 0 to exactly those.  m_j = <theta, varpi_j^vee> is read off the
+    affine root (-theta, 1) of the factor."""
+    n, l = datum.n, datum.l
+    _idx, adj, den = datum.pm_solver(frozenset(range(l)))
+    coweights = [tuple(adj[i][j] if i < l else 0 for i in range(n))
+                 for j in range(l)]
+    picks = []
+    for lam, _k, gid, _h in _affine_tables(datum)[0]:
+        if gid < 0:
+            picks.append([(0,) * n] + [
+                coweights[j] for j in datum.factors[-gid - 1].indices
+                if -sum(c * v for c, v in zip(lam, coweights[j])) == den])
+    vertices = tuple(tuple(map(sum, zip((0,) * n, *pick)))
+                     for pick in itertools.product(*picks))
+    weights = tuple(2 * sum(col) for col in zip(*adj))
+    return den, vertices, weights
+
+
+def _translation_length(datum, nu):
+    """l(t_nu) = sum over the positive roots alpha of |<alpha, nu>|, the
+    length of `alcove_reduce`'s word for t_nu: <2 rho, dom(nu)>, read off
+    the descent of nu to dom(nu) as sum_j k_j <alpha_j, dom(nu)>."""
+    den, _vertices, weights = _alcove_vertices(datum)
+    dom = datum.dominant_rep(nu)[0]
+    return Q(sum(k * datum.root_pairing(j, dom)
+                 for j, k in enumerate(weights)), den)
 
 
 def section_s(datum, nu):
     """The base-alcove section of the quotient map, evaluated at the class
-    of the integral lift nu (its last n - l coordinates)."""
-    x0, _word = alcove_reduce(datum, translation(datum, nu))
+    of the integral lift nu (its last n - l coordinates): the one element
+    x0 = (p, w) of Omega, the stabilizer of the base alcove, in
+    t_nu W_aff, in closed form (N. Iwahori and H. Matsumoto, Publ. Math.
+    IHES 25, 1965), with no alcove walk.
+
+    x0 carries the special vertex 0 to p, so p is the one integral vertex
+    of the closed base alcove in nu + Q^vee: the central part of nu's tail
+    plus one of the `_alcove_vertices`, tested for integrality on ints.
+    x0 carries a point y of the open alcove to the interior point p0, so y
+    is the dominant point of the orbit of p0 - p and w is rebuilt along
+    its descent by `_weyl_element` (on den p0 - den p, with den from the
+    affine tables), which checks that w hits that image.
+
+    The checks certify x0: p is integral and w a product of simple
+    reflections, so x0 lies in the extended affine Weyl group; its tail
+    is nu's, so p - nu lies in Q^vee (the simple coroots are the first l
+    basis vectors) and x0 lies in t_nu W_aff; and it stabilizes the base
+    alcove.  Omega meets each class of X_* / Q^vee exactly once, so x0 is
+    the element `alcove_reduce` walks to from t_nu.  RuntimeError unless
+    exactly one vertex is integral, and on any failed check.
+
+    OrbitGuardError where that walk would: when its length l(t_nu)
+    reaches ALCOVE_GUARD.  l(t_nu) <= sum_j k_j |<alpha_j, nu>|, so the
+    descent of nu in `_translation_length` runs only when that bound
+    reaches the guard."""
+    nu = datum.point(nu, integral=True)
+    den, vertices, weights = _alcove_vertices(datum)
+    bound = sum(k * abs(datum.root_pairing(j, nu))
+                for j, k in enumerate(weights))
+    if (bound >= ALCOVE_GUARD * den
+            and _translation_length(datum, nu) >= ALCOVE_GUARD):
+        raise OrbitGuardError(f"alcove reduction exceeds guard {ALCOVE_GUARD}")
+    scale, central = scale_to_ints(datum.central_part(nu[datum.l:]))
+    big = scale * den
+    p = None
+    for v in vertices:
+        sums = [c * den + a * scale for c, a in zip(central, v)]
+        if all(x % big == 0 for x in sums):
+            if p is not None:
+                raise RuntimeError("two integral vertices of the base alcove"
+                                   " in the class of nu")
+            p = tuple(x // big for x in sums)
+    if p is None:
+        raise RuntimeError("no integral vertex of the base alcove in the"
+                           " class of nu")
+    _roots, den0, p0 = _affine_tables(datum)
+    w, _word, _y = _weyl_element(datum, [a - den0 * b for a, b in zip(p0, p)])
+    x0 = AffineWeylElement(p, w)
     if x0.translation[datum.l:] != tuple(nu[datum.l:]):
         raise RuntimeError("alcove reduction changed the class of nu")
     if not stabilizes_base_alcove(datum, x0):
@@ -219,8 +322,8 @@ def weyl_word(datum, w):
     descent of the image of the base-alcove point, which gives w back
     through `_weyl_element` exactly when w is a Weyl group element."""
     _roots, _den, p0 = _affine_tables(datum)
-    found, word = _weyl_element(datum, w.act(p0))
-    if found.matrix != w.matrix:
+    found, word, end = _weyl_element(datum, w.act(p0))
+    if end != p0 or found.matrix != w.matrix:
         raise RuntimeError("descent failed: not a Weyl group element")
     return list(word)
 

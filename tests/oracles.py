@@ -36,9 +36,11 @@ which take theta^vee from `dominant_rep`.  `section_closed_form` gives
 the element that fixes the base alcove in the class of a lift with no
 walk at all (Iwahori-Matsumoto): its translation is the one integral
 vertex of the closed alcove in the lift's class, and its linear part the
-descent of an interior point minus that vertex.  It shares no code with
-`affine`, so it checks `section_s` and reaches lifts past the walk's
-guard.
+descent of an interior point minus that vertex.  `section_s` computes
+the same element on ints, and `alcove_reduce` walks to it; this form
+shares no code with `affine` (it tries every vertex on `Fraction`s and
+multiplies reflection matrices), so it checks both, and it reaches lifts
+past their guard.
 
 `weyl_orbit` is the breadth-first orbit walk with a visited set, the
 reference for the reverse search `RootDatum.orbit_tree`; `eval_char`

@@ -452,6 +452,124 @@ def test_closed_form_defect_beyond_the_guard():
         defect(g, lift)
 
 
+@pytest.mark.parametrize("spec", sorted(CLOSED_FORM_GROUPS))
+@given(st.data())
+def test_section_matches_the_walk(spec, data):
+    # the closed form equals the element the alcove walk reaches from the
+    # translation, on a lift of every class (the class plus a drawn coroot
+    # combination), and the guard's length l(t_nu) is the walk's length
+    g = CLOSED_FORM_GROUPS[spec]
+    offset = data.draw(st.lists(st.integers(-8, 8), min_size=g.l,
+                                max_size=g.l))
+    for cls in g.component_classes():
+        lift = tuple(c + q for c, q in zip(cls, offset)) + cls[g.l:]
+        x0, word = alcove_reduce(g, translation(g, lift))
+        assert section_s(g, lift) == x0
+        assert affine._translation_length(g, lift) == len(word)
+
+
+def test_section_guard_boundary_gl2():
+    # the guard reads l(t_nu), the walk's length: (0, k) has length k, and
+    # the guard fires at 100,000 as the walk's does
+    g = build_group("GL2")
+    assert section_s(g, (0, 99999)) == section_closed_form(g, (0, 99999))
+    with pytest.raises(OrbitGuardError, match="exceeds guard 100000"):
+        section_s(g, (0, 100000))
+
+
+def test_section_descends_nu_only_past_the_bound(monkeypatch):
+    # an ordinary lift costs one descent (the linear part's); a lift whose
+    # bound sum_j k_j |<alpha_j, nu>| reaches the guard also descends nu,
+    # and passes when l(t_nu) stays below it: on GL3 (10000, -10000, 0)
+    # pairs to (30000, -30000), bound 120,000 and length 60,000
+    g = build_group("GL3")
+    section_s(g, (0, 0, 0))  # the affine tables descend theta^vee
+    descents = []
+    dominant_rep = RootDatum.dominant_rep
+    monkeypatch.setattr(RootDatum, "dominant_rep", lambda self, x: (
+        descents.append(x) or dominant_rep(self, x)))
+    section_s(g, (5, -7, 2))
+    assert len(descents) == 1
+    lift = (10000, -10000, 0)
+    expect = section_closed_form(g, lift)
+    descents.clear()
+    assert section_s(g, lift) == expect
+    assert len(descents) == 2 and descents[0] == lift
+    assert affine._translation_length(g, lift) == 60000
+
+
+def _planted_vertices(g, change):
+    """A fresh copy of the datum g whose vertex table holds change(den,
+    vertices) in place of the vertices."""
+    fresh = build_group(g.label)
+    den, vertices, weights = affine._build_alcove_vertices(fresh)
+    fresh.memo("alcove_vertices", None,
+               lambda d: (den, change(den, vertices), weights))
+    return fresh
+
+
+@pytest.mark.parametrize("spec", ["GL3", "Gext(E6)", "GL4*Gext(B3)"])
+def test_section_vertex_certificate_fires(spec):
+    # a vertex table with every vertex moved off the lattice has no
+    # integral vertex; one with each vertex also moved by den e_1 has two;
+    # real raises, not asserts that python -O would strip
+    g = build_group(spec)
+    lift = g.component_classes()[-1]
+    off = _planted_vertices(g, lambda den, vs: tuple(
+        (v[0] + 1,) + v[1:] for v in vs))
+    with pytest.raises(RuntimeError, match="no integral vertex"):
+        section_s(off, lift)
+    twice = _planted_vertices(g, lambda den, vs: vs + tuple(
+        (v[0] + den,) + v[1:] for v in vs))
+    with pytest.raises(RuntimeError, match="two integral vertices"):
+        section_s(twice, lift)
+    assert section_s(g, lift) == section_closed_form(g, lift)
+
+
+def test_section_checks_the_descent(monkeypatch):
+    # a descent that reports one reflection too many rebuilds a w that
+    # misses the image
+    g = build_group("GL3")
+    dominant_rep = RootDatum.dominant_rep
+
+    def longer(self, x):
+        y, word = dominant_rep(self, x)
+        return y, word + (0,)
+
+    monkeypatch.setattr(RootDatum, "dominant_rep", longer)
+    with pytest.raises(RuntimeError, match="misses the image"):
+        section_s(g, (0, 0, 1))
+
+
+def test_alcove_reduce_checks_the_descent_end(monkeypatch):
+    # a descent that stops one reflection early still rebuilds a w that
+    # hits its image, but ends off den * p0: the walk's linear part is
+    # refused
+    g = build_group("GL3")
+    section_s(g, (0, 0, 0))  # the affine tables descend theta^vee
+    dominant_rep = RootDatum.dominant_rep
+
+    def early(self, x):
+        y, word = dominant_rep(self, x)
+        y = list(y)
+        y[word[-1]] -= self.root_pairing(word[-1], y)  # undo the last s_j
+        return tuple(y), word[:-1]
+
+    monkeypatch.setattr(RootDatum, "dominant_rep", early)
+    with pytest.raises(RuntimeError, match="descent failed"):
+        alcove_reduce(g, translation(g, (0, 0, 1)))
+
+
+def test_section_checks_the_class():
+    # a corrupted central part moves the tail of the vertex: x0 would lie
+    # in another class than nu
+    central = build_group("GL3").central_part((1,))
+    g = build_group("GL3")  # fresh datum: its own memo
+    g.memo("central", (1,), lambda d: central[:2] + (central[2] + 1,))
+    with pytest.raises(RuntimeError, match="changed the class of nu"):
+        section_s(g, (4, -2, 1))
+
+
 FORMULA_GROUPS = {s: build_group(s) for s in (
     "GL4", "Gext(D4)", "B2*A1", "GL8", "Gext(E6)", "Gext(E7)")}
 

@@ -44,6 +44,8 @@ KEPT = {
     "affine.chi": "the paper's character chi_i; the acceptance gate"
     " checks it",
     "affine.defect": "the paper's defect; acceptance criterion 5 checks it",
+    "affine.alcove_reduce": "perfbench hooks its span (layers.py HOOKS,"
+    " alcove_word_len), and it is the test reference for `section_s`",
     "strata.StratumConditions.accepts": "membership in a stratum, the"
     " paper's condition system; acceptance criterion 4 checks it",
     "rootdata.RootDatum.leq": "the partial order on points; the library"
@@ -126,6 +128,7 @@ MEMO_TABLES = {
     "orbit_coordinate_bounds": "one entry",
     "affine_tables": "one entry",
     "affine_cartan": "one entry",
+    "alcove_vertices": "one entry",
     "weyl_invariants": "keyed by the matrix of w_nu, which depends only on"
     " the class of nu: at most one per component class",
 }
@@ -171,6 +174,15 @@ RootDatum.root_coords = lambda self, j: tuple(
     c + (j == 0) for c in coords(self, j))
 call = lambda: section_s(g, (0, 0, 1))
 expect = "misses the image"
+""",
+    "section_s vertex": """
+from newtonstrata import affine
+from newtonstrata.rootdata import build_group
+g = build_group("GL3")
+den, vertices, weights = affine._build_alcove_vertices(g)
+g.memo("alcove_vertices", None, lambda d: (den, (), weights))
+call = lambda: affine.section_s(g, (0, 0, 1))
+expect = "no integral vertex"
 """,
 }
 CATCH = """
