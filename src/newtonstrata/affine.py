@@ -3,11 +3,10 @@ defect, and the character decomposition of the reflection representation."""
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import dynkin, exactlinalg
 from .rationals import Q, frac_part, scale_to_ints
-from .rootdata import OrbitGuardError, WeylElement
+from .rootdata import OrbitGuardError, WeylElement, record
 from .strata import d_G
 
 # The most reflections `alcove_reduce` makes, and the most l(t_nu) that
@@ -15,7 +14,7 @@ from .strata import d_G
 ALCOVE_GUARD = 100000
 
 
-@dataclass(frozen=True)
+@record()
 class AffineWeylElement:
     """Pair (translation, linear part) acting as v -> linear(v) + translation."""
 

@@ -12,20 +12,19 @@ unit vectors, and certifies each point it finds with `project` again.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
 from . import rootdata
 from .rationals import NEG_INF, Q, fmt_point, qceil, scale_to_ints
-from .rootdata import OrbitGuardError
+from .rootdata import OrbitGuardError, record
 
 
 class RetractionError(RuntimeError):
     """Internal consistency failure in the retraction (indicates a bug)."""
 
 
-@dataclass(frozen=True)
+@record()
 class NewtonPoint:
     """A dominant rational point with parabolic face and integral lift.
 

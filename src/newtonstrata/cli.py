@@ -1,12 +1,15 @@
 """Command-line front end: parse group specs and points, dispatch, emit
-JSON (default), text, or DOT deterministically."""
+JSON (default), text, or DOT deterministically.
+
+Each `cmd_*` handler imports the modules it calls, so a cold process
+loads only what its subcommand runs (`describe` needs `rootdata` alone).
+"""
 
 import argparse
 import json
 import re
 import sys
 
-from . import affine, chamber, strata, toruseval, verify
 from .rationals import fmt_point, fmt_scalar, parse_point
 from .rootdata import OrbitGuardError, build_group
 
@@ -18,6 +21,7 @@ def _is_gln(datum):
 
 
 def _slopes(point):
+    from . import toruseval
     return [fmt_scalar(s) for s in toruseval.coords_to_slopes(point)]
 
 
@@ -74,6 +78,7 @@ def cmd_describe(datum, args):
 
 
 def cmd_retract(datum, args):
+    from . import chamber
     y, face = _arg(chamber.retract, datum, args.d, "--d")
     payload = {"y": fmt_point(y), "levi": sorted(j + 1 for j in face)}
     if _is_gln(datum):
@@ -83,7 +88,8 @@ def cmd_retract(datum, args):
 
 
 def cmd_stratum(datum, args):
-    np = _arg(strata.stratum_of, datum, args.d, "--d")
+    from . import chamber
+    np = _arg(chamber.stratum_of, datum, args.d, "--d")
     payload = np.to_json()
     if _is_gln(datum):
         payload["slopes"] = _slopes(np.point)
@@ -92,6 +98,7 @@ def cmd_stratum(datum, args):
 
 
 def cmd_conditions(datum, args):
+    from . import chamber, strata
     mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
     conds = strata.stratum_conditions(datum, mu, closed=args.closed)
     _emit(args, conds.to_json())
@@ -99,12 +106,14 @@ def cmd_conditions(datum, args):
 
 
 def cmd_dim(datum, args):
+    from . import chamber, strata
     mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
     _emit(args, {"dim": strata.dim_leq(datum, mu)})
     return 0
 
 
 def cmd_codim(datum, args):
+    from . import chamber, strata
     nu = _arg(chamber.newton_point, datum, args.nu, "--nu")
     mu = _arg(chamber.newton_point, datum, args.mu, "--mu")
     if args.chai:
@@ -118,6 +127,7 @@ def cmd_codim(datum, args):
 
 
 def cmd_newton_points(datum, args):
+    from . import chamber
     points = _arg(chamber.newton_points_below, datum, args.mu, "--mu")
     if args.dot:
         print(chamber.hasse_dot(datum, points))
@@ -127,6 +137,7 @@ def cmd_newton_points(datum, args):
 
 
 def cmd_defect(datum, args):
+    from . import affine
     rep = _arg(affine.verify_defect_identity, datum, args.nu, "--nu")
     payload = {
         "nu": rep["nu"],
@@ -140,12 +151,14 @@ def cmd_defect(datum, args):
 
 
 def cmd_dg(datum, args):
+    from . import strata
     # d_G is defined for every finite point, not only for Newton points
     _emit(args, {"d_G": fmt_scalar(_arg(strata.d_G, datum, args.nu, "--nu"))})
     return 0
 
 
 def cmd_eval(datum, args):
+    from . import toruseval
     a = toruseval.parse_torus_point(args.a)
     values, d_c = toruseval.eval_c(datum, a)
     payload = {
@@ -158,6 +171,7 @@ def cmd_eval(datum, args):
 
 
 def cmd_verify(datum, args):
+    from . import verify
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]

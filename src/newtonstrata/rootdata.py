@@ -10,7 +10,7 @@ formats shifts to 1-based.
 """
 
 import itertools
-from dataclasses import dataclass
+import operator
 
 from . import dynkin, exactlinalg
 from .rationals import NEG_INF, Q, scale_to_ints
@@ -29,7 +29,78 @@ class OrbitGuardError(RuntimeError):
     """Raised when an orbit or lattice enumeration exceeds its size guard."""
 
 
-@dataclass(frozen=True)
+class FrozenError(AttributeError):
+    """Raised on assigning to or deleting an attribute of a `record`."""
+
+
+def _refuse_set(self, name, value):
+    raise FrozenError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenError(f"cannot delete field {name!r}")
+
+
+def _bind(cls, names, args, kwargs):
+    """The values of a record's fields, in order, from a call that names
+    some of them by keyword."""
+    values = dict(zip(names, args), **kwargs)
+    if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+        raise TypeError(f"{cls.__name__}() takes {', '.join(names)},"
+                        " each once, by position or keyword")
+    return [values[name] for name in names]
+
+
+def record(*hidden):
+    """Class decorator for a frozen value class: what
+    `dataclass(frozen=True)` gives these classes, without importing
+    `dataclasses` or generating code.  The fields are the class
+    annotations, in order.  It adds an `__init__` taking them by
+    position or keyword (then calling `__post_init__`, if the class has
+    one), and a `__repr__`, `__eq__` and `__hash__` over the fields not
+    named in `hidden`; assigning or deleting an attribute raises
+    FrozenError.  Instances keep their `__dict__`, where a
+    `cached_property` stores its value."""
+
+    def build(cls):
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        keys = tuple(name for name in names if name not in hidden)
+        get = operator.attrgetter(*keys)
+        key = get if len(keys) > 1 else lambda self: (get(self),)
+        post = hasattr(cls, "__post_init__")
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(names):
+                args = _bind(cls, names, args, kwargs)
+            self.__dict__.update(zip(names, args))
+            if post:
+                self.__post_init__()
+
+        def __repr__(self):
+            fields = ", ".join(f"{name}={value!r}"
+                               for name, value in zip(keys, key(self)))
+            return f"{self.__class__.__qualname__}({fields})"
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__init__ = __init__
+        cls.__repr__ = __repr__
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+        cls.__setattr__ = _refuse_set
+        cls.__delattr__ = _refuse_delete
+        return cls
+
+    return build
+
+
+@record()
 class Factor:
     """One irreducible semisimple factor: Bourbaki type plus datum indices."""
 
@@ -38,7 +109,7 @@ class Factor:
     indices: tuple  # datum coordinate indices of its simple roots, Bourbaki order
 
 
-@dataclass(frozen=True)
+@record()
 class WeylElement:
     """Weyl group element: integer matrix acting on omega-coordinates."""
 

@@ -1,20 +1,19 @@
 """Newton stratum membership conditions, dimensions, codimensions, d_G."""
 
-from dataclasses import dataclass, field
-
 from .chamber import (  # noqa: F401
     NewtonPoint, face_of, newton_point, stratum_of)
 from .rationals import NEG_INF, Q, fmt_scalar
+from .rootdata import record
 
 
-@dataclass(frozen=True)
+@record("datum")
 class StratumConditions:
     """Valuation conditions cutting out a stratum (open) or its closure."""
 
     mu: NewtonPoint
     closed: bool
     relations: tuple  # (index, "<=" or "==", bound)
-    datum: object = field(repr=False, compare=False)
+    datum: object  # out of repr, == and hash
 
     def accepts(self, d):
         """Whether the valuation vector d (-inf allowed in the first l

@@ -7,10 +7,10 @@ a sum is the negated minimum exponent.
 
 import math
 import re
-from dataclasses import dataclass
 
 from .chamber import retract
 from .rationals import NEG_INF, Q, fmt_scalar, scale_to_ints
+from .rootdata import record
 from .strata import index_set
 
 
@@ -95,7 +95,7 @@ class LaurentPoly:
         )
 
 
-@dataclass(frozen=True)
+@record()
 class TorusPoint:
     """Point of the torus given by its tuple of omega-character values,
     each an invertible monomial."""

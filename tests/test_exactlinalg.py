@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newtonstrata import dynkin
+from newtonstrata import dynkin, exactlinalg
 from newtonstrata.exactlinalg import (
     charpoly,
     cyclotomic,
@@ -20,6 +20,7 @@ from newtonstrata.exactlinalg import (
     poly_divmod,
     rank,
     smith_normal_form,
+    unimodular_inverse,
 )
 from newtonstrata.rationals import Q
 from oracles import charpoly as charpoly_fraction
@@ -152,6 +153,27 @@ def test_cyclotomic():
     for d in divisors(12):
         prod = poly_mul(prod, cyclotomic(d))
     assert prod == [-1] + [0] * 11 + [1]
+
+
+def test_cyclotomic_remainder_raises(monkeypatch):
+    # the cache is shared by the whole process: nothing built under the
+    # planted division may outlive this test
+    cyclotomic.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(exactlinalg, "poly_divmod", lambda a, b: ([0], [1]))
+            with pytest.raises(RuntimeError, match="cyclotomic division"
+                               " left a remainder at d=6"):
+                cyclotomic(6)
+    finally:
+        cyclotomic.cache_clear()
+    assert cyclotomic(6) == [1, -1, 1]
+
+
+def test_unimodular_inverse():
+    assert unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(RuntimeError, match="matrix is not unimodular"):
+        unimodular_inverse([[2, 0], [0, 1]])
 
 
 def test_poly_divmod():

@@ -46,6 +46,8 @@ KEPT = {
     "affine.defect": "the paper's defect; acceptance criterion 5 checks it",
     "affine.alcove_reduce": "perfbench hooks its span (layers.py HOOKS,"
     " alcove_word_len), and it is the test reference for `section_s`",
+    "affine.translation": "the tests' constructor for `alcove_reduce`;"
+    " it moves with `alcove_reduce` to the test oracles",
     "strata.StratumConditions.accepts": "membership in a stratum, the"
     " paper's condition system; acceptance criterion 4 checks it",
     "rootdata.RootDatum.leq": "the partial order on points; the library"
@@ -68,21 +70,40 @@ def _public_defs(tree, module):
                     yield f"{module}.{node.name}.{item.name}", item
 
 
-def _references(tree, inside=None):
-    """Every name read in `tree`, as a Name or an attribute, except in
-    the body of a function named `inside` (a call to itself)."""
-    names = set()
+def _reads(tree, inside=None):
+    """What `tree` reads (Load context only), except in the body of a
+    function named `inside` (a call to itself): the set of bare names,
+    and the set of attribute reads as (the bare name the attribute is
+    read off, or None; the attribute)."""
+    names, attrs = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, ast.FunctionDef) and node.name == inside:
             continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                attrs.add((base.id if isinstance(base, ast.Name) else None,
+                           node.attr))
         stack.extend(ast.iter_child_nodes(node))
-    return names
+    return names, attrs
+
+
+def _is_referenced(qual, trees):
+    """A module-level function is referenced as a bare name (a `from`
+    import) or as `<module>.<name>`; a method as any attribute `.name`."""
+    module, *cls, name = qual.split(".")
+    for tree in trees.values():
+        names, attrs = _reads(tree, name)
+        if cls:
+            if any(attr == name for _base, attr in attrs):
+                return True
+        elif name in names or (module, name) in attrs:
+            return True
+    return False
 
 
 def test_every_public_function_is_called_exported_or_kept():
@@ -98,7 +119,7 @@ def test_every_public_function_is_called_exported_or_kept():
             name = node.name
             if name.startswith("_") or name in exported:
                 continue
-            if not any(name in _references(t, name) for t in trees.values()):
+            if not _is_referenced(qual, trees):
                 uncalled.add(qual)
     assert sorted(uncalled - KEPT.keys()) == []  # delete it, or keep it
     assert sorted(KEPT.keys() - uncalled) == []  # a stale KEPT entry
@@ -150,10 +171,10 @@ def test_every_memo_table_is_listed_with_its_bound():
     assert sorted(MEMO_TABLES.keys() - found) == []  # a stale entry
 
 
-# Each snippet breaks one certificate; run under `python -O`, it prints
-# whether the call raised that certificate's RuntimeError (its message
-# holds `expect`), and __debug__: the certificate is a raise, not an
-# assert.
+# Each snippet breaks one certificate (or hands it an input it must
+# refuse); run under `python -O`, it prints whether the call raised that
+# certificate's RuntimeError (its message holds `expect`), and
+# __debug__: the certificate is a raise, not an assert.
 BROKEN_CERTIFICATES = {
     "is_newton_point p_M": """
 from newtonstrata.chamber import is_newton_point
@@ -183,6 +204,11 @@ den, vertices, weights = affine._build_alcove_vertices(g)
 g.memo("alcove_vertices", None, lambda d: (den, (), weights))
 call = lambda: affine.section_s(g, (0, 0, 1))
 expect = "no integral vertex"
+""",
+    "unimodular_inverse": """
+from newtonstrata.exactlinalg import unimodular_inverse
+call = lambda: unimodular_inverse([[2, 0], [0, 1]])
+expect = "not unimodular"
 """,
 }
 CATCH = """
