@@ -106,6 +106,16 @@ def _is_referenced(qual, trees):
     return False
 
 
+def test_a_reference_is_a_read_through_the_home_module():
+    trees = {"m": ast.parse("def f(): f()\nx.f = 1\ny.f\nf = 2\n"),
+             "n": ast.parse("from m import g\ng()\nm.h()\n")}
+    assert not _is_referenced("m.f", trees)  # self-call, stores, y.f
+    assert _is_referenced("m.C.f", trees)  # a method: any read of .f
+    assert _is_referenced("m.g", trees)  # a bare name
+    assert _is_referenced("m.h", trees)  # <module>.<name>
+    assert not _is_referenced("n.h", trees)  # read off another module
+
+
 def test_every_public_function_is_called_exported_or_kept():
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
