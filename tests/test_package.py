@@ -49,6 +49,7 @@ try:
 except AttributeError as exc:
     facts["unknown"] = str(exc)
 facts["all"] = pkg.__all__
+facts["homes"] = sorted(pkg._HOME)
 print(json.dumps(facts))
 """
 
@@ -60,7 +61,7 @@ def test_package_resolves_names_on_first_use():
     assert facts["not_home"] == []
     assert facts["defined_elsewhere"] == []
     assert facts["bound"] == []  # read through, never cached
-    assert facts["star"] == sorted(facts["all"])
+    assert facts["star"] == facts["homes"] == sorted(facts["all"])
     assert set(facts["all"]) <= set(facts["dir"])
     assert "no_such_name" in facts["unknown"]
 
