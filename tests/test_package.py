@@ -1,5 +1,5 @@
 """The package surface and what a cold process loads.  Each check runs
-in a child process, where no import of the test session can hide one."""
+in a child process, where no module the tests imported can hide one."""
 
 import json
 import os
