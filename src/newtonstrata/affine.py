@@ -288,7 +288,7 @@ def section_s(datum, nu):
     if (bound >= ALCOVE_GUARD * den
             and _translation_length(datum, nu) >= ALCOVE_GUARD):
         raise OrbitGuardError(f"alcove reduction exceeds guard {ALCOVE_GUARD}")
-    scale, central = scale_to_ints(datum.central_part(nu[datum.l:]))
+    scale, central = datum.central_forms(nu[datum.l:])[1]
     big = scale * den
     p = None
     for v in vertices:

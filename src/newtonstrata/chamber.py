@@ -2,10 +2,11 @@
 
 `retract` is the order-theoretic map: r(d) is the unique dominant point y
 with p_M(d') = y and d' <= y, where M is the Levi attached to the face of
-y and d' is the finite-ization of d.  It runs on integers: d' is scaled
-once by the lcm L of its denominators, each projection is
-`RootDatum.project` of that int vector, so the running point is the int
-vector den * L * y, and `Fraction`s are built once, for the result.
+y and d' is the finite-ization of d.  It runs on integers from its read
+of d: d' is built with its int form L d', each projection is
+`RootDatum.solve` on the pairings of that int vector, so the running
+point is the int vector den * L * y, and `Fraction`s are built once, for
+the result.
 `newton_points_below` walks the int points of each face by branch and
 bound, on affine int forms built from `project` of the base point and the
 unit vectors, and certifies each point it finds with `project` again.
@@ -56,19 +57,35 @@ def finite_ize(datum, d):
     retraction of d equals the retraction of the returned finite point,
     whose torus part is d's as `central_part` gives it, in `Fraction`s.
     """
+    return tuple(_finite(datum, d)[0])
+
+
+def _finite(datum, d):
+    """(d', L, L d') for d' = finite_ize(d), d' as a list, with L the lcm
+    of the scale L_z of the central part z and of the denominators of the
+    finite d_i, i < l.
+
+    d is read once, by `RootDatum.point`.  max{d_i - z_i, 0} + z_i
+    collapses to max(d_i, z_i), decided by the value comparison
+    d_i <= z_i.  d'_i is the object z_i or d_i (a `Fraction` built only
+    for a d_i that wins and is not one), and L d'_i is filled on ints:
+    from the int form L_z z of `RootDatum.central_forms`, scaled by
+    L / L_z, or as d_i's numerator times L / (d_i's denominator)."""
     d = datum.point(d, neg_inf=True)
     l = datum.l
-    g = datum.central_part(d[l:])
-    out = []
+    z, (zscale, zints) = datum.central_forms(d[l:])
+    scale = math.lcm(zscale,
+                     *[di.denominator for di in d[:l] if di is not NEG_INF])
+    step = scale // zscale
+    dprime = list(z)
+    x = [v * step for v in zints]
     for i in range(l):
         di = d[i]
-        gi = g[i]
-        # max{d_i - g_i, 0} + g_i collapses to max(d_i, g_i)
-        if di is NEG_INF or di <= gi:
-            out.append(gi)
-        else:
-            out.append(Q(di))
-    return tuple(out) + g[l:]
+        if di is NEG_INF or di <= z[i]:
+            continue
+        dprime[i] = di if type(di) is Q else Q(di)
+        x[i] = di.numerator * (scale // di.denominator)
+    return dprime, scale, x
 
 
 def _accepts(datum, dprime, subset):
@@ -105,50 +122,66 @@ def face_of(datum, y):
     """(S, N) for a finite point y: S is its face, the simple roots pairing
     to zero with y, and N the simple roots pairing negatively with it.
     y is dominant exactly when N is empty."""
-    pairings = [datum.root_pairing(j, y) for j in range(datum.l)]
-    return (frozenset(j for j, p in enumerate(pairings) if p == 0),
-            frozenset(j for j, p in enumerate(pairings) if p < 0))
+    pairings = datum.pairings(y)
+    return (frozenset([j for j, p in enumerate(pairings) if p == 0]),
+            frozenset([j for j, p in enumerate(pairings) if p < 0]))
 
 
 def retract(datum, d):
     """r(d) for d with -inf allowed in the first l slots.
 
-    Returns (y, S) with S the face of y.  d' = finite_ize(d) is scaled once
-    to the int vector x = L d'.  The active set starts empty; each round
-    adds the simple roots that pair negatively with the running point and
-    projects onto them with `RootDatum.project`: c = adj . [<alpha_j, x>]
-    for the solver (idx, adj, den) of the active set, and the point is
-    den x with c_j subtracted at each j in idx, that is den L y with
-    y = d' - sum (c_j / den L) e_j.  The set grows strictly, so there are
-    at most l projections.  The last one certifies itself on ints: no
-    simple root pairs negatively with the point, the active set lies in
-    its face, and every c_j <= 0 with den > 0 (that is d' <= y), so p_M(d')
-    over the face is y.  A failed certificate raises RetractionError.  The
-    coordinates j in idx of the result are built once, as `Fraction`s
-    y_j / den L; with no projection y is d'.
+    Returns (y, S) with S the face of y.  Everything from the read of d
+    on runs on ints.  d' = finite_ize(d) comes with its int form x = L d'
+    (`_finite`): the clamp compares d_i with the central part z_i as
+    values, and x is filled from the memoized int form of z and the
+    numerators of the d_i that win.  The pairings of x are read once.
+    The active set starts empty; each round adds the simple roots that
+    pair negatively with the running point and projects x onto them with
+    `RootDatum.solve` on those pairings: c = adj . [<alpha_j, x>] for the
+    solver (idx, adj, den) of the active set, and the point is den x with
+    c_j subtracted at each j in idx, that is den L y with
+    y = d' - sum (c_j / den L) e_j.  The pairings of each new point are
+    read from that point.  The set grows strictly, so there are at most l
+    projections.  The last one certifies itself on ints: no simple root
+    pairs negatively with the point, the active set lies in its face, and
+    every c_j <= 0 with den > 0 (that is d' <= y), so p_M(d') over the
+    face is y.  A failed certificate raises RetractionError.
+
+    `Fraction`s are built only for the result: d'_i is z_i, or d_i
+    itself, or `Q(d_i)` for an int d_i that wins the clamp, and the
+    coordinates j in idx are y_j / den L.  With no projection y is d'.
 
     The likely route to c_j <= 0: the inverse of a Cartan matrix of finite
     type is nonnegative (G. Lusztig and J. Tits, 1992), so every solver
     has adj >= 0 and den > 0, as the tests check on every Levi block.
     The certificate, not that argument, is the guarantee.
     """
-    dprime = finite_ize(datum, d)
-    scale, x = scale_to_ints(dprime)
+    return _retract(datum, d)[0]
+
+
+def _retract(datum, d):
+    """`retract`'s rounds: ((y, S), (den L, den L y)), the result and the
+    int form of y it was computed on, not reduced."""
+    dprime, scale, x = _finite(datum, d)
+    pairings = datum.pairings
+    px = p = pairings(x)
     active = frozenset()
     y, idx, den, coeffs = x, [], 1, []
     while True:
-        face, negative = face_of(datum, y)
+        negative = {j for j, v in enumerate(p) if v < 0}
         if negative <= active:
             break
         active |= negative
-        idx, den, coeffs, y = datum.project(active, x)
+        idx, den, coeffs, y = datum.solve(active, x, px)
+        p = pairings(y)
+    face = frozenset([j for j, v in enumerate(p) if v == 0])
     if (negative or not active <= face or den <= 0
             or any(c > 0 for c in coeffs)):
         raise RetractionError(f"retraction of {d!r} fails its certificate")
-    out = list(dprime)
+    scale *= den
     for j in idx:
-        out[j] = Q(y[j], den * scale)
-    return tuple(out), face
+        dprime[j] = Q(y[j], scale)
+    return (tuple(dprime), face), (scale, y)
 
 
 def is_newton_point(datum, y):
@@ -157,15 +190,22 @@ def is_newton_point(datum, y):
     In omega-coordinates the lattice condition reduces to integrality of
     the coordinates away from the face.  A point of the wrong length or
     with -inf coordinates is not one.  y is read once, as the int form
-    (L, L y) of `RootDatum.scaled`, which the NewtonPoint carries.  As in
-    `newton_points_below`, its coordinates off the face are the ints of
-    the lift and those on the face `Fraction`s.  RuntimeError unless
-    p_M(lift) = y.
+    (L, L y) of `RootDatum.scaled`, and `_certify` decides on that form.
     """
     try:
-        scale, ints = datum.scaled(y)
+        form = datum.scaled(y)
     except ValueError:
         return None
+    return _certify(datum, form)
+
+
+def _certify(datum, form):
+    """The NewtonPoint of the int form (L, L y) of a point y, reduced as
+    `scale_to_ints` gives it, or None.  As in `newton_points_below`, its
+    coordinates off the face are the ints of the lift and those on the
+    face `Fraction`s, and the NewtonPoint carries the form as its
+    `scaled`.  RuntimeError unless p_M(lift) = y."""
+    scale, ints = form
     face, negative = face_of(datum, ints)
     if negative or any(v % scale for i, v in enumerate(ints) if i not in face):
         return None
@@ -175,7 +215,7 @@ def is_newton_point(datum, y):
     if datum.p_M(lift, face) != point:
         raise RuntimeError(f"lift {lift!r} does not project to {point!r}")
     np = NewtonPoint(point, face, lift)
-    vars(np)["scaled"] = scale, ints  # the slot `cached_property` fills
+    vars(np)["scaled"] = form  # the slot `cached_property` fills
     return np
 
 
@@ -203,9 +243,13 @@ def newton_point(datum, x):
 
 def stratum_of(datum, d):
     """Newton point of an integral valuation vector (-inf allowed in the
-    first l slots)."""
-    y, _face = retract(datum, datum.point(d, neg_inf=True, integral=True))
-    np = is_newton_point(datum, y)
+    first l slots): `_certify` of the int form that `retract` computed
+    its result on, reduced by its gcd to the form `scale_to_ints` gives
+    of the result.  RetractionError if it does not certify."""
+    _result, (scale, ints) = _retract(
+        datum, datum.point(d, neg_inf=True, integral=True))
+    g = math.gcd(scale, *ints)
+    np = _certify(datum, (scale // g, tuple([v // g for v in ints])))
     if np is None:
         raise RetractionError("retraction of an integral vector must certify")
     return np
@@ -256,11 +300,12 @@ def newton_points_below(datum, mu):
         caps = [den * ints[j] // scale for j in idx]  # floor(D mu_j)
         for m in _face_walk(datum, subset, free, caps, lo, hi, base):
             _idx, _den, c, dnu = datum.project(subset, m)
+            pairs = datum.pairings(dnu)
             if (any(-cj > cap for cj, cap in zip(c, caps))
-                    or any(datum.root_pairing(j, dnu) <= 0 for j in free)):
+                    or any(pairs[j] <= 0 for j in free)):
                 raise RuntimeError(f"{m!r} passes the walk on the face"
                                    f" {sorted(subset)} but not its checks")
-            if any(datum.root_pairing(j, dnu) for j in idx):
+            if any(pairs[j] for j in idx):
                 raise RuntimeError(
                     f"p_M({m!r}) leaves the face {sorted(subset)}")
             g = math.gcd(den, *dnu)

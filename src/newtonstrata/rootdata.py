@@ -192,6 +192,17 @@ class RootDatum:
             total += a * x[i]
         return total
 
+    def pairings(self, x):
+        """[<alpha_j, x> for each simple root j] for finite x, in one pass
+        over the root supports."""
+        out = []
+        for support in self._root_support:
+            total = 0
+            for i, a in support:
+                total += a * x[i]
+            out.append(total)
+        return out
+
     def point(self, x, neg_inf=False, integral=False):
         """x as a tuple, checked where it enters the library: ValueError
         unless it has n coordinates, each an int or a `Fraction` (a float
@@ -248,8 +259,7 @@ class RootDatum:
     def is_dominant(self, x):
         """No simple root pairs negatively with x.  The signs are read on
         the int form L x of `scaled`."""
-        ints = self.scaled(x)[1]
-        return all(self.root_pairing(j, ints) >= 0 for j in range(self.l))
+        return all(p >= 0 for p in self.pairings(self.scaled(x)[1]))
 
     def leq(self, x, y):
         """x <= y: y - x is a nonnegative combination of simple coroots, that
@@ -358,11 +368,17 @@ class RootDatum:
 
         For an int vector x returns (idx, den, c, y) with (idx, adj, den)
         the solver of the subset, c = adj . [<alpha_j, x> for j in idx] and
-        y = den x - sum c_j e_j, so that y / den = p_M(x).
+        y = den x - sum c_j e_j, so that y / den = p_M(x): `solve` on the
+        `pairings` of x.
         """
+        return self.solve(subset, x, self.pairings(x))
+
+    def solve(self, subset, x, pairings):
+        """`project` of the int vector x, given its `pairings`: a caller
+        that projects one x onto several subsets reads them once."""
         idx, adj, den = self.pm_solver(subset)
-        b = [self.root_pairing(j, x) for j in idx]
-        c = [sum(a * v for a, v in zip(row, b)) for row in adj]
+        b = [pairings[j] for j in idx]
+        c = [sum(map(operator.mul, row, b)) for row in adj]
         y = [den * v for v in x]
         for j, cj in zip(idx, c):
             y[j] -= cj
@@ -388,14 +404,20 @@ class RootDatum:
         coordinates: p_M of (0, ..., 0, torus_coords) over all simple roots.
         Its coordinates are `Fraction`s whatever the types given: an int
         and an equal `Fraction` share one cache entry, a float is refused."""
+        return self.central_forms(torus_coords)[0]
+
+    def central_forms(self, torus_coords):
+        """(z, (L, L z)): the `central_part` z and its int form, as
+        `scale_to_ints` gives it, from the one memo entry of z."""
         key = tuple(torus_coords)
         if not all(type(c) is int or type(c) is Q for c in key):
             self.point((0,) * self.l + key)
         return self.memo("central", key, RootDatum._build_central, key)
 
     def _build_central(self, key):
-        return tuple(Q(c) for c in self.p_M((0,) * self.l + key,
-                                             frozenset(range(self.l))))
+        z = tuple(Q(c) for c in self.p_M((0,) * self.l + key,
+                                          frozenset(range(self.l))))
+        return z, scale_to_ints(z)
 
     def levi(self, subset):
         """Levi sub-datum for a set of simple roots, plus coordinate converters.

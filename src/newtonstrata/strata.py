@@ -98,7 +98,7 @@ def codim_chai(datum, nu, mu):
     dominance and order checks and the sum.
     """
     mu = datum.scaled(mu, integral=True)
-    if any(datum.root_pairing(j, mu[1]) < 0 for j in range(datum.l)):
+    if any(p < 0 for p in datum.pairings(mu[1])):
         raise ValueError("codim_chai needs an integral dominant mu")
     nu = datum.scaled(nu)
     if not datum.leq_scaled(nu, mu):

@@ -19,6 +19,14 @@ function instead: b covers a exactly when a <= b and
 `dim_leq(b) = dim_leq(a) + 1`.  It compares adjacent rank levels only,
 so it checks `hasse` on posets too big for the transitive reduction.
 
+`retract_rounds` is the `Fraction`-fed form of `chamber.retract`: d'
+built by `finite_ize` here, comparing and copying `Fraction`s against
+`central_part`, scaled to ints with `scale_to_ints`, and projected round by round with
+the public `project`, the face read with one `root_pairing` per root.
+`retract` builds d' and its int form together from the memoized int
+central part and reads each point's pairings in one pass; the two must
+give the same reprs.
+
 `leq`, `is_dominant`, `dim_leq`, `codim`, `d_G`, `codim_chai` and
 `d_levi` are the `Fraction` forms of the readers that the library runs
 on int forms (`RootDatum.scaled`): a `Fraction` comparison, pairing,
@@ -69,7 +77,8 @@ from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError
 from newtonstrata import rootdata
-from newtonstrata.rationals import NEG_INF, Q, frac_part, qceil, qfloor
+from newtonstrata.rationals import (
+    NEG_INF, Q, frac_part, qceil, qfloor, scale_to_ints)
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, WeylElement
 from newtonstrata.toruseval import LaurentPoly
 
@@ -203,6 +212,45 @@ def retract_closest(datum, x):
     if not accepted or any(y != accepted[0] for y in accepted):
         raise RetractionError("KKT face enumeration did not pin a unique point")
     return accepted[0]
+
+
+def finite_ize(datum, d):
+    """d' of `chamber.finite_ize`: d_i clamped from below by the central
+    part z_i, as `Fraction`s, and z's torus part."""
+    d = datum.point(d, neg_inf=True)
+    l = datum.l
+    z = datum.central_part(d[l:])
+    return tuple(z[i] if d[i] is NEG_INF or d[i] <= z[i] else Q(d[i])
+                 for i in range(l)) + z[l:]
+
+
+def retract_rounds(datum, d):
+    """(y, S) of `chamber.retract`, on `Fraction`s up to the int rounds:
+    d'_i = max(d_i, z_i) with z the central part, as `Fraction`s; then x,
+    the int form of d', projected onto the growing set of simple roots
+    that pair negatively with the running point, with the same
+    certificate (RetractionError)."""
+    d = datum.point(d, neg_inf=True)
+    l = datum.l
+    dprime = finite_ize(datum, d)
+    scale, x = scale_to_ints(dprime)
+    active = frozenset()
+    y, idx, den, coeffs = x, [], 1, []
+    while True:
+        pairings = [datum.root_pairing(j, y) for j in range(l)]
+        face = frozenset(j for j, p in enumerate(pairings) if p == 0)
+        negative = frozenset(j for j, p in enumerate(pairings) if p < 0)
+        if negative <= active:
+            break
+        active |= negative
+        idx, den, coeffs, y = datum.project(active, x)
+    if (negative or not active <= face or den <= 0
+            or any(c > 0 for c in coeffs)):
+        raise RetractionError(f"retraction of {d!r} fails its certificate")
+    out = list(dprime)
+    for j in idx:
+        out[j] = Q(y[j], den * scale)
+    return tuple(out), face
 
 
 def simple_reflection(datum, j):

@@ -21,7 +21,7 @@ from newtonstrata.affine import (
     w_nu,
     weyl_word,
 )
-from newtonstrata.rationals import Q
+from newtonstrata.rationals import Q, scale_to_ints
 from newtonstrata.rootdata import (
     OrbitGuardError, RootDatum, WeylElement, build_group)
 from newtonstrata.strata import d_G
@@ -564,8 +564,10 @@ def test_section_checks_the_class():
     # a corrupted central part moves the tail of the vertex: x0 would lie
     # in another class than nu
     central = build_group("GL3").central_part((1,))
+    bad = central[:2] + (central[2] + 1,)
     g = build_group("GL3")  # fresh datum: its own memo
-    g.memo("central", (1,), lambda d: central[:2] + (central[2] + 1,))
+    # both forms of the entry, of the same corrupted point
+    g.memo("central", (1,), lambda d: (bad, scale_to_ints(bad)))
     with pytest.raises(RuntimeError, match="changed the class of nu"):
         section_s(g, (4, -2, 1))
 

@@ -504,6 +504,43 @@ def test_retract_agrees_with_oracles(data):
         assert retract_closest(g, finite_ize(g, d)) == y
 
 
+# the int clamp, the memoized int central part and the one pairing pass
+# against the `Fraction`-fed rounds: ints, `Fraction`s with mixed
+# denominators and -inf, on groups with a torus of rank 2 and with no
+# semisimple part as well
+ROUNDS_GROUPS = list(ORACLE_GROUPS.values()) + [
+    build_group(spec) for spec in ("GL3*T2", "D5*T1", "GL1", "T2")]
+_MIXED = st.one_of(st.integers(-12, 12), st.fractions(
+    min_value=-12, max_value=12, max_denominator=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_retract_matches_the_fraction_rounds(data):
+    g = data.draw(st.sampled_from(ROUNDS_GROUPS))
+    head = st.one_of(_MIXED, st.just(NEG_INF))
+    d = data.draw(st.tuples(*[head] * g.l, *[_MIXED] * (g.n - g.l)))
+    assert repr(finite_ize(g, d)) == repr(oracles.finite_ize(g, d))
+    assert repr(retract(g, d)) == repr(oracles.retract_rounds(g, d))
+    # `stratum_of` certifies the int form `retract` computed on: the
+    # certificate of its result, carrying the form `scale_to_ints` gives
+    d = tuple(c if c is NEG_INF else qfloor(Q(c)) for c in d)
+    np = stratum_of(g, d)
+    ref = is_newton_point(g, retract(g, d)[0])
+    assert np == ref and repr(np) == repr(ref)
+    assert repr(np.scaled) == repr(scale_to_ints(np.point))
+
+
+def test_stratum_of_certificate_raises(monkeypatch):
+    # an integral vector whose retraction does not certify is a bug, not
+    # a "no"
+    g = build_group("GL3")
+    monkeypatch.setattr(chamber, "_certify", lambda datum, form: None)
+    with pytest.raises(RetractionError,
+                       match="retraction of an integral vector must certify"):
+        stratum_of(g, (0, 2, 1))
+
+
 # wide scales: pairwise coprime denominators up to 97 make the common
 # denominator L of a point large, numerators reach 10^6, and plain ints
 # and -inf slots mix with them

@@ -154,7 +154,8 @@ MEMO_TABLES = {
     "levi": "one per subset of the simple roots: at most 2^l",
     "face_forms": "one per face, a subset of the simple roots: at most 2^l",
     "central": "unbounded: keyed by the raw torus coordinates it is given,"
-    " so it grows with the number of distinct inputs",
+    " so it grows with the number of distinct inputs; each entry is the"
+    " central part and its int form",
     "orbit_skeleton": "one per fundamental weight omega_k: at most l",
     "orbit_coordinate_bounds": "one entry",
     "affine_tables": "one entry",
@@ -214,6 +215,14 @@ den, vertices, weights = affine._build_alcove_vertices(g)
 g.memo("alcove_vertices", None, lambda d: (den, (), weights))
 call = lambda: affine.section_s(g, (0, 0, 1))
 expect = "no integral vertex"
+""",
+    "stratum_of certify": """
+from newtonstrata import chamber
+from newtonstrata.rootdata import build_group
+g = build_group("GL3")
+chamber._certify = lambda datum, form: None
+call = lambda: chamber.stratum_of(g, (0, 2, 1))
+expect = "must certify"
 """,
     "unimodular_inverse": """
 from newtonstrata.exactlinalg import unimodular_inverse
