@@ -107,6 +107,9 @@ def test_central_part_types_ignore_call_order(first, second):
     for torus in (first, second):
         z = g.central_part(torus)
         assert z == (Q(1, 2), 1) and all(type(c) is Q for c in z)
+        # the int form comes from the same entry
+        assert g.central_forms(torus) == (z, (2, (1, 2)))
+        assert g.central_forms(torus)[0] is z
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
@@ -297,6 +300,8 @@ def test_p_m_orbit_average():
             x = tuple(rng.randint(-6, 6) for _ in range(g.n))
             avg = _orbit_average(g, s, x)
             assert g.p_M(x, s) == avg
+            assert g.pairings(x) == [g.root_pairing(j, x)
+                                     for j in range(g.l)]
             idx, den, c, y = g.project(s, x)
             assert tuple(Q(v, den) for v in y) == avg
             assert idx == sorted(s) and den > 0
