@@ -21,11 +21,11 @@ so it checks `hasse` on posets too big for the transitive reduction.
 
 `retract_rounds` is the `Fraction`-fed form of `chamber.retract`: d'
 built by `finite_ize` here, comparing and copying `Fraction`s against
-`central_part`, scaled to ints with `scale_to_ints`, and projected round by round with
-the public `project`, the face read with one `root_pairing` per root.
-`retract` builds d' and its int form together from the memoized int
-central part and reads each point's pairings in one pass; the two must
-give the same reprs.
+`central_part`, scaled to ints with `scale_to_ints`, and projected
+round by round with the public `project`, the face read with one
+`root_pairing` per root.  `retract` builds d' and its int form
+together from the memoized int central part and reads each point's
+pairings in one pass; the two must give the same reprs.
 
 `leq`, `is_dominant`, `dim_leq`, `codim`, `d_G`, `codim_chai` and
 `d_levi` are the `Fraction` forms of the readers that the library runs
