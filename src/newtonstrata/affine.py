@@ -3,14 +3,14 @@ defect, and the character decomposition of the reflection representation."""
 
 import itertools
 import math
+import operator
 
 from . import dynkin, exactlinalg
 from .rationals import Q, frac_part, scale_to_ints
 from .rootdata import OrbitGuardError, WeylElement, record
 from .strata import d_G
 
-# The most reflections `alcove_reduce` makes, and the most l(t_nu) that
-# `section_s` accepts, before raising OrbitGuardError.
+# OrbitGuardError at this `alcove_reduce` word length or `section_s` l(t_nu).
 ALCOVE_GUARD = 100000
 
 
@@ -24,9 +24,8 @@ class AffineWeylElement:
 
 def translation(datum, lift):
     """Translation by an integral lift, checked by `RootDatum.point`."""
-    ident = tuple(map(tuple, exactlinalg.identity(datum.n)))
-    return AffineWeylElement(datum.point(lift, integral=True),
-                             WeylElement(ident))
+    ident = WeylElement(tuple(map(tuple, exactlinalg.identity(datum.n))))
+    return AffineWeylElement(datum.point(lift, integral=True), ident)
 
 
 def _affine_tables(datum):
@@ -72,6 +71,9 @@ def _build_affine_tables(datum):
             roots.append((datum.root_coords(j), 0, j, unit))
         roots.append((tuple(-c for c in theta), 1, -(fidx + 1),
                       tuple(-c for c in theta_check)))
+    # the affine Cartan diagonal <lam, h> = 2: on -theta, a check of theta^vee
+    if any(sum(map(operator.mul, lam, h)) != 2 for lam, _k, _g, h in roots):
+        raise RuntimeError("affine Cartan matrix has a diagonal entry != 2")
     den, point = scale_to_ints(p0)
     return roots, den, point
 
@@ -79,38 +81,6 @@ def _build_affine_tables(datum):
 def simple_affine_roots(datum):
     """(lam, k, generator id, coroot h) for every simple affine root."""
     return _affine_tables(datum)[0]
-
-
-def _affine_cartan(datum):
-    """The affine Cartan matrix C[r][s] = <lam_r, h_s> over the simple
-    affine roots, as columns: cols[s] lists the (r, C[r][s]) with
-    C[r][s] != 0; built once per datum."""
-    return datum.memo("affine_cartan", None, _build_affine_cartan)
-
-
-def _build_affine_cartan(datum):
-    """RuntimeError unless every diagonal entry <lam_s, h_s> is 2."""
-    roots = _affine_tables(datum)[0]
-    lams = [lam for lam, _k, _gid, _h in roots]
-    cols = []
-    for s, (_lam, _k, _gid, h) in enumerate(roots):
-        col = [(r, c) for r, c in enumerate(
-            sum(a * b for a, b in zip(lam, h) if a) for lam in lams) if c]
-        if (s, 2) not in col:
-            raise RuntimeError("affine Cartan matrix has a diagonal entry"
-                               " other than 2")
-        cols.append(tuple(col))
-    return tuple(cols)
-
-
-def _pairings(roots, den, point, t):
-    """([<lam, point> + k den], [<lam, t> + k]) over the simple affine
-    roots."""
-    vals = [sum(c * p for c, p in zip(lam, point) if c) + k * den
-            for lam, k, _gid, _h in roots]
-    shifts = [sum(c * s for c, s in zip(lam, t) if c) + k
-              for lam, k, _gid, _h in roots]
-    return vals, shifts
 
 
 def _weyl_element(datum, image):
@@ -138,55 +108,36 @@ def alcove_reduce(datum, x):
     the base alcove to itself.  Returns (x0, word) with x0 = prod(word) * x,
     the word listing generator ids in application order.
 
-    The walk runs on the affine Cartan matrix C[r][s] = <lam_r, h_s>.
-    Reflecting by s moves the sample point den * x(p0) by -val_s h_s, so
-    each pairing val_r = <lam_r, point> + k_r den drops by val_s C[r][s],
-    and each shift <lam_r, t> + k_r of the translation t by shift_s
-    C[r][s]: a step touches one column of C.  The point and t are rebuilt
-    once from each generator's total val and shift, and their pairings
-    must equal the carried ones, a certificate of the incremental state
-    (RuntimeError otherwise).  The linear part is read off the end point
-    minus den * t by `_weyl_element`, whose descent must end at den * p0.
-    Raises RuntimeError on a 0 pairing before the first negative one (the
-    sample point is on an affine wall) and OrbitGuardError at
-    ALCOVE_GUARD reflections.
-
-    `section_s` finds x0 for a translation without this walk; the walk
-    stays as its test reference.
+    The plain reference walk: each step pairs the sample point den * x(p0)
+    with the simple affine roots, in `_affine_tables` order, and reflects
+    it and the translation t by the first root whose pairing is not
+    positive.  RuntimeError on a 0 pairing (an affine wall) or a descent
+    of the end point minus den * t that misses den * p0; OrbitGuardError
+    at ALCOVE_GUARD reflections.  `section_s` is its closed form; the walk
+    is its test reference and the span the benchmark's alcove metrics hook.
     """
     roots, den, p0 = _affine_tables(datum)
-    cols = _affine_cartan(datum)
     t = list(x.translation)
     point = [a + den * s for a, s in zip(x.linear.act(p0), t)]
-    vals, shifts = _pairings(roots, den, point, t)
-    total_val = [0] * len(roots)
-    total_shift = [0] * len(roots)
     word = []
     while True:
-        for s, val in enumerate(vals):
+        for lam, k, gid, h in roots:
+            val = sum(c * p for c, p in zip(lam, point) if c) + k * den
             if val <= 0:
                 break
         else:
             break
         if val == 0:
             raise RuntimeError("sample point hit an affine wall")
-        shift = shifts[s]
-        total_val[s] += val
-        total_shift[s] += shift
-        for r, c in cols[s]:
-            vals[r] -= val * c
-            shifts[r] -= shift * c
-        word.append(roots[s][2])
+        shift = sum(c * s for c, s in zip(lam, t) if c) + k
+        for i, c in enumerate(h):
+            if c:
+                point[i] -= val * c
+                t[i] -= shift * c
+        word.append(gid)
         if len(word) >= ALCOVE_GUARD:
             raise OrbitGuardError(
                 f"alcove reduction exceeds guard {ALCOVE_GUARD}")
-    for (_lam, _k, _gid, h), dv, ds in zip(roots, total_val, total_shift):
-        for i, c in enumerate(h):
-            if c:
-                point[i] -= dv * c
-                t[i] -= ds * c
-    if _pairings(roots, den, point, t) != (vals, shifts):
-        raise RuntimeError("alcove walk pairings disagree with the end point")
     image = [p - den * s for p, s in zip(point, t)]
     w, _word, end = _weyl_element(datum, image)
     if end != p0:
@@ -337,7 +288,7 @@ def _w_nu_invariants(datum, nu):
     factored) for w = w_nu.  `section_s` runs for every lift, with all its
     checks; the rest is built once per matrix of w, which depends only on
     the class of nu, so the table keeps at most one entry per component
-    class, and a lift whose walk went wrong gets an entry of its own."""
+    class, and a lift whose section went wrong gets an entry of its own."""
     w = w_nu(datum, nu)
     return datum.memo("weyl_invariants", w.matrix, _build_weyl_invariants, w)
 

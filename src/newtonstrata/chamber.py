@@ -200,21 +200,26 @@ def is_newton_point(datum, y):
 
 
 def _certify(datum, form):
-    """The NewtonPoint of the int form (L, L y) of a point y, reduced as
-    `scale_to_ints` gives it, or None.  As in `newton_points_below`, its
-    coordinates off the face are the ints of the lift and those on the
-    face `Fraction`s, and the NewtonPoint carries the form as its
-    `scaled`.  RuntimeError unless p_M(lift) = y."""
+    """The `_newton_point` of a point y's int form (L, L y), reduced as by
+    `scale_to_ints`, or None.  RuntimeError unless p_M(lift) = y."""
     scale, ints = form
     face, negative = face_of(datum, ints)
     if negative or any(v % scale for i, v in enumerate(ints) if i not in face):
         return None
     lift = tuple([v // scale for v in ints])
-    point = tuple([Q(v, scale) if i in face else m
-                   for i, (v, m) in enumerate(zip(ints, lift))])
-    if datum.p_M(lift, face) != point:
-        raise RuntimeError(f"lift {lift!r} does not project to {point!r}")
-    np = NewtonPoint(point, face, lift)
+    np = _newton_point(form, face, lift)
+    if datum.p_M(lift, face) != np.point:
+        raise RuntimeError(f"lift {lift!r} does not project to {np.point!r}")
+    return np
+
+
+def _newton_point(form, face, lift):
+    """The NewtonPoint of a reduced int form, carried as its `scaled`."""
+    scale, ints = form
+    point = list(lift)
+    for j in face:
+        point[j] = Q(ints[j], scale)
+    np = NewtonPoint(tuple(point), face, lift)
     vars(np)["scaled"] = form  # the slot `cached_property` fills
     return np
 
@@ -310,14 +315,10 @@ def newton_points_below(datum, mu):
                     f"p_M({m!r}) leaves the face {sorted(subset)}")
             g = math.gcd(den, *dnu)
             form = (den // g, tuple([v // g for v in dnu]))
-            nu = list(m)
-            for j in idx:
-                nu[j] = Q(dnu[j], den)
-            nu = tuple(nu)
             if form in found:
-                raise RuntimeError(f"{fmt_point(nu)} found under two faces")
-            np = found[form] = NewtonPoint(nu, subset, m)
-            vars(np)["scaled"] = form  # the slot `cached_property` fills
+                raise RuntimeError(f"{fmt_point(found[form].point)} found"
+                                   " under two faces")
+            found[form] = _newton_point(form, subset, m)
     common = math.lcm(*(d for d, _ints in found))
     return [found[form] for form in sorted(
         found, key=lambda f: tuple([v * (common // f[0]) for v in f[1]]))]

@@ -317,8 +317,11 @@ def classical_newton_slopes(d):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         s = (y2 - y1) / (x2 - x1)
         slopes.extend([s] * (x2 - x1))
+    # Unreachable: the hull runs from x = 0 to x = n with x increasing.
     if len(slopes) != n:
         raise RuntimeError("Newton polygon does not span all n slots")
+    # Unreachable: each point is appended once the one before lies strictly
+    # above the chord past it, and pops only cut the end: slopes decrease.
     if any(a < b for a, b in zip(slopes, slopes[1:])):
         raise RuntimeError("Newton polygon slopes are not decreasing")
     return tuple(slopes)

@@ -347,18 +347,16 @@ CARTAN_SPECS = [f"{letter}{rank}"
 
 @pytest.mark.parametrize("spec", CARTAN_SPECS)
 def test_affine_cartan_table(spec):
-    # C[r][s] = <lam_r, h_s> from the cached columns: 2 on the diagonal,
-    # the transposed Cartan matrix on each finite block, <= 0 off the
-    # diagonal, block-diagonal by factor, and per factor the marks (1 on
-    # the affine node) a left and the theta^vee coefficients a right null
-    # vector, both from root strings and the invariant form
+    # C[r][s] = <lam_r, h_s> over the simple affine roots: 2 on the
+    # diagonal, the transposed Cartan matrix on each finite block, <= 0
+    # off the diagonal, block-diagonal by factor, and per factor the marks
+    # (1 on the affine node) a left and the theta^vee coefficients a right
+    # null vector, both from root strings and the invariant form
     g = build_group(spec)
     roots = simple_affine_roots(g)
     size = len(roots)
-    cmat = [[0] * size for _ in range(size)]
-    for s, col in enumerate(affine._affine_cartan(g)):
-        for r, c in col:
-            cmat[r][s] = c
+    cmat = [[sum(a * b for a, b in zip(lam, h)) for _l, _k, _g, h in roots]
+            for lam, _k, _g, _h in roots]
     factor_of = {}
     for fidx, f in enumerate(g.factors):
         for j in f.indices:
@@ -393,33 +391,32 @@ def test_affine_cartan_table(spec):
 
 
 def test_affine_cartan_diagonal_check_raises(monkeypatch):
-    # a coroot scaled by 2 puts 4 on the diagonal; a real raise, not an
-    # assert that python -O would strip
-    g = build_group("GL3")  # fresh datum: no affine Cartan table cached yet
-    roots, den, p0 = affine._affine_tables(g)
-    lam, k, gid, h = roots[0]
-    bad = [(lam, k, gid, tuple(2 * c for c in h))] + roots[1:]
-    monkeypatch.setattr(affine, "_affine_tables", lambda d: (bad, den, p0))
+    # a doubled theta^vee (and with it the marks and theta) puts
+    # <-theta, -theta^vee> = 8 on the affine root's diagonal; a real
+    # raise, not an assert that python -O would strip
+    g = build_group("GL3")  # fresh datum: no affine tables cached yet
+    dominant_rep = RootDatum.dominant_rep
+
+    def doubled(self, x):
+        y, word = dominant_rep(self, x)
+        return tuple(2 * c for c in y), word
+
+    monkeypatch.setattr(RootDatum, "dominant_rep", doubled)
     with pytest.raises(RuntimeError, match="diagonal"):
-        affine._affine_cartan(g)
+        simple_affine_roots(g)
 
 
-def test_alcove_walk_certificate_fires():
-    # a corrupted entry of the cached C columns makes the carried pairings
-    # disagree with those of the rebuilt end point: alcove_reduce raises
-    # instead of returning a wrong element, for every entry of the table
-    lift = (2, -3, 1)
-    table = affine._build_affine_cartan(build_group("GL3"))
-    for s, col in enumerate(table):
-        for k, (r, c) in enumerate(col):
-            bad = table[:s] + (col[:k] + ((r, c + 1),) + col[k + 1:],) \
-                + table[s + 1:]
-            g = build_group("GL3")  # fresh datum: its own memo
-            g.memo("affine_cartan", None, lambda d: bad)
-            with pytest.raises(RuntimeError, match="disagree"):
-                alcove_reduce(g, translation(g, lift))
-    g = build_group("GL3")
-    assert alcove_reduce(g, translation(g, lift))[1]  # a nonempty word
+def test_alcove_reduce_refuses_a_sample_point_on_a_wall():
+    # GL2's theta is alpha_1: with den planted as <alpha_1, den p0>, the
+    # sample point pairs positively with alpha_1 and lies on the affine
+    # wall <-theta, v> + 1 = 0; a real raise, not an assert
+    roots, _den, p0 = affine._affine_tables(build_group("GL2"))
+    val = sum(c * p for c, p in zip(roots[0][0], p0))
+    assert val > 0
+    g = build_group("GL2")  # fresh datum: its own memo
+    g.memo("affine_tables", None, lambda d: (roots, val, p0))
+    with pytest.raises(RuntimeError, match="affine wall"):
+        alcove_reduce(g, translation(g, (0, 0)))
 
 
 CLOSED_FORM_GROUPS = {s: build_group(s) for s in (

@@ -45,7 +45,9 @@ KEPT = {
     " checks it",
     "affine.defect": "the paper's defect; acceptance criterion 5 checks it",
     "affine.alcove_reduce": "perfbench hooks its span (layers.py HOOKS,"
-    " alcove_word_len), and it is the test reference for `section_s`",
+    " alcove_word_len); no query runs it, it is the plain reference walk"
+    " the tests compare `section_s` with, and it moves to the test oracles"
+    " once those metrics are redefined",
     "affine.translation": "the tests' constructor for `alcove_reduce`;"
     " it moves with `alcove_reduce` to the test oracles",
     "strata.StratumConditions.accepts": "membership in a stratum, the"
@@ -159,7 +161,6 @@ MEMO_TABLES = {
     "orbit_skeleton": "one per fundamental weight omega_k: at most l",
     "orbit_coordinate_bounds": "one entry",
     "affine_tables": "one entry",
-    "affine_cartan": "one entry",
     "alcove_vertices": "one entry",
     "weyl_invariants": "keyed by the matrix of w_nu, which depends only on"
     " the class of nu: at most one per component class",
@@ -223,6 +224,14 @@ g = build_group("GL3")
 chamber._certify = lambda datum, form: None
 call = lambda: chamber.stratum_of(g, (0, 2, 1))
 expect = "must certify"
+""",
+    "_orbit_sums coefficient": """
+from newtonstrata.rootdata import build_group
+from newtonstrata.toruseval import eval_c, parse_torus_point
+g = build_group("GL2")
+g.memo("orbit_coordinate_bounds", None, lambda d: [[0, 1]])
+call = lambda: eval_c(g, parse_torus_point("2*pi^(-1),1*pi^(-1)"))
+expect = "not integral"
 """,
     "unimodular_inverse": """
 from newtonstrata.exactlinalg import unimodular_inverse

@@ -353,6 +353,34 @@ def test_orbit_skeleton_guard(monkeypatch):
     assert sorted(g._memo["orbit_skeleton"]) == list(range(g.l))
 
 
+def _understated(bounds, a):
+    """The locals of the frame where `_orbit_sums` raises its RuntimeError
+    at the torus point `a` on a fresh GL2 (true bounds [[1, 1]]) planted
+    with the coordinate bounds `bounds`: both integrality checks raise the
+    same message, so the caller tells them apart by that frame."""
+    g = build_group("GL2")  # fresh datum: its own memo
+    g.memo("orbit_coordinate_bounds", None, lambda d: bounds)
+    with pytest.raises(RuntimeError, match="not integral") as info:
+        _orbit_sums(g, parse_torus_point(a))
+    return info.traceback[-1].locals
+
+
+def test_orbit_sums_refuse_a_fractional_root_coefficient():
+    # bounds [[0, 0]] leave the scale K = 1, so the root omega_1 keeps
+    # the coefficient 1/2: the check at the orbit's root fires, before
+    # the walk binds a depth
+    frame = _understated([[0, 0]], "1/2*pi^(-1),1*pi^(-1)")
+    assert frame["q"] == Q(1, 2) and "depth" not in frame
+
+
+def test_orbit_sums_refuse_a_fractional_walk_coefficient():
+    # bounds [[0, 1]] scale the root to the int 2, and the step to
+    # s_1 omega_1 multiplies it by r_1^-1 = 1/4 on GL2 with coefficients
+    # (2, 1): the check inside the walk fires, at depth 1
+    frame = _understated([[0, 1]], "2*pi^(-1),1*pi^(-1)")
+    assert frame["depth"] == 1 and frame["rem"] != 0
+
+
 # fixed torus points; the GL2 one cancels to 0 in its orbit sum
 RNU_POINTS = (
     ("GL2", "1*pi^(-1),-1*pi^(-2)"),
