@@ -8,8 +8,9 @@ of d: d' is built with its int form L d', each projection is
 point is the int vector den * L * y, and `Fraction`s are built once, for
 the result.
 `newton_points_below` walks the int points of each face by branch and
-bound, on affine int forms built from `project` of the base point and the
-unit vectors, and certifies each point it finds with `project` again.
+bound, on affine int forms whose linear parts are kept per datum in one
+table of the faces, and certifies each point it finds from the values of
+those forms at it.
 """
 
 import math
@@ -268,16 +269,22 @@ def newton_points_below(datum, mu):
     central part of mu and mu.  So a Newton point nu with face S is p_M(m)
     for one int m: zero on S, in the box lo_i <= m_i <= hi_i at the free i
     (not in S), hi_i read off mu's int form, and mu's in the torus slots.
-    `_face_walk` finds these m by branch and bound, face by face.  At each
-    m it returns, `RootDatum.project` gives D nu on ints (D the denominator
-    of the solver of S), and three checks certify the point: the caps
-    D nu_j <= floor(D mu_j) for j in S, <alpha_j, D nu> > 0 off S, and
-    <alpha_j, D nu> = 0 on S.  A failed check raises RuntimeError, and so
-    does a point found under two faces, as an accepted nu has face exactly
-    S.  Points are told apart by their reduced int forms (D / g, D nu / g),
-    g the gcd of D and D nu, which each NewtonPoint keeps as its `scaled`;
-    the result is sorted on these over the lcm of their scales, the order
-    of the `Fraction` tuples.
+    `_face_walk` finds these m by branch and bound, face by face, on the
+    int forms of the face (`_faces`), with D the denominator of the
+    solver of S.  Their constant terms come from one `RootDatum.solve` of
+    the base point on each face, on the pairings of the base point read
+    once per call.  Each m comes with the values of the forms at m, and
+    D nu is read off them: D m off S, and floor(D mu_j) less the value
+    of the cap form of j at each j in S.  Three checks on D nu and its
+    own pairings certify the point: the caps D nu_j <= floor(D mu_j) for
+    j in S, <alpha_j, D nu> > 0 off S, and <alpha_j, D nu> = 0 on S.
+    D nu - D m lies on the coordinates in S, where the Cartan block is
+    invertible, so the last check pins D nu to D p_M(m).  A failed check
+    raises RuntimeError, and so does a point found under two faces, as an
+    accepted nu has face exactly S.  Points are told apart by their
+    reduced int forms (D / g, D nu / g), g the gcd of D and D nu, which
+    each NewtonPoint keeps as its `scaled`; the result is sorted on these
+    over the lcm of their scales, the order of the `Fraction` tuples.
 
     Guard: on each face the walk counts the box values it tries, the
     width of the next coordinate's box range at every node it visits, so
@@ -297,16 +304,22 @@ def newton_points_below(datum, mu):
     lo = [qceil(c) for c in datum.central_part(top.point[l:])[:l]]
     hi = [v // scale for v in ints[:l]]
     base = [0] * l + [v // scale for v in ints[l:]]
+    pairings = datum.pairings
+    pbase = pairings(base)
     found = {}  # reduced int form -> NewtonPoint
-    for mask in range(1 << l):
-        subset = frozenset(j for j in range(l) if mask >> j & 1)
-        free = [i for i in range(l) if i not in subset]
-        idx, _adj, den = datum.pm_solver(subset)
+    for face in datum.memo("faces", None, _faces):
+        subset, free, idx, den, _cols, _terms = face
         caps = [den * ints[j] // scale for j in idx]  # floor(D mu_j)
-        for m in _face_walk(datum, subset, free, caps, lo, hi, base):
-            _idx, _den, c, dnu = datum.project(subset, m)
-            pairs = datum.pairings(dnu)
-            if (any(-cj > cap for cj, cap in zip(c, caps))
+        _idx, _den, c, y = datum.solve(subset, base, pbase)
+        py = pairings(y)
+        const = [cj + cap for cj, cap in zip(c, caps)]
+        const += [py[j] - 1 for j in free]
+        for m, sums in _face_walk(face, const, lo, hi, base):
+            dnu = [den * v for v in m]
+            for j, cap, s in zip(idx, caps, sums):
+                dnu[j] = cap - s
+            pairs = pairings(dnu)
+            if (any(dnu[j] > cap for j, cap in zip(idx, caps))
                     or any(pairs[j] <= 0 for j in free)):
                 raise RuntimeError(f"{m!r} passes the walk on the face"
                                    f" {sorted(subset)} but not its checks")
@@ -324,27 +337,40 @@ def newton_points_below(datum, mu):
         found, key=lambda f: tuple([v * (common // f[0]) for v in f[1]]))]
 
 
-def _face_walk(datum, subset, free, caps, lo, hi, base):
-    """The int points m of the face S = `subset` whose p_M meets the
-    checks of `newton_points_below`, as tuples.
+def _faces(datum):
+    """Every face S of the datum, a subset of the simple roots, once, as
+    (S, free, idx, D, cols, terms): the free indices (not in S), the
+    sorted indices and denominator of the solver of S, and the linear
+    parts of the forms of `_face_walk` on S (`_unit_forms`)."""
+    l = datum.l
+    faces = []
+    for mask in range(1 << l):
+        subset = frozenset(j for j in range(l) if mask >> j & 1)
+        free = [i for i in range(l) if i not in subset]
+        idx, _adj, den = datum.pm_solver(subset)
+        faces.append((subset, free, idx, den)
+                     + _unit_forms(datum, subset, free))
+    return tuple(faces)
+
+
+def _face_walk(face, const, lo, hi, base):
+    """The int points m of a face S whose p_M meets the checks of
+    `newton_points_below`, each as (m, sums): m a tuple, and sums the
+    values of the face's forms at m.
 
     With (idx, adj, D) the solver of S, `project` of m gives the
     coefficients c and D nu as int vectors linear in m.  So each check is
     an affine int form in the free coordinates that must be >= 0: the
-    caps c_j + floor(D mu_j) for j in S (`caps`), and <alpha_j, D nu> - 1
-    for j off S.  Their constant terms come from `project` of the base
-    point, their linear parts from `_unit_forms`.  The free coordinates
-    are then fixed depth first.  At each node the next one runs over the
-    interval of its box range on which every form can still be met with
-    some box values of the coordinates after it; the interval is read off
-    each form's coefficient at that coordinate.  An empty interval prunes
-    the branch, and every leaf meets every form.
+    caps c_j + floor(D mu_j) for j in S, and <alpha_j, D nu> - 1 for j
+    off S.  `const` holds their values at the base point, and the face's
+    `cols` and `terms` (`_faces`) their linear parts.  The free
+    coordinates are then fixed depth first.  At each node the next one
+    runs over the interval of its box range on which every form can still
+    be met with some box values of the coordinates after it; the interval
+    is read off each form's coefficient at that coordinate.  An empty
+    interval prunes the branch, and every leaf meets every form.
     """
-    _idx, _den, c, y = datum.project(subset, base)
-    const = [cj + cap for cj, cap in zip(c, caps)]
-    const += [datum.root_pairing(j, y) - 1 for j in free]
-    cols, terms = datum.memo("face_forms", subset, _unit_forms, subset,
-                             free)
+    _subset, free, _idx, _den, cols, terms = face
     k = len(free)
     # rest[p][r]: the most that the coordinates from p on add to form r
     rest = [[0] * len(const)]
@@ -358,7 +384,7 @@ def _face_walk(datum, subset, free, caps, lo, hi, base):
     if any(s + t < 0 for s, t in zip(const, rest[0])):
         return []
     if k == 0:
-        return [tuple(base)]
+        return [(tuple(base), const)]
     count, guard = 0, rootdata.GUARD
     m = list(base)
     leaves = []
@@ -376,12 +402,13 @@ def _face_walk(datum, subset, free, caps, lo, hi, base):
                 a = max(a, -(-need // f))
             else:
                 b = min(b, need // f)
+        col = cols[p]
         if p == k - 1:
             for v in range(a, b + 1):
                 m[i] = v
-                leaves.append(tuple(m))
+                leaves.append(
+                    (tuple(m), [s + f * v for s, f in zip(sums, col)]))
             return
-        col = cols[p]
         for v in range(a, b + 1):
             m[i] = v
             descend(p + 1, [s + f * v for s, f in zip(sums, col)])

@@ -46,8 +46,11 @@ def qceil(x):
 def scale_to_ints(xs):
     """(L, ints): L is the lcm of the denominators of the rationals xs,
     and ints is the tuple of the L*x, each an int."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return den, tuple([x.numerator * (den // x.denominator) for x in xs])
+    dens = [x.denominator for x in xs]
+    den = math.lcm(*dens)
+    if den == 1:
+        return 1, tuple([x.numerator for x in xs])
+    return den, tuple([x.numerator * (den // d) for x, d in zip(xs, dens)])
 
 
 def frac_part(x):

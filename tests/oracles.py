@@ -60,6 +60,12 @@ triple-loop product that `charpoly`, `compose` and `matrix_order` use,
 is the reference for `exactlinalg.mat_mul`, so no oracle multiplies
 with the kernel it checks.
 
+`scale_to_ints` is the two-expression form of `rationals.scale_to_ints`:
+the lcm over the denominators read once, then each numerator scaled with
+its denominator read again.  The library's form reads each denominator
+once and returns the numerators as they are when the lcm is 1; the two
+must give the same reprs, types included.
+
 `fraction_inverse` is Gauss-Jordan over `Fraction`: the KKT oracle's
 rational invariant form is inverted with it, so `retract_closest` shares
 no solver with the library, and it is the reference for the Smith-form
@@ -72,15 +78,21 @@ omega-coordinates (criterion 1); only the tests use either.
 
 import functools
 import itertools
+import math
 
 from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError
 from newtonstrata import rootdata
-from newtonstrata.rationals import (
-    NEG_INF, Q, frac_part, qceil, qfloor, scale_to_ints)
+from newtonstrata.rationals import NEG_INF, Q, frac_part, qceil, qfloor
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, WeylElement
 from newtonstrata.toruseval import LaurentPoly
+
+
+def scale_to_ints(xs):
+    """(L, ints): L the lcm of the denominators of xs, ints the L*x."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, tuple([x.numerator * (den // x.denominator) for x in xs])
 
 
 @functools.cache

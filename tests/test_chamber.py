@@ -65,6 +65,15 @@ def test_retract_matches_exhaustive():
             assert retract(g, d) == retract_exhaustive(g, d)
 
 
+def test_retract_exhaustive_refuses_two_accepting_faces(monkeypatch):
+    g = build_group("GL2")
+    monkeypatch.setattr(chamber, "_accepts",
+                        lambda datum, dprime, subset: dprime)
+    with pytest.raises(RetractionError,
+                       match=r"^2 accepting faces for \(0, 1\)$"):
+        retract_exhaustive(g, (0, 1))
+
+
 def test_retract_rejects_torus_neg_inf():
     g = build_group("GL2")
     with pytest.raises(ValueError):
@@ -243,13 +252,20 @@ def test_newton_points_below_central():
     assert [p.point for p in pts] == [mu]
 
 
+# group -> the bound on the entries of the int vectors mu is drawn from;
+# GL3*T1 has two torus slots, so the base point of a face can be nonzero
+# in both
+BELOW_GROUPS = {"GL3": 3, "GL4": 3, "B2": 3, "G2": 3, "B2*T1": 3, "C3": 2,
+                "GL3*T1": 2}
+
+
 @given(st.data())
 def test_newton_points_below_matches_oracle(data):
-    g = build_group(data.draw(st.sampled_from(
-        ("GL3", "GL4", "B2", "G2", "B2*T1"))))
+    spec = data.draw(st.sampled_from(tuple(BELOW_GROUPS)))
+    g, bound = build_group(spec), BELOW_GROUPS[spec]
     mus = []
     for _ in range(2):
-        raw = data.draw(st.tuples(*[st.integers(-3, 3)] * g.n))
+        raw = data.draw(st.tuples(*[st.integers(-bound, bound)] * g.n))
         mus.append(g.dominant_rep(tuple(Q(c) for c in raw))[0])
     pts = newton_points_below(g, mus[0])
     expect = oracles.newton_points_below(g, mus[0])
@@ -277,17 +293,37 @@ def test_newton_points_below_face_check():
         newton_points_below(g, (Q(1), Q(1)))
 
 
+def _leaf(face, const, m):
+    """m as a leaf of `_face_walk` on a face: with the values at m of the
+    face's forms, whose values at the base point are `const`."""
+    _subset, free, _idx, _den, cols, _terms = face
+    sums = list(const)
+    for i, col in zip(free, cols):
+        sums = [s + f * m[i] for s, f in zip(sums, col)]
+    return tuple(m), sums
+
+
 @pytest.mark.parametrize("walk, match", [
     # a leaf found twice: the int-form key sees the repeat
-    (lambda leaves: leaves + leaves, "found under two faces"),
+    (lambda face, const, leaves: leaves + leaves, "found under two faces"),
     # (0, 1) pairs negatively with alpha_1 off the face
-    (lambda leaves: leaves + [(0, 1)], "but not its checks"),
-], ids=["twice", "checks"])
+    (lambda face, const, leaves: leaves + [_leaf(face, const, (0, 1))],
+     "but not its checks"),
+    # the one form on GL2 raised by one: off the face it is not read, on
+    # the face {0} it is the cap, and D nu_1 falls one below the cap
+    (lambda face, const, leaves: [(m, [sums[0] + 1]) for m, sums in leaves],
+     "leaves the face"),
+], ids=["twice", "checks", "cap"])
 def test_newton_points_below_self_checks_raise(monkeypatch, walk, match):
     g = build_group("GL2")
     face_walk = chamber._face_walk
-    monkeypatch.setattr(chamber, "_face_walk",
-                        lambda *args: walk(list(face_walk(*args))))
+
+    def planted(face, const, *args):
+        leaves = face_walk(face, const, *args)
+        assert all(_leaf(face, const, m) == (m, sums) for m, sums in leaves)
+        return walk(face, const, leaves)
+
+    monkeypatch.setattr(chamber, "_face_walk", planted)
     with pytest.raises(RuntimeError, match=match):
         newton_points_below(g, (Q(1), Q(1)))
 

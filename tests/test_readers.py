@@ -7,12 +7,14 @@ criterion-8 style mu, once as the NewtonPoint and once as the plain
 tuple of its coordinates, and against the `Fraction` forms in `oracles`.
 The work counts of one `poset` op (as perfbench runs it) are fixed
 numbers, not timings, so they show a lost shortcut on any host.
+`scale_to_ints`, which makes the int form of a plain point, is checked
+against its two-expression form in `oracles`.
 """
 
 import fractions
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -184,3 +186,17 @@ def test_certified_points_arrive_scaled(monkeypatch, spec, d):
     assert sum(c["n"] for c in counts) == 0
     dim_leq(g, np.point)  # the counter sees a plain point scaled
     assert sum(c["n"] for c in counts) == 1
+
+
+SCALARS = st.one_of(st.integers(-60, 60), st.booleans(), st.fractions(
+    min_value=-20, max_value=20, max_denominator=12))
+
+
+@given(st.lists(SCALARS, max_size=8).map(tuple))
+@example(())
+@example((True, False, 3))
+@example((Q(6, 3), True, Q(1, 12)))
+def test_scale_to_ints_matches_the_two_pass_form(xs):
+    # one read of the denominators, and the numerators as they are when
+    # the lcm is 1: the same form as the oracle's, types included
+    assert repr(scale_to_ints(xs)) == repr(oracles.scale_to_ints(xs))

@@ -154,7 +154,9 @@ def test_memo_is_the_only_cache_on_a_root_datum():
 MEMO_TABLES = {
     "pm": "one per subset of the simple roots: at most 2^l",
     "levi": "one per subset of the simple roots: at most 2^l",
-    "face_forms": "one per face, a subset of the simple roots: at most 2^l",
+    "faces": "one entry: every face, a subset of the simple roots, once,"
+    " with its solver's indices and denominator and its unit forms: 2^l"
+    " faces",
     "central": "unbounded: keyed by the raw torus coordinates it is given,"
     " so it grows with the number of distinct inputs; each entry is the"
     " central part and its int form",
@@ -216,6 +218,15 @@ den, vertices, weights = affine._build_alcove_vertices(g)
 g.memo("alcove_vertices", None, lambda d: (den, (), weights))
 call = lambda: affine.section_s(g, (0, 0, 1))
 expect = "no integral vertex"
+""",
+    "newton_points_below face": """
+from newtonstrata.chamber import newton_points_below
+from newtonstrata.rationals import Q
+from newtonstrata.rootdata import build_group
+g = build_group("GL2")
+g.memo("pm", frozenset({0}), lambda d: ([0], [[0]], 1))
+call = lambda: newton_points_below(g, (Q(1), Q(1)))
+expect = "leaves the face"
 """,
     "stratum_of certify": """
 from newtonstrata import chamber
