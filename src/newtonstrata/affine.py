@@ -6,7 +6,7 @@ import math
 import operator
 
 from . import dynkin, exactlinalg
-from .rationals import Q, frac_part, scale_to_ints
+from .rationals import Q, frac_part
 from .rootdata import OrbitGuardError, WeylElement, record
 from .strata import d_G
 
@@ -22,26 +22,33 @@ class AffineWeylElement:
     linear: WeylElement
 
 
-def translation(datum, lift):
-    """Translation by an integral lift, checked by `RootDatum.point`."""
-    ident = WeylElement(tuple(map(tuple, exactlinalg.identity(datum.n))))
-    return AffineWeylElement(datum.point(lift, integral=True), ident)
-
-
 def _affine_tables(datum):
-    """(roots, den, point): the simple affine roots and an interior sample
-    point of the base alcove, as the int vector den * p0; built once per
-    datum."""
+    """(roots, den, p0, vertices, weights), built once per datum: the
+    simple affine roots, and over one denominator den the int vectors
+    den * v of the interior sample point p0 of the base alcove and of the
+    vertices of the closed base alcove that can be integral, less the
+    central part, and den times the coefficients k_j of 2 rho = sum_j k_j
+    alpha_j (the sum of the positive roots)."""
     return datum.memo("affine_tables", None, _build_affine_tables)
 
 
 def _build_affine_tables(datum):
     """theta^vee is dominant and in the W-orbit of e_j for a long alpha_j;
     each orbit meets the chamber once, so theta^vee = dominant_rep(e_j).
-    theta = sum m_a alpha_a with m_a = theta^vee_a |theta|^2 / |alpha_a|^2."""
-    n = datum.n
-    roots = []
-    p0 = [Q(0)] * n
+    theta = sum m_a alpha_a with m_a = theta^vee_a |theta|^2 / |alpha_a|^2.
+
+    With adj / d the inverse of the Cartan block over all simple roots
+    (`pm_solver`), block-diagonal by factor, the fundamental coweight
+    varpi_j^vee is column j of adj / d with torus part 0, and 2 rho pairs
+    to 2 with every simple coroot, so d k_j = 2 sum_i adj[i][j].  p0 is
+    rho^vee / (h + 1) on each factor, h its Coxeter number, so den = d
+    times the lcm of the h + 1.  A vertex of the closed base alcove is, up
+    to the central part, a sum over the factors of 0 or varpi_j^vee / m_j;
+    only the m_j = 1 are kept, as the elements of Omega carry the special
+    vertex 0 to exactly those."""
+    n, l = datum.n, datum.l
+    _idx, adj, d = datum.pm_solver(frozenset(range(l)))
+    roots, coxes, picks = [], [], []
     for fidx, f in enumerate(datum.factors):
         norms = dynkin.root_norms(f.letter, f.rank)
         long = max(norms)
@@ -53,16 +60,11 @@ def _build_affine_tables(datum):
         if any(m.denominator != 1 for m in marks):
             raise RuntimeError("highest root marks are not integers")
         marks = [int(m) for m in marks]
-        cox = sum(marks) + 1  # Coxeter number
+        coxes.append(sum(marks) + 1)  # Coxeter number
         theta = [
             sum(m * datum.alpha[i][j] for m, j in zip(marks, f.indices))
             for i in range(n)
         ]
-        # rho^vee / (cox + 1) within this factor's coroot span: rho^vee
-        # solves <alpha_j, rho^vee> = 1, so p0_j = sum_k adj_jk / den (cox + 1)
-        idx, adj, den = datum.pm_solver(frozenset(f.indices))
-        for j, row in zip(idx, adj):
-            p0[j] += Q(sum(row), den * (cox + 1))
         # simple affine roots (lam, k, generator id, coroot h): the
         # functional v -> <lam, v> + k and its reflection
         # v -> v - (<lam, v> + k) h; h is e_j for a finite root
@@ -71,16 +73,22 @@ def _build_affine_tables(datum):
             roots.append((datum.root_coords(j), 0, j, unit))
         roots.append((tuple(-c for c in theta), 1, -(fidx + 1),
                       tuple(-c for c in theta_check)))
+        picks.append([None] + [j for j, m in zip(f.indices, marks) if m == 1])
     # the affine Cartan diagonal <lam, h> = 2: on -theta, a check of theta^vee
     if any(sum(map(operator.mul, lam, h)) != 2 for lam, _k, _g, h in roots):
         raise RuntimeError("affine Cartan matrix has a diagonal entry != 2")
-    den, point = scale_to_ints(p0)
-    return roots, den, point
-
-
-def simple_affine_roots(datum):
-    """(lam, k, generator id, coroot h) for every simple affine root."""
-    return _affine_tables(datum)[0]
+    scale = math.lcm(*(h + 1 for h in coxes))
+    den = d * scale
+    p0 = [0] * n
+    for f, h in zip(datum.factors, coxes):
+        for j in f.indices:
+            p0[j] = sum(adj[j]) * (scale // (h + 1))  # rho^vee_j / (h + 1)
+    vertices = tuple(
+        tuple(scale * sum(adj[i][j] for j in pick if j is not None)
+              if i < l else 0 for i in range(n))
+        for pick in itertools.product(*picks))
+    weights = tuple(2 * scale * sum(col) for col in zip(*adj))
+    return roots, den, tuple(p0), vertices, weights
 
 
 def _weyl_element(datum, image):
@@ -116,7 +124,7 @@ def alcove_reduce(datum, x):
     at ALCOVE_GUARD reflections.  `section_s` is its closed form; the walk
     is its test reference and the span the benchmark's alcove metrics hook.
     """
-    roots, den, p0 = _affine_tables(datum)
+    roots, den, p0, _vertices, _weights = _affine_tables(datum)
     t = list(x.translation)
     point = [a + den * s for a, s in zip(x.linear.act(p0), t)]
     word = []
@@ -150,7 +158,7 @@ def stabilizes_base_alcove(datum, x):
     roots pulled back along x: (lam, k) -> (lam o linear, <lam, t> + k).
     lam o linear is the combination of the rows of the matrix with the
     nonzero coefficients of lam."""
-    roots = simple_affine_roots(datum)
+    roots = _affine_tables(datum)[0]
     rows, t = x.linear.matrix, x.translation
     pulled = set()
     for lam, k, _g, _h in roots:
@@ -162,44 +170,11 @@ def stabilizes_base_alcove(datum, x):
     return pulled == {(lam, k) for lam, k, _g, _h in roots}
 
 
-def _alcove_vertices(datum):
-    """(den, vertices, weights): den from `pm_solver` over all simple
-    roots, the vertices of the closed base alcove that can be integral,
-    less the central part, as the int vectors den * v, and den times the
-    coefficients k_j of 2 rho = sum_j k_j alpha_j (the sum of the positive
-    roots); built once per datum."""
-    return datum.memo("alcove_vertices", None, _build_alcove_vertices)
-
-
-def _build_alcove_vertices(datum):
-    """The fundamental coweight varpi_j^vee is column j of adj / den, with
-    torus part 0, and 2 rho pairs to 2 with every simple coroot, so den
-    k_j = 2 sum_i adj[i][j].  A vertex of the closed base alcove is, up to
-    the central part, a sum over the factors of 0 or varpi_j^vee / m_j;
-    only the m_j = 1 are kept, as the elements of Omega carry the special
-    vertex 0 to exactly those.  m_j = <theta, varpi_j^vee> is read off the
-    affine root (-theta, 1) of the factor."""
-    n, l = datum.n, datum.l
-    _idx, adj, den = datum.pm_solver(frozenset(range(l)))
-    coweights = [tuple(adj[i][j] if i < l else 0 for i in range(n))
-                 for j in range(l)]
-    picks = []
-    for lam, _k, gid, _h in _affine_tables(datum)[0]:
-        if gid < 0:
-            picks.append([(0,) * n] + [
-                coweights[j] for j in datum.factors[-gid - 1].indices
-                if -sum(c * v for c, v in zip(lam, coweights[j])) == den])
-    vertices = tuple(tuple(map(sum, zip((0,) * n, *pick)))
-                     for pick in itertools.product(*picks))
-    weights = tuple(2 * sum(col) for col in zip(*adj))
-    return den, vertices, weights
-
-
 def _translation_length(datum, nu):
     """l(t_nu) = sum over the positive roots alpha of |<alpha, nu>|, the
     length of `alcove_reduce`'s word for t_nu: <2 rho, dom(nu)>, read off
     the descent of nu to dom(nu) as sum_j k_j <alpha_j, dom(nu)>."""
-    den, _vertices, weights = _alcove_vertices(datum)
+    _roots, den, _p0, _vertices, weights = _affine_tables(datum)
     dom = datum.dominant_rep(nu)[0]
     return Q(sum(k * datum.root_pairing(j, dom)
                  for j, k in enumerate(weights)), den)
@@ -214,11 +189,11 @@ def section_s(datum, nu):
 
     x0 carries the special vertex 0 to p, so p is the one integral vertex
     of the closed base alcove in nu + Q^vee: the central part of nu's tail
-    plus one of the `_alcove_vertices`, tested for integrality on ints.
-    x0 carries a point y of the open alcove to the interior point p0, so y
-    is the dominant point of the orbit of p0 - p and w is rebuilt along
-    its descent by `_weyl_element` (on den p0 - den p, with den from the
-    affine tables), which checks that w hits that image.
+    plus one of the vertices of `_affine_tables`, tested for integrality
+    on ints.  x0 carries a point y of the open alcove to the interior
+    point p0, so y is the dominant point of the orbit of p0 - p and w is
+    rebuilt along its descent by `_weyl_element` (on den p0 - den p, at
+    the table's one scale), which checks that w hits that image.
 
     The checks certify x0: p is integral and w a product of simple
     reflections, so x0 lies in the extended affine Weyl group; its tail
@@ -233,7 +208,7 @@ def section_s(datum, nu):
     descent of nu in `_translation_length` runs only when that bound
     reaches the guard."""
     nu = datum.point(nu, integral=True)
-    den, vertices, weights = _alcove_vertices(datum)
+    _roots, den, p0, vertices, weights = _affine_tables(datum)
     bound = sum(k * abs(datum.root_pairing(j, nu))
                 for j, k in enumerate(weights))
     if (bound >= ALCOVE_GUARD * den
@@ -252,8 +227,7 @@ def section_s(datum, nu):
     if p is None:
         raise RuntimeError("no integral vertex of the base alcove in the"
                            " class of nu")
-    _roots, den0, p0 = _affine_tables(datum)
-    w, _word, _y = _weyl_element(datum, [a - den0 * b for a, b in zip(p0, p)])
+    w, _word, _y = _weyl_element(datum, [a - den * b for a, b in zip(p0, p)])
     x0 = AffineWeylElement(p, w)
     if x0.translation[datum.l:] != tuple(nu[datum.l:]):
         raise RuntimeError("alcove reduction changed the class of nu")
@@ -271,7 +245,7 @@ def weyl_word(datum, w):
     """Express a Weyl element as a product of simple reflections: the
     descent of the image of the base-alcove point, which gives w back
     through `_weyl_element` exactly when w is a Weyl group element."""
-    _roots, _den, p0 = _affine_tables(datum)
+    p0 = _affine_tables(datum)[2]
     found, word, end = _weyl_element(datum, w.act(p0))
     if end != p0 or found.matrix != w.matrix:
         raise RuntimeError("descent failed: not a Weyl group element")

@@ -10,7 +10,7 @@ import json
 import re
 import sys
 
-from .rationals import fmt_point, fmt_scalar, parse_point
+from .rationals import Q, fmt_point, fmt_scalar, parse_point
 from .rootdata import OrbitGuardError, build_group
 
 _GLN = re.compile(r"^GL(\d+)$")
@@ -20,9 +20,15 @@ def _is_gln(datum):
     return bool(_GLN.match(datum.label))
 
 
+def coords_to_slopes(coords):
+    """The GL_n slopes of a point in omega-coordinates: the differences of
+    its successive coordinates, the first taken from 0."""
+    coords = [Q(0)] + [Q(c) for c in coords]
+    return tuple(b - a for a, b in zip(coords, coords[1:]))
+
+
 def _slopes(point):
-    from . import toruseval
-    return [fmt_scalar(s) for s in toruseval.coords_to_slopes(point)]
+    return [fmt_scalar(s) for s in coords_to_slopes(point)]
 
 
 def _emit(args, payload):

@@ -420,12 +420,12 @@ class RootDatum:
         return z, scale_to_ints(z)
 
     def levi(self, subset):
-        """Levi sub-datum for a set of simple roots, plus coordinate converters.
+        """Levi sub-datum for a set of simple roots, plus a coordinate map.
 
-        Returns (datum, to_levi, from_levi): the retained simple roots are
-        reindexed to come first (in their original relative order), the
-        omega-basis is unchanged up to that permutation.  The triple is
-        built once per subset and shared; the datum is immutable.
+        Returns (datum, to_levi): the retained simple roots are reindexed
+        to come first (in their original relative order), the omega-basis
+        is unchanged up to that permutation.  The pair is built once per
+        subset and shared; the datum is immutable.
         """
         subset = tuple(sorted(set(subset)))
         if any(not 0 <= j < self.l for j in subset):
@@ -451,14 +451,7 @@ class RootDatum:
         def to_levi(x):
             return tuple(x[perm[i]] for i in range(self.n))
 
-        inv_perm = [0] * self.n
-        for new, old in enumerate(perm):
-            inv_perm[old] = new
-
-        def from_levi(x):
-            return tuple(x[inv_perm[i]] for i in range(self.n))
-
-        return datum, to_levi, from_levi
+        return datum, to_levi
 
     # -- lattice quotients -------------------------------------------------
 

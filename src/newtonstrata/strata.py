@@ -126,7 +126,7 @@ def d_levi_check(datum, nu):
     times d_G: the Levi side on the datum of `RootDatum.levi`, through its
     coordinate map `to_levi`."""
     nu = newton_point(datum, nu)
-    levi_datum, to_levi, _back = datum.levi(nu.levi)
+    levi_datum, to_levi = datum.levi(nu.levi)
     den, ints = nu.scaled
     return (_frac_sum(levi_datum, (den, to_levi(ints)))
             == _frac_sum(datum, (den, ints)))

@@ -327,15 +327,6 @@ def classical_newton_slopes(d):
     return tuple(slopes)
 
 
-def coords_to_slopes(coords):
-    out = []
-    prev = Q(0)
-    for c in coords:
-        out.append(Q(c) - prev)
-        prev = Q(c)
-    return tuple(out)
-
-
 def random_torus_point(datum, rng, denominator=1):
     """Seeded monomial torus point with collision-prone coefficients."""
     coeffs = [Q(c) for c in (1, -1, 2, -2)]

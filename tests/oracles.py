@@ -33,8 +33,9 @@ on int forms (`RootDatum.scaled`): a `Fraction` comparison, pairing,
 floor or `frac_part` per coordinate, and ceil(mu_i - nu_i) on the
 rational difference.  They take plain points and check nothing.
 
-`simple_reflection`, `weyl_product`, `compose` and `affine_generator`
-build Weyl and affine Weyl elements as full matrices and multiply them.
+`simple_reflection`, `weyl_product`, `compose`, `affine_generator` and
+`translation` build Weyl and affine Weyl elements as full matrices and
+multiply them.
 The library moves only a point by formula and reads each Weyl element
 off the dominant descent of that point; these are the references for
 `dominant_rep`, `alcove_reduce` and `weyl_word`.  The highest root in
@@ -355,6 +356,13 @@ def highest_root(datum, f):
     return theta, tuple(int(c) for c in theta_check)
 
 
+def translation(datum, lift):
+    """Translation by an integral lift, checked by `RootDatum.point`: the
+    element t_lift that `alcove_reduce` walks from."""
+    return AffineWeylElement(datum.point(lift, integral=True),
+                             weyl_product(datum, ()))
+
+
 def affine_generator(datum, gid):
     """The simple affine reflection with generator id gid (j >= 0 the
     finite s_j, -f the affine reflection of factor f) as a full element:
@@ -569,7 +577,7 @@ def codim_chai(datum, nu, mu):
 def d_levi(datum, nu, levi):
     """Whether `d_G` of the point nu in the Levi sub-datum of the simple
     roots `levi` equals `d_G` of nu, both as `Fraction` sums."""
-    levi_datum, to_levi, _back = datum.levi(levi)
+    levi_datum, to_levi = datum.levi(levi)
     return d_G(levi_datum, to_levi(nu)) == d_G(datum, nu)
 
 

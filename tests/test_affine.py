@@ -1,6 +1,7 @@
 """Extended affine Weyl group: section, defect, characters."""
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -14,9 +15,7 @@ from newtonstrata.affine import (
     defect,
     reflection_char_multiset_check,
     section_s,
-    simple_affine_roots,
     stabilizes_base_alcove,
-    translation,
     verify_defect_identity,
     w_nu,
     weyl_word,
@@ -28,8 +27,8 @@ from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
 from oracles import charpoly as charpoly_fraction
 from oracles import (
-    affine_generator, compose, highest_root, matrix_order, positive_roots,
-    section_closed_form, weyl_product)
+    affine_generator, compose, fraction_inverse, highest_root, matrix_order,
+    positive_roots, section_closed_form, translation, weyl_product)
 
 
 def _gcd(a, b):
@@ -74,7 +73,7 @@ def test_section_gl2_half_slope():
 def test_section_raises_if_base_alcove_moves(monkeypatch):
     # a real raise, not an assert that python -O would strip
     monkeypatch.setattr(affine, "stabilizes_base_alcove", lambda d, x: False)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="does not stabilize"):
         section_s(build_group("GL2"), (1, 1))
 
 
@@ -312,14 +311,14 @@ def test_w_nu_order_divides_class_order():
 
 def test_simple_affine_roots_count():
     g = build_group("B2*A1")
-    assert len(simple_affine_roots(g)) == 5  # (2+1) + (1+1)
+    assert len(affine._affine_tables(g)[0]) == 5  # (2+1) + (1+1)
     # every simple type: the affine root is (-theta, 1, gid, -theta^vee)
     # with theta from root strings and theta^vee from the invariant form,
     # and the sample point lies strictly inside the base alcove
     for letter, (lo, hi) in dynkin.RANK_BOUNDS.items():
         for rank in range(lo, hi + 1):
             g = build_group(f"{letter}{rank}")
-            roots, den, p0 = affine._affine_tables(g)
+            roots, den, p0, _vertices, _weights = affine._affine_tables(g)
             theta, theta_check = highest_root(g, g.factors[0])
             assert len(roots) == rank + 1
             assert roots[-1] == (tuple(-c for c in theta), 1, -1,
@@ -336,8 +335,8 @@ def test_affine_tables_theta_check_raises(monkeypatch):
     g = build_group("GL3")  # fresh datum: no affine tables cached yet
     monkeypatch.setattr(affine.dynkin, "root_norms",
                         lambda letter, l: [Q(2)] * (l - 1) + [Q(3)])
-    with pytest.raises(RuntimeError):
-        simple_affine_roots(g)
+    with pytest.raises(RuntimeError, match="marks are not integers"):
+        affine._affine_tables(g)
 
 
 CARTAN_SPECS = [f"{letter}{rank}"
@@ -353,7 +352,7 @@ def test_affine_cartan_table(spec):
     # (1 on the affine node) a left and the theta^vee coefficients a right
     # null vector, both from root strings and the invariant form
     g = build_group(spec)
-    roots = simple_affine_roots(g)
+    roots = affine._affine_tables(g)[0]
     size = len(roots)
     cmat = [[sum(a * b for a, b in zip(lam, h)) for _l, _k, _g, h in roots]
             for lam, _k, _g, _h in roots]
@@ -390,6 +389,35 @@ def test_affine_cartan_table(spec):
             assert sum(cmat[r][s] * right[s] for s in idx) == 0
 
 
+@pytest.mark.parametrize("spec", CARTAN_SPECS)
+def test_affine_table_matches_fractions(spec):
+    # the one table's int vectors over its one den, against Fractions from
+    # the inverse top block and root strings: p0 = rho^vee / (h + 1) per
+    # factor, the vertices the sums over the factors of 0 or a varpi_j^vee
+    # with mark 1, and k_j of 2 rho the sum of the positive roots
+    g = build_group(spec)
+    _roots, den, p0, vertices, weights = affine._affine_tables(g)
+    # row j of the inverse top block is varpi_j^vee, torus part 0
+    inv = fraction_inverse([list(g.alpha[i][:g.l]) for i in range(g.l)])
+    rho, picks, two_rho = [Q(0)] * g.n, [], [0] * g.l
+    for f in g.factors:
+        roots = positive_roots(dynkin.cartan_matrix(f.letter, f.rank))
+        marks = roots[-1]
+        for i in f.indices:
+            rho[i] = sum(inv[j][i] for j in f.indices) / (sum(marks) + 2)
+        picks.append([None] + [j for j, m in zip(f.indices, marks) if m == 1])
+        for root in roots:
+            for j, c in zip(f.indices, root):
+                two_rho[j] += c
+    assert [Q(v, den) for v in p0] == rho
+    expect = {tuple(sum((inv[j][i] for j in pick if j is not None), Q(0))
+                    if i < g.l else 0 for i in range(g.n))
+              for pick in itertools.product(*picks)}
+    assert len(vertices) == len(expect)
+    assert {tuple(Q(v, den) for v in vertex) for vertex in vertices} == expect
+    assert [Q(k, den) for k in weights] == two_rho
+
+
 def test_affine_cartan_diagonal_check_raises(monkeypatch):
     # a doubled theta^vee (and with it the marks and theta) puts
     # <-theta, -theta^vee> = 8 on the affine root's diagonal; a real
@@ -403,18 +431,20 @@ def test_affine_cartan_diagonal_check_raises(monkeypatch):
 
     monkeypatch.setattr(RootDatum, "dominant_rep", doubled)
     with pytest.raises(RuntimeError, match="diagonal"):
-        simple_affine_roots(g)
+        affine._affine_tables(g)
 
 
 def test_alcove_reduce_refuses_a_sample_point_on_a_wall():
     # GL2's theta is alpha_1: with den planted as <alpha_1, den p0>, the
     # sample point pairs positively with alpha_1 and lies on the affine
     # wall <-theta, v> + 1 = 0; a real raise, not an assert
-    roots, _den, p0 = affine._affine_tables(build_group("GL2"))
+    roots, _den, p0, vertices, weights = affine._affine_tables(
+        build_group("GL2"))
     val = sum(c * p for c, p in zip(roots[0][0], p0))
     assert val > 0
     g = build_group("GL2")  # fresh datum: its own memo
-    g.memo("affine_tables", None, lambda d: (roots, val, p0))
+    g.memo("affine_tables", None,
+           lambda d: (roots, val, p0, vertices, weights))
     with pytest.raises(RuntimeError, match="affine wall"):
         alcove_reduce(g, translation(g, (0, 0)))
 
@@ -496,12 +526,12 @@ def test_section_descends_nu_only_past_the_bound(monkeypatch):
 
 
 def _planted_vertices(g, change):
-    """A fresh copy of the datum g whose vertex table holds change(den,
+    """A fresh copy of the datum g whose affine table holds change(den,
     vertices) in place of the vertices."""
     fresh = build_group(g.label)
-    den, vertices, weights = affine._build_alcove_vertices(fresh)
-    fresh.memo("alcove_vertices", None,
-               lambda d: (den, change(den, vertices), weights))
+    roots, den, p0, vertices, weights = affine._build_affine_tables(fresh)
+    fresh.memo("affine_tables", None, lambda d: (
+        roots, den, p0, change(den, vertices), weights))
     return fresh
 
 

@@ -74,6 +74,13 @@ def test_retract_exhaustive_refuses_two_accepting_faces(monkeypatch):
         retract_exhaustive(g, (0, 1))
 
 
+def test_retract_exhaustive_refuses_a_rank_past_eight():
+    # 2^9 faces: the subset enumeration stops at semisimple rank 8
+    g = build_group("E8*A1")
+    with pytest.raises(ValueError, match="rank too large"):
+        retract_exhaustive(g, (0,) * g.n)
+
+
 def test_retract_rejects_torus_neg_inf():
     g = build_group("GL2")
     with pytest.raises(ValueError):
@@ -309,11 +316,15 @@ def _leaf(face, const, m):
     # (0, 1) pairs negatively with alpha_1 off the face
     (lambda face, const, leaves: leaves + [_leaf(face, const, (0, 1))],
      "but not its checks"),
+    # (1, 2) pairs to zero with alpha_1 off the face: a point of a
+    # smaller face, refused by the strict pairing check
+    (lambda face, const, leaves: leaves + [_leaf(face, const, (1, 2))],
+     "but not its checks"),
     # the one form on GL2 raised by one: off the face it is not read, on
     # the face {0} it is the cap, and D nu_1 falls one below the cap
     (lambda face, const, leaves: [(m, [sums[0] + 1]) for m, sums in leaves],
      "leaves the face"),
-], ids=["twice", "checks", "cap"])
+], ids=["twice", "checks", "zero", "cap"])
 def test_newton_points_below_self_checks_raise(monkeypatch, walk, match):
     g = build_group("GL2")
     face_walk = chamber._face_walk

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from newtonstrata.chamber import (
     RetractionError, newton_points_below, retract, stratum_of)
 from newtonstrata.cli import main
-from newtonstrata.rationals import Q, fmt_point
+from newtonstrata.rationals import NEG_INF, Q, fmt_point
 from newtonstrata.rootdata import RootDatum, build_group
 
 
@@ -154,6 +154,41 @@ def test_verify_all(capsys):
     assert code == 0
     assert {r["suite"] for r in json.loads(out)} == {
         "rnu", "defect", "chars"}
+
+
+def test_verify_reports_planted_failures(capsys, monkeypatch):
+    # every suite's failure path: each report fails and carries a
+    # Fraction and -inf, which the payload turns into JSON strings; text
+    # output marks each suite FAIL with one line per failure, and exits 1
+    from newtonstrata import affine, toruseval, verify
+
+    def failing(datum, x):
+        return {"value": Q(1, 2), "vals": (NEG_INF, Q(-3)), "pass": False}
+
+    monkeypatch.setattr(toruseval, "check_thm_rnu", failing)
+    monkeypatch.setattr(affine, "verify_defect_identity", lambda d, x: dict(
+        failing(d, x), defect=0))
+    monkeypatch.setattr(affine, "reflection_char_multiset_check", failing)
+    g = build_group("GL2")
+    reports = verify.run_suites(g, list(verify.SUITES), count=2)
+    assert [(r["suite"], r["pass"], len(r["failures"])) for r in reports] \
+        == [("rnu", False, 2), ("defect", False, 6), ("chars", False, 2)]
+    for r in reports:
+        for f in r["failures"]:
+            assert f["report"]["value"] == "1/2"
+            assert f["report"]["vals"] == ["-inf", "-3"]
+    assert json.loads(json.dumps(reports)) == reports
+    code, out, _ = run(capsys, "verify", "--group", "GL2", "--count", "2",
+                       "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("  failure: ")] \
+        == ["rnu: FAIL (2 cases, 2 failures)",
+            "defect: FAIL (6 cases, 6 failures)",
+            "chars: FAIL (2 cases, 2 failures)"]
+    failures = [json.loads(line[len("  failure: "):]) for line in lines
+                if line.startswith("  failure: ")]
+    assert failures == [f for r in reports for f in r["failures"]]
 
 
 def test_verify_deterministic(capsys):

@@ -87,10 +87,9 @@ BASE = {"cli", "rationals", "dynkin", "exactlinalg", "rootdata"}
 # slopes): the `newtonstrata.*` modules it loads
 LOADS = [
     ("describe --group GL3", BASE),
-    ("retract --group GL2 --d 0,2", BASE | {"chamber", "strata", "toruseval"}),
+    ("retract --group GL2 --d 0,2", BASE | {"chamber"}),
     ("retract --group B2 --d 0,2", BASE | {"chamber"}),
-    ("stratum --group GL3 --d 0,1,2",
-     BASE | {"chamber", "strata", "toruseval"}),
+    ("stratum --group GL3 --d 0,1,2", BASE | {"chamber"}),
     ("stratum --group B2 --d 0,1", BASE | {"chamber"}),
     ("conditions --group GL2 --mu 1,1", BASE | {"chamber", "strata"}),
     ("dim --group GL2 --mu 1,1", BASE | {"chamber", "strata"}),

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from newtonstrata import dynkin, rootdata
@@ -55,6 +55,35 @@ def test_parse_errors():
                 "Gext(A2;m=ex)", "Gext(A2;m=e)", "Gext(A2;m=-e)"):
         with pytest.raises(GroupSpecError):
             build_group(bad)
+
+
+A1 = rootdata.Factor("A", 1, (0,))
+
+
+@pytest.mark.parametrize("n, l, alpha, factors, match", [
+    (0, 0, [], [], "rank bounds violated"),
+    (2, 1, [[2]], [A1], "wrong shape"),
+    (2, 1, [[3], [-1]], [A1], "does not match the Cartan matrix"),
+    # both factors fill the one Cartan entry, so the block matches
+    (2, 1, [[2], [-1]], [A1, A1], "do not cover the simple roots"),
+], ids=["rank", "shape", "block", "cover"])
+def test_datum_refuses_an_invalid_skeleton(n, l, alpha, factors, match):
+    with pytest.raises(GroupSpecError, match=match):
+        rootdata.RootDatum(n, l, alpha, factors)
+
+
+@pytest.mark.parametrize("subset", [{3}, {-1}, {0, 2}])
+def test_levi_refuses_an_index_off_the_simple_roots(subset):
+    with pytest.raises(ValueError, match="invalid Levi subset"):
+        build_group("GL3").levi(subset)
+
+
+@pytest.mark.parametrize("block", [
+    [[3]], [[2, -2], [-2, 2]], [[2, -4], [-1, 2]]],
+    ids=["diagonal", "affine_A1", "BC2"])
+def test_classify_refuses_a_block_of_no_finite_type(block):
+    with pytest.raises(ValueError, match="not a Cartan matrix"):
+        dynkin.classify(block)
 
 
 def test_datum_takes_no_new_attributes():
@@ -253,6 +282,16 @@ def test_orbit_tree_matches_bfs(case):
     _check_orbit_tree(g, lam, (guard,))
 
 
+@given(st.sampled_from(sorted(WALK_GROUPS)).map(WALK_GROUPS.get).flatmap(
+    lambda g: st.tuples(st.just(g), st.tuples(*[st.integers(-2, 2)] * g.n))))
+def test_orbit_tree_climbs_from_any_weight(case):
+    # from a weight off the chamber the walk first climbs to the dominant
+    # element, then lists the orbit the BFS oracle finds from lam itself
+    g, lam = case
+    assume(min(lam[:g.l]) < 0)
+    _check_orbit_tree(g, lam, ())
+
+
 def test_p_m_gl2():
     g = build_group("GL2")
     assert g.p_M((Q(0), Q(2)), frozenset({0})) == (1, 2)
@@ -310,14 +349,14 @@ def test_p_m_orbit_average():
 
 def test_levi_gl3():
     g = build_group("GL3")
-    levi, to_levi, from_levi = g.levi(frozenset({0}))
+    levi, _to_levi = g.levi(frozenset({0}))
     assert levi.l == 1 and levi.n == 3
     assert levi.root_coords(0) == g.root_coords(0)
 
 
 def test_levi_of_gext_e6():
     g = build_group("Gext(E6)")
-    levi, _, _ = g.levi(frozenset({1, 2, 3, 4}))
+    levi, _to_levi = g.levi(frozenset({1, 2, 3, 4}))
     assert levi.n == 7 and levi.l == 4
     assert sorted(f.letter for f in levi.factors) == ["D"]
     assert levi.factors[0].rank == 4
@@ -332,7 +371,7 @@ def test_levi_is_cached():
 
 def test_levi_full_is_same_group():
     g = build_group("B2")
-    levi, to_levi, from_levi = g.levi(frozenset(range(g.l)))
+    levi, _to_levi = g.levi(frozenset(range(g.l)))
     assert levi.alpha == g.alpha
 
 

@@ -48,8 +48,6 @@ KEPT = {
     " alcove_word_len); no query runs it, it is the plain reference walk"
     " the tests compare `section_s` with, and it moves to the test oracles"
     " once those metrics are redefined",
-    "affine.translation": "the tests' constructor for `alcove_reduce`;"
-    " it moves with `alcove_reduce` to the test oracles",
     "strata.StratumConditions.accepts": "membership in a stratum, the"
     " paper's condition system; acceptance criterion 4 checks it",
     "rootdata.RootDatum.leq": "the partial order on points; the library"
@@ -162,8 +160,8 @@ MEMO_TABLES = {
     " central part and its int form",
     "orbit_skeleton": "one per fundamental weight omega_k: at most l",
     "orbit_coordinate_bounds": "one entry",
-    "affine_tables": "one entry",
-    "alcove_vertices": "one entry",
+    "affine_tables": "one entry: the simple affine roots, and p0, the"
+    " vertices and the 2 rho weights over one denominator",
     "weyl_invariants": "keyed by the matrix of w_nu, which depends only on"
     " the class of nu: at most one per component class",
 }
@@ -214,8 +212,8 @@ expect = "misses the image"
 from newtonstrata import affine
 from newtonstrata.rootdata import build_group
 g = build_group("GL3")
-den, vertices, weights = affine._build_alcove_vertices(g)
-g.memo("alcove_vertices", None, lambda d: (den, (), weights))
+roots, den, p0, vertices, weights = affine._build_affine_tables(g)
+g.memo("affine_tables", None, lambda d: (roots, den, p0, (), weights))
 call = lambda: affine.section_s(g, (0, 0, 1))
 expect = "no integral vertex"
 """,

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from newtonstrata import strata
-from newtonstrata.chamber import newton_points_below, stratum_of
+from newtonstrata.chamber import (
+    is_newton_point, newton_points_below, stratum_of)
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import build_group
 from newtonstrata.strata import (
@@ -131,6 +132,17 @@ def test_codim_chai_gl2():
     assert codim_chai(g, (Q(1, 2), Q(1)), (Q(1), Q(1))) == 1
     with pytest.raises(ValueError):
         codim_chai(g, (Q(1, 2), Q(1)), (Q(3, 2), Q(1)))
+
+
+def test_codim_chai_refuses_a_mu_it_cannot_read():
+    # a certified NewtonPoint mu off the lattice is refused on its int
+    # form, and a plain integral mu off the chamber by its pairings
+    g = build_group("GL2")
+    nu = (Q(1, 2), Q(1))
+    with pytest.raises(ValueError, match="expected an integral point"):
+        codim_chai(g, nu, is_newton_point(g, nu))
+    with pytest.raises(ValueError, match="needs an integral dominant mu"):
+        codim_chai(g, nu, (0, 5))
 
 
 def test_d_g():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from newtonstrata.chamber import retract
+from newtonstrata.cli import coords_to_slopes
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata import rootdata
 from newtonstrata.dynkin import RANK_BOUNDS
@@ -20,7 +21,6 @@ from newtonstrata.toruseval import (
     _orbit_sums,
     check_thm_rnu,
     classical_newton_slopes,
-    coords_to_slopes,
     eval_c,
     nu_a,
     parse_torus_point,
@@ -41,6 +41,23 @@ def test_val_leading_term():
 def test_val_cancellation():
     p = mono(2, -3) + mono(1, 5)
     assert (p + (-p)).val() is NEG_INF
+
+
+@given(st.lists(st.one_of(st.just(NEG_INF), st.fractions(max_denominator=9)),
+                max_size=12))
+def test_neg_inf_orders_below_every_fraction(values):
+    # the library compares NEG_INF only by identity; its operators must
+    # still order it below every Fraction, from either side, and sort
+    for q in values:
+        if q is NEG_INF:
+            assert q == NEG_INF and q <= NEG_INF and q >= NEG_INF
+            assert not q < NEG_INF and not q > NEG_INF
+        else:
+            assert NEG_INF < q and q > NEG_INF and NEG_INF <= q
+            assert not NEG_INF > q and not NEG_INF >= q and not q < NEG_INF
+            assert NEG_INF != q and q != NEG_INF
+    finite = sorted(q for q in values if q is not NEG_INF)
+    assert sorted(values) == [NEG_INF] * (len(values) - len(finite)) + finite
 
 
 def test_val_convention():
