@@ -5,27 +5,6 @@ via the extended affine Weyl group, and symbolic torus evaluation."""
 
 import importlib
 
-__all__ = [
-    "NEG_INF",
-    "Q",
-    "GroupSpecError",
-    "RootDatum",
-    "build_group",
-    "NewtonPoint",
-    "retract",
-    "is_newton_point",
-    "stratum_of",
-    "newton_points_below",
-    "stratum_conditions",
-    "dim_leq",
-    "codim",
-    "codim_chai",
-    "d_G",
-    "LaurentPoly",
-    "TorusPoint",
-    "classical_newton_slopes",
-]
-
 __version__ = "1.0.0"
 
 # name -> the submodule that defines it.  A name is looked up there on
@@ -51,6 +30,7 @@ _HOME = {
     "TorusPoint": "toruseval",
     "classical_newton_slopes": "toruseval",
 }
+__all__ = list(_HOME)
 
 
 def __getattr__(name):

@@ -89,16 +89,15 @@ def _finite(datum, d):
     return dprime, scale, x
 
 
-def _accepts(datum, dprime, subset):
-    """Candidate test for one parabolic face; returns y = p_M(d') on
-    acceptance.  As in `retract`, the signs are read on ints: c_j <= 0
-    (d' <= y) and <alpha_j, den L y> > 0 off the face."""
-    _idx, _den, c, y = datum.project(subset, scale_to_ints(dprime)[1])
-    if any(cj > 0 for cj in c):
+def _accepts(datum, dprime, x, px, subset):
+    """Candidate test for one parabolic face, on d', its int form x and the
+    pairings px of x; returns y = p_M(d') on acceptance.  As in `retract`,
+    the signs are read on ints: c_j <= 0 (d' <= y) and <alpha_j, den L y>
+    > 0 off the face."""
+    _idx, _den, c, y = datum.solve(subset, x, px)
+    if any(cj > 0 for cj in c) or any(
+            p <= 0 for j, p in enumerate(datum.pairings(y)) if j not in subset):
         return None
-    for j in range(datum.l):
-        if j not in subset and datum.root_pairing(j, y) <= 0:
-            return None
     return datum.p_M(dprime, subset)
 
 
@@ -108,10 +107,12 @@ def retract_exhaustive(datum, d):
     if datum.l > 8:
         raise ValueError("semisimple rank too large for subset enumeration")
     dprime = finite_ize(datum, d)
+    x = scale_to_ints(dprime)[1]
+    px = datum.pairings(x)
     hits = []
     for mask in range(1 << datum.l):
         subset = frozenset(j for j in range(datum.l) if mask >> j & 1)
-        y = _accepts(datum, dprime, subset)
+        y = _accepts(datum, dprime, x, px, subset)
         if y is not None:
             hits.append((y, subset))
     if len(hits) != 1:
@@ -358,7 +359,7 @@ def _face_walk(face, const, lo, hi, base):
     `newton_points_below`, each as (m, sums): m a tuple, and sums the
     values of the face's forms at m.
 
-    With (idx, adj, D) the solver of S, `project` of m gives the
+    With (idx, adj, D) the solver of S, `RootDatum.solve` of m gives the
     coefficients c and D nu as int vectors linear in m.  So each check is
     an affine int form in the free coordinates that must be >= 0: the
     caps c_j + floor(D mu_j) for j in S, and <alpha_j, D nu> - 1 for j
@@ -419,13 +420,13 @@ def _face_walk(face, const, lo, hi, base):
 
 def _unit_forms(datum, subset, free):
     """The linear parts of the forms of `_face_walk` on a face: for each
-    free i the row of coefficients of m_i, from `project` of the unit
-    vector e_i, and its nonzero entries as (form, coefficient) pairs."""
+    free i the row of coefficients of m_i, from `RootDatum.solve` of the
+    unit vector e_i (its pairings are row i of alpha), and its nonzero
+    entries as (form, coefficient) pairs."""
     cols = []
     for i in free:
-        unit = [0] * datum.n
-        unit[i] = 1
-        _idx, _den, c, y = datum.project(subset, unit)
+        unit = [int(k == i) for k in range(datum.n)]
+        _idx, _den, c, y = datum.solve(subset, unit, datum.alpha[i])
         cols.append(c + [datum.root_pairing(j, y) for j in free])
     return cols, [[(r, f) for r, f in enumerate(col) if f] for col in cols]
 

@@ -10,6 +10,7 @@ formats shifts to 1-based.
 """
 
 import itertools
+import math
 import operator
 
 from . import dynkin, exactlinalg
@@ -155,6 +156,10 @@ class RootDatum:
         block = [[self.alpha[i][j] for j in range(self.l)] for i in range(self.l)]
         expect = [[0] * self.l for _ in range(self.l)]
         for f in self.factors:
+            lo, hi = dynkin.RANK_BOUNDS.get(f.letter, (1, 0))
+            if not (lo <= f.rank <= hi and len(f.indices) == f.rank
+                    and all(0 <= i < self.l for i in f.indices)):
+                raise GroupSpecError(f"invalid factor {f!r}")
             cm = dynkin.cartan_matrix(f.letter, f.rank)
             for a in range(f.rank):
                 for b in range(f.rank):
@@ -238,22 +243,19 @@ class RootDatum:
                 ints[i] = q.numerator
         return x if ints is None else tuple(ints)
 
-    def scaled(self, x, integral=False):
+    def scaled(self, x):
         """The int form (L, L x) of a point x, with L the lcm of its
         denominators, as `scale_to_ints` gives it.
 
         A certified point (a `chamber.NewtonPoint`) carries this form as
         its `scaled` and is trusted after a length check.  Any other x is
-        checked by `point` first, with its errors.  With `integral`,
-        ValueError unless every coordinate is an integer (L = 1)."""
+        checked by `point` first, with its errors."""
         if not hasattr(type(x), "scaled"):
-            return scale_to_ints(self.point(x, integral=integral))
+            return scale_to_ints(self.point(x))
         form = x.scaled
         if len(form[1]) != self.n:
             raise ValueError(
                 f"expected {self.n} coordinates, got {len(form[1])}")
-        if integral and form[0] != 1:
-            raise ValueError("expected an integral point")
         return form
 
     def is_dominant(self, x):
@@ -363,19 +365,11 @@ class RootDatum:
         adj, den = exactlinalg.inverse(mat) if idx else ([], 1)
         return idx, adj, den
 
-    def project(self, subset, x):
-        """The projection p_M onto the subset's Levi center, on ints.
-
-        For an int vector x returns (idx, den, c, y) with (idx, adj, den)
-        the solver of the subset, c = adj . [<alpha_j, x> for j in idx] and
-        y = den x - sum c_j e_j, so that y / den = p_M(x): `solve` on the
-        `pairings` of x.
-        """
-        return self.solve(subset, x, self.pairings(x))
-
     def solve(self, subset, x, pairings):
-        """`project` of the int vector x, given its `pairings`: a caller
-        that projects one x onto several subsets reads them once."""
+        """p_M onto the subset's Levi center, on ints: for an int vector x
+        and its `pairings`, (idx, den, c, y) with (idx, adj, den) the solver
+        of the subset, c = adj . [<alpha_j, x> for j in idx] and
+        y = den x - sum c_j e_j, so that y / den = p_M(x)."""
         idx, adj, den = self.pm_solver(subset)
         b = [pairings[j] for j in idx]
         c = [sum(map(operator.mul, row, b)) for row in adj]
@@ -386,14 +380,14 @@ class RootDatum:
 
     def p_M(self, x, subset):
         """Projection onto the Levi center directions, the W_M-orbit
-        average: `project` of x scaled to ints by the lcm L of its
+        average: `solve` of x scaled to ints by the lcm L of its
         denominators, with the coordinates in S as `Fraction`s over den L."""
         x = self.point(x)
         subset = frozenset(subset)
         if not subset:
             return x
         scale, ints = scale_to_ints(x)
-        idx, den, _c, y = self.project(subset, ints)
+        idx, den, _c, y = self.solve(subset, ints, self.pairings(ints))
         out = list(x)
         for j in idx:
             out[j] = Q(y[j], den * scale)
@@ -572,17 +566,16 @@ def _check_rank(letter, rank, tok):
 
 
 def _gext_preset_row(letter, rank):
-    """Pick m = -e_{j0} maximizing the component group order, at build time."""
-    best = None
-    for j0 in range(1, rank + 1):
-        m = [-int(i == j0 - 1) for i in range(rank)]
-        datum = _assemble([("gext", letter, rank, m)], label="probe")
-        order = 1
-        for f in datum.component_group():
-            order *= f
-        if best is None or order > best[0]:
-            best = (order, m)
-    return best[1]
+    """Pick m = -e_j maximizing the component group order, the first such j.
+    Gext(X; m) has X_*(A_G) = {(x, t) : M x + t m = 0}, M the block that
+    `pm_solver` inverts.  For m = -e_j and the solver (idx, adj, d) of all
+    simple roots of X, x = t (column j of adj) / d: integral exactly when t
+    is a multiple of d / gcd(d, column j of adj), the order of the group."""
+    _idx, adj, d = _assemble([("simple", letter, rank)], label="").pm_solver(
+        frozenset(range(rank)))
+    orders = [d // math.gcd(d, *(row[j] for row in adj)) for j in range(rank)]
+    j = orders.index(max(orders))
+    return [-int(i == j) for i in range(rank)]
 
 
 def _assemble(plan, label):

@@ -1,7 +1,6 @@
 """Newton stratum membership conditions, dimensions, codimensions, d_G."""
 
-from .chamber import (  # noqa: F401
-    NewtonPoint, face_of, newton_point, stratum_of)
+from .chamber import NewtonPoint, newton_point, stratum_of  # noqa: F401
 from .rationals import NEG_INF, Q, fmt_scalar
 from .rootdata import record
 
@@ -35,11 +34,6 @@ class StratumConditions:
              "bound": fmt_scalar(bound)}
             for i, rel, bound in self.relations
         ]
-
-
-def index_set(datum, mu):
-    """I_mu: simple roots pairing to zero against mu."""
-    return face_of(datum, datum.scaled(mu)[1])[0]
 
 
 def stratum_conditions(datum, mu, closed):
@@ -97,7 +91,9 @@ def codim_chai(datum, nu, mu):
     scaled once each (`RootDatum.scaled`), and their forms serve the
     dominance and order checks and the sum.
     """
-    mu = datum.scaled(mu, integral=True)
+    mu = datum.scaled(mu)
+    if mu[0] != 1:
+        raise ValueError("expected an integral point")
     if any(p < 0 for p in datum.pairings(mu[1])):
         raise ValueError("codim_chai needs an integral dominant mu")
     nu = datum.scaled(nu)

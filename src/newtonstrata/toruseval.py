@@ -8,10 +8,9 @@ a sum is the negated minimum exponent.
 import math
 import re
 
-from .chamber import retract
+from .chamber import face_of, retract
 from .rationals import NEG_INF, Q, fmt_scalar, scale_to_ints
 from .rootdata import record
-from .strata import index_set
 
 
 class LaurentPoly:
@@ -267,7 +266,7 @@ def check_thm_rnu(datum, a):
     y, _face = retract(datum, d_c)
     scale, ints = scale_to_ints(nu)
     dom, _word = datum.dominant_rep(ints)
-    imu = index_set(datum, dom)
+    imu = face_of(datum, dom)[0]
     dom = tuple([Q(v, scale) for v in dom])
     # d_c <= dom, with equality off the face (imu holds indices < l only)
     ineq_ok = all(

@@ -22,7 +22,7 @@ so it checks `hasse` on posets too big for the transitive reduction.
 `retract_rounds` is the `Fraction`-fed form of `chamber.retract`: d'
 built by `finite_ize` here, comparing and copying `Fraction`s against
 `central_part`, scaled to ints with `scale_to_ints`, and projected
-round by round with the public `project`, the face read with one
+round by round with the public `solve`, the face read with one
 `root_pairing` per root.  `retract` builds d' and its int form
 together from the memoized int central part and reads each point's
 pairings in one pass; the two must give the same reprs.
@@ -256,7 +256,7 @@ def retract_rounds(datum, d):
         if negative <= active:
             break
         active |= negative
-        idx, den, coeffs, y = datum.project(active, x)
+        idx, den, coeffs, y = datum.solve(active, x, datum.pairings(x))
     if (negative or not active <= face or den <= 0
             or any(c > 0 for c in coeffs)):
         raise RetractionError(f"retraction of {d!r} fails its certificate")

@@ -68,7 +68,7 @@ def test_retract_matches_exhaustive():
 def test_retract_exhaustive_refuses_two_accepting_faces(monkeypatch):
     g = build_group("GL2")
     monkeypatch.setattr(chamber, "_accepts",
-                        lambda datum, dprime, subset: dprime)
+                        lambda datum, dprime, x, px, subset: dprime)
     with pytest.raises(RetractionError,
                        match=r"^2 accepting faces for \(0, 1\)$"):
         retract_exhaustive(g, (0, 1))
@@ -454,6 +454,16 @@ def test_retract_certificate_den():
         _plant(g, subset, (idx, [[-a for a in row] for row in adj], -den))
     with pytest.raises(RetractionError):
         retract(g, (-3, -1, -3))
+
+
+def test_retract_certificate_zero_den():
+    g = build_group("GL3")
+    # a solver of {0} with den 0 maps every point to 0, which is dominant
+    # with both roots in its face and no positive c_j: only den > 0 fails,
+    # where `den < 0` would go on to divide by the zero scale
+    _plant(g, {0}, ([0], [[0]], 0))
+    with pytest.raises(RetractionError, match="fails its certificate"):
+        retract(g, (0, 1, 0))
 
 
 def test_hasse_gl4_chain():

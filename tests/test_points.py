@@ -66,7 +66,6 @@ ENTRIES = {
     "hasse": (lambda g, x: chamber.hasse(g, [(0, 1), x]), FINITE),
     "accepts": (lambda g, x: strata.stratum_conditions(
         g, (Q(1, 2), 1), closed=True).accepts(x), VALUATION),
-    "index_set": (strata.index_set, FINITE),
     # a primitive below the gate: it checks the length only
     "dominant_rep": (lambda g, x: g.dominant_rep(x), ("wrong length",)),
 }
@@ -136,11 +135,9 @@ READERS = {
     "hasse": lambda g, x: chamber.hasse(g, [x]),
     "hasse_dot": lambda g, x: chamber.hasse_dot(g, [x]),
     "scaled": lambda g, x: g.scaled(x),
-    "scaled integral": lambda g, x: g.scaled(x, integral=True),
     "is_dominant": lambda g, x: g.is_dominant(x),
     "leq left": lambda g, x: g.leq(x, g.point((1,) * g.n)),
     "leq right": lambda g, x: g.leq(g.point((1,) * g.n), x),
-    "index_set": strata.index_set,
     "stratum_conditions": lambda g, x: strata.stratum_conditions(
         g, x, closed=False).to_json(),
     "stratum_conditions closed": lambda g, x: strata.stratum_conditions(
@@ -172,9 +169,8 @@ def test_foreign_newton_point_raises_value_error(spec, name, point):
     lambda: chamber.hasse(G, [(0, 1), (1, 1, 9)]),  # answered [(0, 1)]
     lambda: strata.stratum_conditions(  # answered True
         G, (Q(1, 2), 1), closed=True).accepts((0, 1, 7)),
-    lambda: strata.index_set(G, (1,)),  # raised IndexError
     lambda: G.dominant_rep((0, 2, 5)),  # answered ((2, 2, 5), (0,))
-], ids=["hasse", "accepts", "index_set", "dominant_rep"])
+], ids=["hasse", "accepts", "dominant_rep"])
 def test_readers_refuse_a_wrong_length(call):
     with pytest.raises(ValueError):
         call()

@@ -1,5 +1,6 @@
 """Construction, pairings, Weyl action, Levi passage, lattice quotients."""
 
+import math
 import random
 
 import pytest
@@ -50,6 +51,20 @@ def test_gext_preset_picks_full_quotient():
     assert build_group("Gext(D5)").component_group() == (4,)
 
 
+@pytest.mark.parametrize("letter, rank", [
+    (letter, rank) for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
+    for rank in range(lo, hi + 1)])
+def test_gext_preset_row_matches_the_component_groups(letter, rank):
+    # the closed form picks the first j of largest order, as read off the
+    # component group of each Gext(X; m=-e_j)
+    orders = [math.prod(build_group(
+        f"Gext({letter}{rank};m=-e{j})").component_group())
+        for j in range(1, rank + 1)]
+    j = orders.index(max(orders))
+    assert rootdata._gext_preset_row(letter, rank) == [
+        -int(i == j) for i in range(rank)]
+
+
 def test_parse_errors():
     for bad in ("H3", "GL0", "GL10", "Gext(E6;m=1)", "A9", "E5", "",
                 "Gext(A2;m=ex)", "Gext(A2;m=e)", "Gext(A2;m=-e)"):
@@ -66,7 +81,14 @@ A1 = rootdata.Factor("A", 1, (0,))
     (2, 1, [[3], [-1]], [A1], "does not match the Cartan matrix"),
     # both factors fill the one Cartan entry, so the block matches
     (2, 1, [[2], [-1]], [A1, A1], "do not cover the simple roots"),
-], ids=["rank", "shape", "block", "cover"])
+    # each factor below is refused before the expected block reads it
+    (2, 1, [[2], [-1]], [rootdata.Factor("Z", 1, (0,))], "invalid factor"),
+    (2, 1, [[2], [-1]], [rootdata.Factor("A", 9, (0,))], "invalid factor"),
+    (2, 1, [[2], [-1]], [rootdata.Factor("A", 2, (0,))], "invalid factor"),
+    (2, 1, [[2], [-1]], [rootdata.Factor("A", 1, (5,))], "invalid factor"),
+    (2, 1, [[2], [-1]], [rootdata.Factor("A", 1, (-1,))], "invalid factor"),
+], ids=["rank", "shape", "block", "cover", "letter", "factor_rank",
+        "indices_length", "index_past_l", "negative_index"])
 def test_datum_refuses_an_invalid_skeleton(n, l, alpha, factors, match):
     with pytest.raises(GroupSpecError, match=match):
         rootdata.RootDatum(n, l, alpha, factors)
@@ -329,7 +351,7 @@ def test_p_m_orbit_average():
     s1 = simple_reflection(g, 0)
     avg = tuple((a + b) / 2 for a, b in zip(x, s1.act(x)))
     assert g.p_M(x, frozenset({0})) == avg
-    # p_M and the int kernel `project` against the W_M-orbit average
+    # p_M and the int kernel `solve` against the W_M-orbit average
     rng = random.Random(11)
     for spec, subset in (("GL2", {0}), ("GL3", {0, 1}), ("B2*T1", {0, 1}),
                          ("G2", {1}), ("Gext(D4)", {0, 1, 3}), ("F4", {1, 2}),
@@ -341,7 +363,7 @@ def test_p_m_orbit_average():
             assert g.p_M(x, s) == avg
             assert g.pairings(x) == [g.root_pairing(j, x)
                                      for j in range(g.l)]
-            idx, den, c, y = g.project(s, x)
+            idx, den, c, y = g.solve(s, x, g.pairings(x))
             assert tuple(Q(v, den) for v in y) == avg
             assert idx == sorted(s) and den > 0
             assert all(den * x[j] - cj == y[j] for j, cj in zip(idx, c))

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -8,7 +9,8 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "newtonstrata"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "newtonstrata"
 
 
 def test_no_assert_in_src():
@@ -56,6 +58,139 @@ KEPT = {
     "rootdata.RootDatum.is_dominant": "dominance of a point; perfbench's"
     " checks call it (workloads.py) and acceptance criterion 2 checks it",
 }
+
+
+# Every raise of a self-check error in src/, keyed by (module, function,
+# message with each formatted field as "..."): the test that reaches it,
+# as "file::test[id]", or "unreachable: " and the argument.  A key shared
+# by several sites maps to a tuple, one entry per site in source order.
+# `BROKEN_CERTIFICATES` below breaks a certificate of each module under
+# `python -O`; a site that is no certificate says why after its test.
+GUARD = ", a guard: it bounds the work and certifies no result"
+RAISES = {
+    ("affine", "_build_affine_tables", "highest root marks are not integers"):
+        "test_affine.py::test_affine_tables_theta_check_raises",
+    ("affine", "_build_affine_tables",
+     "affine Cartan matrix has a diagonal entry != 2"):
+        "test_affine.py::test_affine_cartan_diagonal_check_raises",
+    ("affine", "_weyl_element", "rebuilt Weyl element misses the image"):
+        "test_affine.py::test_weyl_element_certifies_its_rows",
+    ("affine", "alcove_reduce", "sample point hit an affine wall"):
+        "test_affine.py::test_alcove_reduce_refuses_a_sample_point_on_a_wall",
+    ("affine", "alcove_reduce", "alcove reduction exceeds guard ..."):
+        "test_affine.py::test_alcove_guard_boundary_gl2" + GUARD,
+    ("affine", "alcove_reduce", "descent failed: not a Weyl group element"):
+        "test_affine.py::test_alcove_reduce_checks_the_descent_end",
+    ("affine", "section_s", "alcove reduction exceeds guard ..."):
+        "test_affine.py::test_section_guard_boundary_gl2" + GUARD,
+    ("affine", "section_s",
+     "two integral vertices of the base alcove in the class of nu"):
+        "test_affine.py::test_section_vertex_certificate_fires[GL3]",
+    ("affine", "section_s",
+     "no integral vertex of the base alcove in the class of nu"):
+        "test_affine.py::test_section_vertex_certificate_fires[GL3]",
+    ("affine", "section_s", "alcove reduction changed the class of nu"):
+        "test_affine.py::test_section_checks_the_class",
+    ("affine", "section_s",
+     "reduced element does not stabilize the base alcove"):
+        "test_affine.py::test_section_raises_if_base_alcove_moves",
+    ("affine", "weyl_word", "descent failed: not a Weyl group element"):
+        "test_affine.py::test_weyl_word_rejects_non_weyl_matrix[descent_end]",
+    ("chamber", "retract_exhaustive", "... accepting faces for ..."):
+        "test_chamber.py::test_retract_exhaustive_refuses_two_accepting_faces",
+    ("chamber", "_retract", "retraction of ... fails its certificate"):
+        "test_chamber.py::test_retract_certificate_zero_den",
+    ("chamber", "_certify", "lift ... does not project to ..."):
+        "test_chamber.py::test_is_newton_point_certificate_raises",
+    ("chamber", "stratum_of", "retraction of an integral vector must certify"):
+        "test_chamber.py::test_stratum_of_certificate_raises",
+    ("chamber", "newton_points_below",
+     "... passes the walk on the face ... but not its checks"):
+        "test_chamber.py::test_newton_points_below_self_checks_raise[checks]",
+    ("chamber", "newton_points_below", "p_M(...) leaves the face ..."):
+        "test_chamber.py::test_newton_points_below_face_check",
+    ("chamber", "newton_points_below", "... found under two faces"):
+        "test_chamber.py::test_newton_points_below_self_checks_raise[twice]",
+    ("chamber", "descend", "lattice enumeration exceeds guard ..."):
+        "test_chamber.py::test_newton_points_below_guard" + GUARD,
+    ("dynkin", "cartan_matrix", "Cartan entry ...,... is not an integer"):
+        "test_rootdata.py::test_cartan_matrix_non_integral_raises",
+    ("exactlinalg", "charpoly", "characteristic polynomial is not integral"):
+        "test_exactlinalg.py::test_charpoly_not_integral_raises",
+    ("exactlinalg", "unimodular_inverse", "matrix is not unimodular"):
+        "test_exactlinalg.py::test_unimodular_inverse",
+    ("exactlinalg", "cyclotomic",
+     "cyclotomic division left a remainder at d=..."):
+        "test_exactlinalg.py::test_cyclotomic_remainder_raises",
+    ("rootdata", "orbit_tree", "orbit size exceeds guard ..."):
+        "test_rootdata.py::test_orbit_tree_fundamental_weights" + GUARD,
+    ("rootdata", "_component_smith", "component group is not finite"):
+        "test_rootdata.py::test_component_group_not_finite_raises[dependent]",
+    ("strata", "codim", "negative codimension ... for nu <= mu"):
+        "test_strata.py::test_codim_self_checks_raise",
+    ("strata", "codim_chai", "negative codimension ... for nu <= mu"):
+        "test_strata.py::test_codim_self_checks_raise",
+    ("toruseval", "_orbit_sums", "scaled orbit coefficient is not integral"): (
+        "test_toruseval.py::"
+        "test_orbit_sums_refuse_a_fractional_root_coefficient",
+        "test_toruseval.py::"
+        "test_orbit_sums_refuse_a_fractional_walk_coefficient"),
+    ("toruseval", "classical_newton_slopes",
+     "Newton polygon does not span all n slots"):
+        "unreachable: the hull keeps the first point (0, 0) and the last"
+        " (n, d_n), and its x increase, so its slopes fill all n slots",
+    ("toruseval", "classical_newton_slopes",
+     "Newton polygon slopes are not decreasing"):
+        "unreachable: a point is appended once the one before it lies"
+        " strictly above the chord past it, and pops only cut the end",
+}
+RAISED = {"RuntimeError", "RetractionError", "OrbitGuardError"}
+
+
+def _message(node):
+    """The text of a raise's message, each formatted field as "..."."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "..."
+                       for part in node.values)
+    return "..."
+
+
+def _raise_sites(node, module, function=None):
+    """(module, function, message) of each raise of a `RAISED` error under
+    node, in source order; function is the innermost enclosing def."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _raise_sites(child, module, child.name)
+            continue
+        if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                and getattr(child.exc.func, "id", None) in RAISED):
+            yield module, function, _message(child.exc.args[0])
+        yield from _raise_sites(child, module, function)
+
+
+def test_every_raise_site_is_reached_or_argued_unreachable():
+    sites = collections.Counter(
+        site for path in sorted(SRC.glob("*.py"))
+        for site in _raise_sites(ast.parse(path.read_text()), path.stem))
+    assert sum(sites.values()) == 32
+    listed = collections.Counter(
+        {key: 1 if isinstance(reach, str) else len(reach)
+         for key, reach in RAISES.items()})
+    assert sorted(sites - listed) == []  # list it, with what reaches it
+    assert sorted(listed - sites) == []  # a stale entry
+    for reach in RAISES.values():
+        for entry in (reach,) if isinstance(reach, str) else reach:
+            if entry.startswith("unreachable: "):
+                continue
+            file, _sep, test = entry.split(", ")[0].partition("::")
+            name, _sep, param = test.partition("[")
+            source = (TESTS / file).read_text()
+            defined = {node.name for node in ast.parse(source).body
+                       if isinstance(node, ast.FunctionDef)}
+            assert name in defined, entry  # a named test that does not exist
+            assert not param or f'"{param[:-1]}"' in source, entry
 
 
 def _public_defs(tree, module):
@@ -122,7 +257,7 @@ def test_every_public_function_is_called_exported_or_kept():
     exported = next(
         ast.literal_eval(node.value) for node in trees["__init__"].body
         if isinstance(node, ast.Assign)
-        and [t.id for t in node.targets] == ["__all__"])
+        and [t.id for t in node.targets] == ["_HOME"])
     uncalled = set()
     for module, tree in trees.items():
         for qual, node in _public_defs(tree, module):
@@ -246,6 +381,29 @@ expect = "not integral"
 from newtonstrata.exactlinalg import unimodular_inverse
 call = lambda: unimodular_inverse([[2, 0], [0, 1]])
 expect = "not unimodular"
+""",
+    "component group": """
+from newtonstrata.rootdata import RootDatum, build_group
+g = build_group("GL2*GL2")
+basis = g._central_kernel()
+RootDatum._central_kernel = lambda self: [basis[0], basis[0]]
+call = lambda: g.component_group()
+expect = "component group is not finite"
+""",
+    "codim": """
+from newtonstrata import strata
+from newtonstrata.rationals import Q
+from newtonstrata.rootdata import build_group
+g = build_group("GL2")
+strata._floor_sum = lambda datum, form: -Q(form[1][0], form[0])
+call = lambda: strata.codim(g, (Q(1, 2), Q(1)), (Q(1), Q(1)))
+expect = "negative codimension"
+""",
+    "cartan_matrix": """
+from newtonstrata import dynkin
+dynkin.root_norms = lambda letter, l: [2, 3]
+call = lambda: dynkin.cartan_matrix("G", 2)
+expect = "is not an integer"
 """,
 }
 CATCH = """

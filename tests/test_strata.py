@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from newtonstrata import strata
 from newtonstrata.chamber import (
-    is_newton_point, newton_points_below, stratum_of)
+    face_of, is_newton_point, newton_points_below, stratum_of)
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import build_group
 from newtonstrata.strata import (
@@ -18,7 +18,6 @@ from newtonstrata.strata import (
     d_G,
     d_levi_check,
     dim_leq,
-    index_set,
     stratum_conditions,
 )
 import oracles
@@ -35,7 +34,7 @@ def test_conditions_gl2_half():
     g = build_group("GL2")
     mu = (Q(1, 2), Q(1))
     conds = stratum_conditions(g, mu, closed=False)
-    assert index_set(g, mu) == {0}
+    assert face_of(g, g.scaled(mu)[1])[0] == {0}
     assert conds.to_json() == [
         {"i": 1, "rel": "<=", "bound": "1/2"},
         {"i": 2, "rel": "=", "bound": "1"},
@@ -46,7 +45,7 @@ def test_conditions_gl2_regular():
     g = build_group("GL2")
     mu = (Q(1), Q(1))  # slopes (1,0)
     conds = stratum_conditions(g, mu, closed=False)
-    assert index_set(g, mu) == frozenset()
+    assert face_of(g, g.scaled(mu)[1])[0] == frozenset()
     assert [r["rel"] for r in conds.to_json()] == ["=", "="]
 
 
@@ -119,11 +118,11 @@ def test_codim_self_checks_raise(monkeypatch):
     # coordinate: dim(mu) - dim(nu) = -1 + 1/2
     monkeypatch.setattr(strata, "_floor_sum",
                         lambda datum, form: -Q(form[1][0], form[0]))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="negative codimension"):
         codim(g, nu, mu)
     # the ceiling sum reads mu_i - floor(nu_i); a floor of 2 makes it -1
     monkeypatch.setattr(strata, "_floor_sum", lambda datum, form: 2)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="negative codimension"):
         codim_chai(g, nu, mu)
 
 

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newtonstrata.chamber import retract
+from newtonstrata.chamber import face_of, retract
 from newtonstrata.cli import coords_to_slopes
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata import rootdata
 from newtonstrata.dynkin import RANK_BOUNDS
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, build_group
-from newtonstrata.strata import index_set
 from newtonstrata.toruseval import (
     LaurentPoly,
     TorusPoint,
@@ -272,7 +271,7 @@ def test_eval_c_matches_plain_orbit_sums(case):
     rep = check_thm_rnu(g, a)
     assert rep["d_c"] == d_c
     # strictness: a unique orbit term maximizes <lam, nu_a> off the face
-    face = index_set(g, rep["nu_dominant"])
+    face = face_of(g, g.scaled(rep["nu_dominant"])[1])[0]
     assert rep["strict_max_unique"] == all(
         strict[i] for i in range(g.l) if i not in face)
 
@@ -291,7 +290,7 @@ def test_check_thm_rnu_walks_each_orbit_once(monkeypatch):
     monkeypatch.setattr(RootDatum, "orbit_tree", counted)
     rep = check_thm_rnu(g, a)
     assert rep["pass"]
-    assert index_set(g, rep["nu_dominant"]) == frozenset()
+    assert face_of(g, g.scaled(rep["nu_dominant"])[1])[0] == frozenset()
     assert len(calls) == g.l
     # the walks depend only on the datum: a repeat call replays the
     # skeletons, and a new datum walks its orbits again
