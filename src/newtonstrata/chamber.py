@@ -106,8 +106,7 @@ def retract_exhaustive(datum, d):
     tests compare `retract` against."""
     if datum.l > 8:
         raise ValueError("semisimple rank too large for subset enumeration")
-    dprime = finite_ize(datum, d)
-    x = scale_to_ints(dprime)[1]
+    dprime, _scale, x = _finite(datum, d)
     px = datum.pairings(x)
     hits = []
     for mask in range(1 << datum.l):

@@ -53,8 +53,6 @@ def _text_lines(obj, prefix):
                 yield from _text_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}- {v}"
-    else:
-        yield f"{prefix}{obj}"
 
 
 def _arg(read, datum, value, flag):

@@ -12,6 +12,7 @@ formats shifts to 1-based.
 import itertools
 import math
 import operator
+import re
 
 from . import dynkin, exactlinalg
 from .rationals import NEG_INF, Q, scale_to_ints
@@ -492,77 +493,52 @@ class RootDatum:
 # Group descriptor grammar
 
 
-def _parse_intvec(s, l):
-    s = s.strip()
-    if s.startswith("-e") or s.startswith("e"):
-        sign = -1 if s[0] == "-" else 1
-        try:
-            k = int(s[2:] if sign < 0 else s[1:])
-        except ValueError as exc:
-            raise GroupSpecError(f"bad basis vector {s!r}") from exc
-        if not 1 <= k <= l:
-            raise GroupSpecError(f"basis index out of range in {s!r}")
-        return [sign * int(i == k - 1) for i in range(l)]
-    try:
-        vec = [int(tok) for tok in s.split(",")]
-    except ValueError as exc:
-        raise GroupSpecError(f"bad integer vector {s!r}") from exc
-    if len(vec) != l:
-        raise GroupSpecError(f"integer vector {s!r} has wrong length")
-    return vec
+# A factor of `build_group`'s grammar; `_parse_factor` checks its ranges.
+# `(?(gext)...)`: an `m=` part and the closing parenthesis follow `Gext(`.
+_FACTOR = re.compile(
+    r"GL(?P<gl>\d+)|T(?P<t>\d+)|(?P<gext>Gext\()?"
+    rf"(?P<letter>[{''.join(dynkin.RANK_BOUNDS)}])(?P<rank>\d+)"
+    r"(?(gext)(?:;m=(?:(?P<sign>-?)e(?P<k>\d+)"
+    r"|(?P<vec>-?\d+(?:,-?\d+)*)))?\))", re.ASCII)
 
 
 def _parse_factor(tok):
     """The `_assemble` plan entry of one factor token."""
     tok = tok.strip()
-    if tok.startswith("Gext(") and tok.endswith(")"):
-        typ, sep, m = tok[5:-1].partition(";")
-        if sep and not m.startswith("m="):
-            raise GroupSpecError(f"expected ';m=' in {tok!r}")
-        letter, rank = _parse_sctype(typ)
-        if not sep:
-            return ("gext", letter, rank, _gext_preset_row(letter, rank))
-        return ("gext", letter, rank, _parse_intvec(m[2:], rank))
-    if tok.startswith("GL"):
-        try:
-            n = int(tok[2:])
-        except ValueError as exc:
-            raise GroupSpecError(f"bad factor {tok!r}") from exc
+    match = _FACTOR.fullmatch(tok)
+    if match is None:
+        raise GroupSpecError(f"bad factor {tok!r}")
+    gl, t, gext, letter, rank, sign, k, vec = match.groups()
+    if gl:
+        n = int(gl)
         if n < 1:
             raise GroupSpecError("GLn needs n >= 1")
         if n == 1:
             return ("torus", 1)
         # the derived group of GLn is A_{n-1}, extended by -e_{n-1}
-        _check_rank("A", n - 1, tok)
-        return ("gext", "A", n - 1, [-int(i == n - 2) for i in range(n - 1)])
-    if tok.startswith("T"):
-        try:
-            k = int(tok[1:])
-        except ValueError as exc:
-            raise GroupSpecError(f"bad factor {tok!r}") from exc
-        if k < 1:
+        gext, letter, rank, sign, k = "Gext(", "A", n - 1, "-", n - 1
+    elif t:
+        if int(t) < 1:
             raise GroupSpecError("torus rank must be >= 1")
-        return ("torus", k)
-    letter, rank = _parse_sctype(tok)
-    return ("simple", letter, rank)
-
-
-def _parse_sctype(tok):
-    tok = tok.strip()
-    if len(tok) < 2 or tok[0] not in dynkin.RANK_BOUNDS:
-        raise GroupSpecError(f"bad simple type {tok!r}")
-    try:
-        rank = int(tok[1:])
-    except ValueError as exc:
-        raise GroupSpecError(f"bad simple type {tok!r}") from exc
-    _check_rank(tok[0], rank, tok)
-    return tok[0], rank
-
-
-def _check_rank(letter, rank, tok):
+        return ("torus", int(t))
+    rank = int(rank)
     lo, hi = dynkin.RANK_BOUNDS[letter]
     if not lo <= rank <= hi:
         raise GroupSpecError(f"rank out of bounds for {tok!r}")
+    if not gext:
+        return ("simple", letter, rank)
+    if k:
+        if not 1 <= int(k) <= rank:
+            raise GroupSpecError(f"basis index out of range in {tok!r}")
+        row = [0] * rank
+        row[int(k) - 1] = -1 if sign else 1
+    elif vec:
+        row = [int(c) for c in vec.split(",")]
+        if len(row) != rank:
+            raise GroupSpecError(f"integer vector in {tok!r} has wrong length")
+    else:
+        row = _gext_preset_row(letter, rank)
+    return ("gext", letter, rank, row)
 
 
 def _gext_preset_row(letter, rank):
@@ -614,6 +590,10 @@ def build_group(spec):
     Grammar: spec := factor ("*" factor)*
              factor := SCTYPE | "GL" INT | "T" INT
                      | "Gext(" SCTYPE [";m=" INTVEC] ")"
+             SCTYPE := LETTER INT, with LETTER a key of dynkin.RANK_BOUNDS
+             INTVEC := ["-"] "e" INT | ["-"] INT ("," ["-"] INT)*
+             INT := one or more ASCII digits
+    Whitespace may stand around each "*" and at the two ends, nowhere else.
     """
     spec = spec.strip()
     if not spec:

@@ -80,6 +80,9 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
     def to_json(self):
         return [
             {"coeff": fmt_scalar(c), "exp": fmt_scalar(v)}

@@ -1,9 +1,13 @@
 """Cross-check oracles that live with the tests, not in the library.
 
 `retract_closest` recomputes the retraction as the nearest dominant point
-under the W-invariant Euclidean form.  It shares nothing with
-`chamber.retract` beyond the root datum, so agreement between the two is
-an independent check.  Its per-datum tables are cached in this module.
+under the W-invariant Euclidean form.  Besides the root datum it shares
+one computation with `chamber.retract`: `invariant_form` reads the central
+part of each torus basis vector off `datum.central_part`, that is the
+library's `pm_solver` and `exactlinalg.inverse`.  Its face enumeration and
+KKT solve are its own, so agreement checks the retraction's active-set
+rounds independently, but not the central part.  Its per-datum tables are
+cached in this module.
 
 `newton_points_below` and `hasse` are the Fraction forms of the
 enumerator and of the covering relation in `chamber`: a recursive box
@@ -191,7 +195,8 @@ def retract_closest(datum, x):
 
     Face enumeration: for each candidate active set solve the equality
     constrained projection and accept when the KKT conditions hold.
-    Independent of `retract` (and must agree with it).
+    Shares only the root datum and its central part with `retract` (and
+    must agree with it).
     """
     if datum.l > 8:
         raise ValueError("semisimple rank too large for face enumeration")

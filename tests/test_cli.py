@@ -63,6 +63,16 @@ def test_no_slopes_outside_gln(capsys):
     assert "slopes" not in json.loads(out)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_retract_on_gln_prints_slopes(capsys, n):
+    # (1, 2, ..., n) pairs to zero with every simple root: its own image
+    code, out, _ = run(capsys, "retract", "--group", f"GL{n}", "--d",
+                       ",".join(str(i) for i in range(1, n + 1)))
+    assert code == 0 and json.loads(out) == {
+        "y": [str(i) for i in range(1, n + 1)],
+        "levi": list(range(1, n)), "slopes": ["1"] * n}
+
+
 def test_stratum(capsys):
     code, out, _ = run(capsys, "stratum", "--group", "GL2", "--d", "0,1")
     assert code == 0
@@ -204,6 +214,16 @@ def test_text_format(capsys):
                        "--format", "text", "--d", "0,2")
     assert code == 0
     assert "y:" in out and "levi:" in out
+    # a dict entry with a scalar value is one line; each dict of a list is
+    # indented under it
+    assert run(capsys, "dim", "--group", "GL2", "--mu", "1,2",
+               "--format", "text") == (0, "dim: 1\n", "")
+    code, out, _ = run(capsys, "conditions", "--group", "GL3", "--mu",
+                       "1,2,3", "--format", "text")
+    assert code == 0 and out.splitlines() == [
+        "  i: 1", "  rel: <=", "  bound: 1",
+        "  i: 2", "  rel: <=", "  bound: 2",
+        "  i: 3", "  rel: =", "  bound: 3"]
 
 
 def test_roundtrip_mu(capsys):
@@ -215,9 +235,13 @@ def test_roundtrip_mu(capsys):
 
 def test_bad_group_exit_2(capsys):
     for bad in ("Q9", "GL10", "Gext(A2;m=ex)", "Gext(A2;m=e)",
-                "Gext(A2;m=-e)"):
-        code, _, err = run(capsys, "describe", "--group", bad)
-        assert code == 2 and "error" in err
+                "Gext(A2;m=-e)",
+                # outside the grammar: a sign, a space, a non-ASCII digit or
+                # an underscore in a number, or a space inside Gext(...)
+                "GL+3", "GL 3", "GL\u0663", "A 2", "T+1", "GL1_0",
+                "Gext( A2 )", "Gext(A2;m=+1,0)", "Gext(A2;m=1, 0)"):
+        code, out, err = run(capsys, "describe", "--group", bad)
+        assert code == 2 and out == "" and err.startswith("error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -181,6 +181,11 @@ def test_poly_divmod():
     assert q == [-1, 1] and all(c == 0 for c in r)
 
 
+def test_poly_divmod_stops_at_a_leading_coefficient_it_cannot_divide():
+    # 3x^2 + 1 by 2x + 1: 2 does not divide 3, so nothing is taken off
+    assert poly_divmod([1, 0, 3], [1, 2]) == ([0, 0], [1, 0, 3])
+
+
 def test_euler_phi():
     assert [euler_phi(k) for k in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
 

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newtonstrata import dynkin, rootdata
@@ -51,9 +51,12 @@ def test_gext_preset_picks_full_quotient():
     assert build_group("Gext(D5)").component_group() == (4,)
 
 
-@pytest.mark.parametrize("letter, rank", [
-    (letter, rank) for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
-    for rank in range(lo, hi + 1)])
+# every simply connected simple type, as (letter, rank)
+SCTYPES = [(letter, rank) for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
+           for rank in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("letter, rank", SCTYPES)
 def test_gext_preset_row_matches_the_component_groups(letter, rank):
     # the closed form picks the first j of largest order, as read off the
     # component group of each Gext(X; m=-e_j)
@@ -67,9 +70,67 @@ def test_gext_preset_row_matches_the_component_groups(letter, rank):
 
 def test_parse_errors():
     for bad in ("H3", "GL0", "GL10", "Gext(E6;m=1)", "A9", "E5", "",
-                "Gext(A2;m=ex)", "Gext(A2;m=e)", "Gext(A2;m=-e)"):
+                "Gext(A2;m=ex)", "Gext(A2;m=e)", "Gext(A2;m=-e)",
+                # outside the grammar: a sign, a space, a non-ASCII digit or
+                # an underscore in a number, or a space inside Gext(...)
+                "GL+3", "GL 3", "GL\u0663", "A 2", "T+1", "GL1_0", "T1_0",
+                "Gext( A2 )", "Gext(A2 ;m=e1)", "Gext(A2;m= e1)",
+                "Gext(A2;m=+1,0)", "Gext(A2;m=1, 0)"):
         with pytest.raises(GroupSpecError):
             build_group(bad)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_spec_in_the_grammar_builds_its_plan(data):
+    # each factor is drawn with the plan entry it stands for, so the spec
+    # is checked against `_assemble` without going through `_parse_factor`
+    def num(k):  # INT: ASCII digits, a leading zero allowed
+        return data.draw(st.sampled_from(["", "0"])) + str(k)
+
+    tokens, plan = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(
+            ["GL", "T", "simple", "preset", "basis", "vector"]))
+        if kind == "GL":
+            n = data.draw(st.integers(1, 9))
+            tokens.append(f"GL{num(n)}")
+            plan.append(("torus", 1) if n == 1 else
+                        ("gext", "A", n - 1, [0] * (n - 2) + [-1]))
+            continue
+        if kind == "T":
+            k = data.draw(st.integers(1, 3))
+            tokens.append(f"T{num(k)}")
+            plan.append(("torus", k))
+            continue
+        letter, rank = data.draw(st.sampled_from(SCTYPES))
+        typ = f"{letter}{num(rank)}"
+        if kind == "simple":
+            tokens.append(typ)
+            plan.append(("simple", letter, rank))
+            continue
+        if kind == "preset":
+            tokens.append(f"Gext({typ})")
+            row = rootdata._gext_preset_row(letter, rank)
+        elif kind == "basis":
+            k = data.draw(st.integers(1, rank))
+            sign = data.draw(st.sampled_from(["", "-"]))
+            tokens.append(f"Gext({typ};m={sign}e{num(k)})")
+            row = [0] * rank
+            row[k - 1] = -1 if sign else 1
+        else:
+            row = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                     max_size=rank))
+            tokens.append(f"Gext({typ};m={','.join(map(str, row))})")
+        plan.append(("gext", letter, rank, row))
+    label = tokens[0]
+    for tok in tokens[1:]:
+        label += data.draw(st.sampled_from(["*", " *", "* ", "  *  "])) + tok
+    ends = st.sampled_from(["", " ", "  "])
+    g = build_group(data.draw(ends) + label + data.draw(ends))
+    want = rootdata._assemble(plan, label=label)
+    assert (g.n, g.l, g.alpha, g.factors, g.label) == (
+        want.n, want.l, want.alpha, want.factors, label)
 
 
 A1 = rootdata.Factor("A", 1, (0,))
@@ -247,6 +308,22 @@ def test_cartan_matrix_non_integral_raises(monkeypatch):
     monkeypatch.setattr(dynkin, "root_norms", lambda letter, l: [2, 3])
     with pytest.raises(RuntimeError):
         dynkin.cartan_matrix("G", 2)
+
+
+def test_dynkin_tables_refuse_an_unknown_type():
+    with pytest.raises(ValueError, match="^H$"):
+        dynkin._edges("H", 3)
+    with pytest.raises(ValueError, match="^H$"):
+        dynkin.root_norms("H", 3)
+    with pytest.raises(ValueError, match="^rank 9 out of range for type A$"):
+        dynkin.cartan_matrix("A", 9)
+
+
+def test_root_datum_repr():
+    assert repr(build_group(" B2 * T1 ")) == "RootDatum(B2 * T1, n=3, l=2)"
+    # an unlabeled datum shows its factors
+    assert repr(rootdata.RootDatum(2, 1, [[2], [-1]], [A1])) == (
+        "RootDatum((Factor(letter='A', rank=1, indices=(0,)),), n=2, l=1)")
 
 
 def test_weyl_orbit_unique_dominant():

@@ -31,6 +31,9 @@ def test_no_assert_in_src():
 KEPT = {
     "chamber.retract_exhaustive": "perfbench reads its span"
     " (layers.py, retract_fallbacks) and test_perfbench deletes it",
+    "chamber.finite_ize": "the d -> d' map of the retraction; perfbench's"
+    " retract check calls it (workloads.py Retract.check), and"
+    " test_chamber.py checks it against the oracle `finite_ize`",
     "rootdata.RootDatum.weyl_orbit": "perfbench hooks its span"
     " (layers.py HOOKS, weyl_orbit.elements)",
     "toruseval.LaurentPoly.one": "the unit of the LaurentPoly arithmetic"

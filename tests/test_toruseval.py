@@ -81,6 +81,24 @@ def test_invert_monomial():
         (mono(1, 0) + mono(1, 1)).invert()
 
 
+def test_laurent_sub_power_and_zero():
+    assert (mono(1, 0) - mono(2, 1)).terms == {Q(0): Q(1), Q(1): Q(-2)}
+    assert repr(mono(3, 1) - mono(3, 1)) == "0"
+    with pytest.raises(ValueError, match="^only monomial powers"):
+        (mono(1, 0) + mono(1, 1)).power(2)
+
+
+def test_torus_points_hash_by_value():
+    a = parse_torus_point("1*pi^(0),-1*pi^(1/2)")
+    b = parse_torus_point("1*pi^(0), -1*pi^(2/4)")
+    assert a == b and hash(a) == hash(b)
+    assert {a, b, parse_torus_point("1*pi^(0),1*pi^(1/2)")} == {
+        a, TorusPoint((mono(1, 0), mono(1, Q(1, 2))))}
+    # the order a sum was built in is not part of the value
+    p, q = mono(1, 0) + mono(2, 1), mono(2, 1) + mono(1, 0)
+    assert p == q and hash(p) == hash(q)
+
+
 def test_parse_torus_point():
     a = parse_torus_point("1*pi^(-1),-1*pi^(-2)")
     assert len(a.values) == 2
