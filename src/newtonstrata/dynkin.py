@@ -20,7 +20,7 @@ def _chain_edges(l):
 
 def _edges(letter, l):
     """Dynkin diagram edges (0-based, Bourbaki numbering)."""
-    if letter in "ABC":
+    if letter in ("A", "B", "C"):
         return _chain_edges(l)
     if letter == "D":
         return _chain_edges(l - 1) + [(l - 3, l - 1)]
@@ -41,7 +41,7 @@ def _edges(letter, l):
 
 def root_norms(letter, l):
     """Squared root lengths (alpha_i, alpha_i), Bourbaki normalization."""
-    if letter in "ADE":
+    if letter in ("A", "D", "E"):
         return [2] * l
     if letter == "B":
         return [2] * (l - 1) + [1]
@@ -56,10 +56,10 @@ def root_norms(letter, l):
 
 def cartan_matrix(letter, l):
     """The l x l integer Cartan matrix, in the convention stated above."""
+    norms = root_norms(letter, l)  # ValueError on an unknown letter
     lo, hi = RANK_BOUNDS[letter]
     if not lo <= l <= hi:
         raise ValueError(f"rank {l} out of range for type {letter}")
-    norms = root_norms(letter, l)
     c = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
     for i, j in _edges(letter, l):
         # (alpha_i, alpha_j) = -max(norm_i, norm_j)/2 on a Dynkin edge, so

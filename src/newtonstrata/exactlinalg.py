@@ -2,8 +2,8 @@
 
 Matrices are row-major sequences of rows of ints (integral rationals
 are accepted).  There is one elimination routine, the Smith normal
-form: `inverse`, `rank`, `integer_kernel` and `unimodular_inverse` all
-read it.  No floating point anywhere.
+form: `inverse`, `integer_kernel` and `unimodular_inverse` all read
+it.  No floating point anywhere.
 """
 
 import functools
@@ -143,12 +143,6 @@ def inverse(mat):
     return mat_mul(v, scaled), den
 
 
-def rank(mat):
-    """Rank: the number of nonzero invariant factors."""
-    d, _u, _v = smith_normal_form(mat)
-    return sum(1 for i, row in enumerate(d) if i < len(row) and row[i])
-
-
 def integer_kernel(mat):
     """Z-basis of the saturated lattice {x in Z^nc : mat @ x = 0}."""
     nr = len(mat)
@@ -207,7 +201,3 @@ def cyclotomic(d):
         if rem != [0]:
             raise RuntimeError(f"cyclotomic division left a remainder at d={d}")
     return num
-
-
-def euler_phi(d):
-    return len(cyclotomic(d)) - 1

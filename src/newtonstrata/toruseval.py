@@ -29,13 +29,6 @@ class LaurentPoly:
     def monomial(cls, coeff, exponent):
         return cls({Q(exponent): Q(coeff)})
 
-    @classmethod
-    def one(cls):
-        return cls.monomial(1, 0)
-
-    def is_zero(self):
-        return not self.terms
-
     def is_monomial(self):
         return len(self.terms) == 1
 

@@ -114,7 +114,8 @@ def test_criterion_3_torus_evaluation():
 
 
 def test_criterion_4_stratum_partition():
-    """Exactly one open condition system accepts each integral vector."""
+    """Exactly one open condition system accepts each integral vector,
+    and d and its finite point d' retract alike."""
     for spec in ("GL2", "GL3", "B2"):
         g = build_group(spec)
         l, n = g.l, g.n
@@ -132,6 +133,7 @@ def test_criterion_4_stratum_partition():
                 nu = stratum_of(g, d)
                 assert len(hits) == 1, (spec, d)
                 assert hits[0].mu.point == nu.point, (spec, d)
+                assert retract(g, finite_ize(g, d)) == retract(g, d), (spec, d)
     _report("4 (stratum partition)", True)
 
 

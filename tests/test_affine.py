@@ -23,7 +23,6 @@ from newtonstrata.affine import (
 from newtonstrata.rationals import Q, scale_to_ints
 from newtonstrata.rootdata import (
     OrbitGuardError, RootDatum, WeylElement, build_group)
-from newtonstrata.strata import d_G
 from newtonstrata.verify import random_lift
 from oracles import charpoly as charpoly_fraction
 from oracles import (
@@ -170,13 +169,24 @@ def _poly_mul(a, b):
     return out
 
 
+SIMPLE_TYPES = [f"{letter}{rank}"
+                for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
+                for rank in range(lo, hi + 1)]
+
+
+def _minus_one(matrix):
+    """w - 1 for the integer matrix of w."""
+    return [[a - int(i == j) for j, a in enumerate(row)]
+            for i, row in enumerate(matrix)]
+
+
 def test_weyl_invariants_are_read_once_per_class(monkeypatch):
     # the criterion 5 and 6 loop (every class, three lifts, both reports
     # and the defect): `charpoly` runs once per table entry, the table
     # keeps at most one entry per component class, and each entry is what
     # the oracles give: the word's product is w, the cyclotomic factors
-    # multiply out to the Fraction charpoly, and rank(w - 1) is n less the
-    # multiplicity of Phi_1 (w has finite order)
+    # multiply out to the Fraction charpoly, and the corank is rank(w - 1),
+    # n less the rank of the integer kernel of w - 1
     polys = []
     charpoly = exactlinalg.charpoly
     monkeypatch.setattr(exactlinalg, "charpoly",
@@ -202,7 +212,22 @@ def test_weyl_invariants_are_read_once_per_class(monkeypatch):
                 for _ in range(mult):
                     product = _poly_mul(product, exactlinalg.cyclotomic(d))
             assert full and product == charpoly_fraction(matrix)
-            assert corank == g.n - dict(mults).get(1, 0)
+            assert corank == g.n - len(
+                exactlinalg.integer_kernel(_minus_one(matrix)))
+
+
+@pytest.mark.parametrize("spec", SIMPLE_TYPES
+                         + [f"Gext({x})" for x in SIMPLE_TYPES]
+                         + [f"GL{n}" for n in range(2, 10)])
+def test_defect_is_the_rank_of_w_minus_one(spec):
+    # the library reads the defect off the cyclotomic factorisation; here
+    # rank(w_nu - 1) is counted independently, from an integer kernel
+    g = build_group(spec)
+    for cls in g.component_classes():
+        kernel = exactlinalg.integer_kernel(_minus_one(w_nu(g, cls).matrix))
+        assert defect(g, cls) == g.n - len(kernel)
+        assert verify_defect_identity(g, cls)["pass"]
+        assert reflection_char_multiset_check(g, cls)["pass"]
 
 
 def test_reports_share_nothing_with_the_table():
@@ -339,9 +364,7 @@ def test_affine_tables_theta_check_raises(monkeypatch):
         affine._affine_tables(g)
 
 
-CARTAN_SPECS = [f"{letter}{rank}"
-                for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
-                for rank in range(lo, hi + 1)] + ["B2*A1", "GL4*Gext(B3)"]
+CARTAN_SPECS = SIMPLE_TYPES + ["B2*A1", "GL4*Gext(B3)"]
 
 
 @pytest.mark.parametrize("spec", CARTAN_SPECS)
@@ -473,8 +496,7 @@ def test_closed_form_defect_beyond_the_guard():
     lift = (0, 0, 100000)
     w = section_closed_form(g, lift).linear
     assert w == section_closed_form(g, (0, 0, 1)).linear
-    assert exactlinalg.rank([[a - int(i == j) for j, a in enumerate(row)]
-                             for i, row in enumerate(w.matrix)]) == 2
+    assert len(exactlinalg.integer_kernel(_minus_one(w.matrix))) == 1
     with pytest.raises(OrbitGuardError):
         defect(g, lift)
 

@@ -315,6 +315,17 @@ def test_dynkin_tables_refuse_an_unknown_type():
         dynkin._edges("H", 3)
     with pytest.raises(ValueError, match="^H$"):
         dynkin.root_norms("H", 3)
+    # the letter is tested exactly, not as a substring of "ABC" or "ADE"
+    with pytest.raises(ValueError, match="^$"):
+        dynkin._edges("", 3)
+    with pytest.raises(ValueError, match="^BC$"):
+        dynkin._edges("BC", 3)
+    with pytest.raises(ValueError, match="^AD$"):
+        dynkin.root_norms("AD", 2)
+    with pytest.raises(ValueError, match="^H$"):
+        dynkin.cartan_matrix("H", 3)
+    with pytest.raises(ValueError, match="^$"):
+        dynkin.cartan_matrix("", 3)
     with pytest.raises(ValueError, match="^rank 9 out of range for type A$"):
         dynkin.cartan_matrix("A", 9)
 

@@ -26,6 +26,31 @@ def test_no_assert_in_src():
     assert found == []
 
 
+# Imported names that their module never reads, each with the reason it
+# stays.
+UNREAD_IMPORTS = {
+    "strata.stratum_of": "re-exported: perfbench/tests/test_perfbench.py"
+    " reads it as `strata.stratum_of`",
+}
+
+
+def test_every_imported_name_is_read():
+    # the stdlib stand-in for a linter's unused-import rule, over src/
+    # and tests/
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        reads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in reads:
+                        found.append(f"{path.stem}.{name}")
+    assert sorted(found) == sorted(UNREAD_IMPORTS)
+
+
 # Public names that no module in src/ calls and that `__all__` does not
 # export, each with the reason it stays in the library.
 KEPT = {
@@ -36,10 +61,6 @@ KEPT = {
     " test_chamber.py checks it against the oracle `finite_ize`",
     "rootdata.RootDatum.weyl_orbit": "perfbench hooks its span"
     " (layers.py HOOKS, weyl_orbit.elements)",
-    "toruseval.LaurentPoly.one": "the unit of the LaurentPoly arithmetic"
-    " whose spans perfbench counts (layers.py LAURENT_OPS)",
-    "toruseval.LaurentPoly.is_zero": "the zero test of the LaurentPoly"
-    " arithmetic whose spans perfbench counts (layers.py LAURENT_OPS)",
     "toruseval.LaurentPoly.power": "perfbench counts its span"
     " (layers.py LAURENT_OPS)",
     "toruseval.LaurentPoly.invert": "perfbench counts its span"

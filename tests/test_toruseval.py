@@ -76,7 +76,7 @@ def test_ultrametric():
 
 def test_invert_monomial():
     p = mono(2, -3)
-    assert (p * p.invert()).terms == LaurentPoly.one().terms
+    assert (p * p.invert()).terms == LaurentPoly.monomial(1, 0).terms
     with pytest.raises(ValueError):
         (mono(1, 0) + mono(1, 1)).invert()
 
@@ -111,7 +111,7 @@ def test_eval_char_basis():
     g = build_group("GL2")
     a = parse_torus_point("1*pi^(-1),3*pi^(0)")
     assert eval_char(g, (1, 0), a).terms == a.values[0].terms
-    assert eval_char(g, (0, 0), a).terms == LaurentPoly.one().terms
+    assert eval_char(g, (0, 0), a).terms == LaurentPoly.monomial(1, 0).terms
 
 
 def test_eval_char_gl2_root():
@@ -159,7 +159,7 @@ def test_eval_c_cancellation():
     g = build_group("GL2")
     a = parse_torus_point("1*pi^(-1),-1*pi^(-2)")
     values, d_c = eval_c(g, a)
-    assert values[0].is_zero()
+    assert not values[0].terms
     assert d_c == (NEG_INF, 2)
 
 
@@ -272,7 +272,7 @@ def test_eval_c_matches_plain_orbit_sums(case):
         for lam in weyl_orbit(g, omega):
             term = eval_char(g, lam, a)
             # lam(a) as a product of powers of the coordinates of a
-            prod = LaurentPoly.one()
+            prod = LaurentPoly.monomial(1, 0)
             for k, x in zip(lam, a.values):
                 prod = prod * x.power(k)
             assert term == prod
