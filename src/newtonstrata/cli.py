@@ -263,7 +263,7 @@ def main(argv=None):
         _join_point_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(build_group(args.group), args)
-    except (ValueError, KeyError, OrbitGuardError) as e:
+    except (ValueError, OrbitGuardError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:  # a failed self-check: a bug, not bad input

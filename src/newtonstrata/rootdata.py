@@ -543,13 +543,12 @@ def _parse_factor(tok):
 
 def _gext_preset_row(letter, rank):
     """Pick m = -e_j maximizing the component group order, the first such j.
-    Gext(X; m) has X_*(A_G) = {(x, t) : M x + t m = 0}, M the block that
-    `pm_solver` inverts.  For m = -e_j and the solver (idx, adj, d) of all
-    simple roots of X, x = t (column j of adj) / d: integral exactly when t
-    is a multiple of d / gcd(d, column j of adj), the order of the group."""
-    _idx, adj, d = _assemble([("simple", letter, rank)], label="").pm_solver(
-        frozenset(range(rank)))
-    orders = [d // math.gcd(d, *(row[j] for row in adj)) for j in range(rank)]
+    Gext(X; m) has X_*(A_G) = {(x, t) : C^T x + t m = 0}, C the Cartan
+    matrix of X.  For m = -e_j and C^-1 = adj / d, x = t (row j of adj) / d:
+    integral exactly when t is a multiple of d / gcd(d, row j of adj), the
+    order of the group."""
+    adj, d = exactlinalg.inverse(dynkin.cartan_matrix(letter, rank))
+    orders = [d // math.gcd(d, *adj[j]) for j in range(rank)]
     j = orders.index(max(orders))
     return [-int(i == j) for i in range(rank)]
 

@@ -1,6 +1,6 @@
-"""Symbolic valued-field arithmetic and torus-point evaluation.
+"""Torus-point evaluation: W-orbit sums at a monomial torus point.
 
-Elements are finite sums of monomials c * pi^v with rational v and c; the
+Values are finite sums of monomials c * pi^v with rational v and c; the
 valuation convention is val(pi) = -1, val(0) = -inf, so the valuation of
 a sum is the negated minimum exponent.
 """
@@ -44,32 +44,6 @@ class LaurentPoly:
             t[v] = t.get(v, Q(0)) + c
         return LaurentPoly(t)
 
-    def __neg__(self):
-        return LaurentPoly({v: -c for v, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        t = {}
-        for v1, c1 in self.terms.items():
-            for v2, c2 in other.terms.items():
-                v = v1 + v2
-                t[v] = t.get(v, Q(0)) + c1 * c2
-        return LaurentPoly(t)
-
-    def invert(self):
-        if not self.is_monomial():
-            raise ValueError("only monomials are invertible here")
-        ((v, c),) = self.terms.items()
-        return LaurentPoly.monomial(1 / c, -v)
-
-    def power(self, k):
-        if not self.is_monomial():
-            raise ValueError("only monomial powers are supported")
-        ((v, c),) = self.terms.items()
-        return LaurentPoly.monomial(c**k, k * v)
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -104,7 +78,9 @@ class TorusPoint:
 
 
 _TOKEN = re.compile(
-    r"^\s*(?P<c>-?\d+(?:/\d+)?)\s*\*\s*pi\^\(?(?P<v>-?\d+(?:/\d+)?)\)?\s*$"
+    r"\s*(?P<c>-?\d+(?:/\d+)?)\s*\*\s*pi\^"
+    r"(?P<open>\()?(?P<v>-?\d+(?:/\d+)?)(?(open)\))\s*",
+    re.ASCII,
 )
 
 
@@ -112,7 +88,7 @@ def parse_torus_point(s):
     """Parse comma-separated "c*pi^(p/q)" tokens."""
     vals = []
     for tok in s.split(","):
-        m = _TOKEN.match(tok)
+        m = _TOKEN.fullmatch(tok)
         if not m:
             raise ValueError(f"bad torus coordinate {tok!r}")
         try:

@@ -78,13 +78,16 @@ def test_criterion_2_retraction_axioms():
             assert retract(g, y) == (y, s)
             assert g.p_M(x, s) == y
             assert retract_closest(g, x) == y
-            # minimality: every sampled dominant majorant of x dominates y
+            # minimality: every sampled dominant majorant of x dominates y,
+            # on the int forms L x + L r of x's scale L
+            scale, ints = g.scaled(x)
+            form = g.scaled(y)
             for _ in range(100):
-                mu = list(x)
+                mu = list(ints)
                 for j in range(g.l):
-                    mu[j] += rng.randint(0, 5)
-                if g.is_dominant(mu):
-                    assert g.leq(y, mu)
+                    mu[j] += scale * rng.randint(0, 5)
+                if all(p >= 0 for p in g.pairings(mu)):
+                    assert g.leq_scaled(form, (scale, mu))
     _report("2 (retraction axioms)", True)
 
 

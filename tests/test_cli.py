@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from newtonstrata.chamber import (
     RetractionError, newton_points_below, retract, stratum_of)
+from newtonstrata import cli
 from newtonstrata.cli import main
 from newtonstrata.rationals import NEG_INF, Q, fmt_point
 from newtonstrata.rootdata import RootDatum, build_group
@@ -282,6 +283,8 @@ def test_usage_error_exit_2():
     (("dim", "--group", "GL3", "--mu", "1,2"), "--mu"),
     (("dim", "--group", "GL3", "--mu=-inf,1,1"), "--mu"),
     (("eval", "--group", "GL3", "--a", "1*pi^0,1*pi^1"), "wrong length"),
+    # an unclosed parenthesis in a torus exponent
+    (("eval", "--group", "GL2", "--a", "1*pi^(2,1*pi^(0)"), "1*pi^(2"),
 ])
 def test_bad_input_exit_2(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
@@ -320,6 +323,16 @@ def test_failed_certificate_exit_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_key_error_is_a_bug_not_bad_input(monkeypatch):
+    # no input raises KeyError, so `main` must not report one as exit 2
+    def broken(datum, args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_describe", broken)
+    with pytest.raises(KeyError, match="lost"):
+        main(["describe", "--group", "GL2"])
 
 
 # The CLI contract as a property: every argv that argparse accepts gets

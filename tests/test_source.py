@@ -61,10 +61,6 @@ KEPT = {
     " test_chamber.py checks it against the oracle `finite_ize`",
     "rootdata.RootDatum.weyl_orbit": "perfbench hooks its span"
     " (layers.py HOOKS, weyl_orbit.elements)",
-    "toruseval.LaurentPoly.power": "perfbench counts its span"
-    " (layers.py LAURENT_OPS)",
-    "toruseval.LaurentPoly.invert": "perfbench counts its span"
-    " (layers.py LAURENT_OPS)",
     "strata.d_levi_check": "the poset workload calls it"
     " (workloads.py Poset.run); acceptance criterion 8",
     "affine.chi": "the paper's character chi_i; the acceptance gate"

@@ -1,4 +1,4 @@
-"""Valued-field arithmetic, torus evaluation, classical Newton polygons."""
+"""Laurent values, torus evaluation, classical Newton polygons."""
 
 import random
 import sys
@@ -39,7 +39,7 @@ def test_val_leading_term():
 
 def test_val_cancellation():
     p = mono(2, -3) + mono(1, 5)
-    assert (p + (-p)).val() is NEG_INF
+    assert (p + mono(-2, -3) + mono(-1, 5)).val() is NEG_INF
 
 
 @given(st.lists(st.one_of(st.just(NEG_INF), st.fractions(max_denominator=9)),
@@ -74,18 +74,8 @@ def test_ultrametric():
             assert vs == max(va, vb)
 
 
-def test_invert_monomial():
-    p = mono(2, -3)
-    assert (p * p.invert()).terms == LaurentPoly.monomial(1, 0).terms
-    with pytest.raises(ValueError):
-        (mono(1, 0) + mono(1, 1)).invert()
-
-
-def test_laurent_sub_power_and_zero():
-    assert (mono(1, 0) - mono(2, 1)).terms == {Q(0): Q(1), Q(1): Q(-2)}
-    assert repr(mono(3, 1) - mono(3, 1)) == "0"
-    with pytest.raises(ValueError, match="^only monomial powers"):
-        (mono(1, 0) + mono(1, 1)).power(2)
+def test_laurent_zero():
+    assert repr(mono(3, 1) + mono(-3, 1)) == "0"
 
 
 def test_torus_points_hash_by_value():
@@ -105,6 +95,12 @@ def test_parse_torus_point():
     assert a.values[1].val() == 2
     with pytest.raises(ValueError):
         parse_torus_point("pi^2")
+    # the bare exponent and the parenthesised one both parse
+    assert parse_torus_point("1*pi^2") == parse_torus_point("1*pi^(2)")
+    # an unbalanced parenthesis or a non-ASCII digit is refused
+    for tok in ("1*pi^(2", "1*pi^2)", "\u0661*pi^(\u0662)"):
+        with pytest.raises(ValueError, match="^bad torus coordinate"):
+            parse_torus_point(tok)
 
 
 def test_eval_char_basis():
@@ -230,8 +226,12 @@ def test_nu_a_homomorphism():
     for _ in range(20):
         a = random_torus_point(g, rng, denominator=2)
         b = random_torus_point(g, rng, denominator=2)
-        ab_vals = tuple(x * y for x, y in zip(a.values, b.values))
-        ab = TorusPoint(ab_vals)
+        # the product point: coefficients multiply, exponents add
+        ab_vals = []
+        for x, y in zip(a.values, b.values):
+            ((vx, cx),), ((vy, cy),) = x.terms.items(), y.terms.items()
+            ab_vals.append(mono(cx * cy, vx + vy))
+        ab = TorusPoint(tuple(ab_vals))
         assert nu_a(g, ab) == tuple(
             x + y for x, y in zip(nu_a(g, a), nu_a(g, b))
         )
@@ -270,13 +270,7 @@ def test_eval_c_matches_plain_orbit_sums(case):
         omega = tuple(int(i == k) for k in range(g.n))
         total = LaurentPoly()
         for lam in weyl_orbit(g, omega):
-            term = eval_char(g, lam, a)
-            # lam(a) as a product of powers of the coordinates of a
-            prod = LaurentPoly.monomial(1, 0)
-            for k, x in zip(lam, a.values):
-                prod = prod * x.power(k)
-            assert term == prod
-            total = total + term
+            total = total + eval_char(g, lam, a)
         assert values[i] == total
         pairings = [sum(k * v for k, v in zip(lam, nu))
                     for lam in weyl_orbit(g, omega)]
