@@ -28,7 +28,6 @@ _HOME = {
     "d_G": "strata",
     "LaurentPoly": "toruseval",
     "TorusPoint": "toruseval",
-    "classical_newton_slopes": "toruseval",
 }
 __all__ = list(_HOME)
 

@@ -1,6 +1,7 @@
 """Exact rational scalars, extended by a -infinity element for valuations."""
 
 import math
+import re
 from fractions import Fraction as Q
 
 
@@ -58,15 +59,15 @@ def frac_part(x):
     return x - qfloor(x)
 
 
+_SCALAR = re.compile(r"\s*(-inf|-?\d+(?:/0*[1-9]\d*)?)\s*", re.ASCII)
+
+
 def parse_scalar(s):
-    """Parse "p/q", "p" or "-inf"."""
-    s = s.strip()
-    if s == "-inf":
-        return NEG_INF
-    try:
-        return Q(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {s!r}") from exc
+    """Parse "p/q", "p" or "-inf": ASCII, q > 0, whitespace around."""
+    m = _SCALAR.fullmatch(s)
+    if m is None:
+        raise ValueError("bad rational " + repr(s.strip(" \t\n\r\f\v")))
+    return NEG_INF if m[1] == "-inf" else Q(m[1])
 
 
 def fmt_scalar(x):

@@ -118,11 +118,11 @@ def d_G(datum, nu):
 def d_levi_check(datum, nu):
     """Lemma-style reduction: d_G computed in nu's own Levi agrees with d_G.
 
-    Both sides read the int form (den, ints) nu carries, and compare den
-    times d_G: the Levi side on the datum of `RootDatum.levi`, through its
-    coordinate map `to_levi`."""
+    The Levi of nu's face S keeps the extended weights of index in S, so
+    its d_G sums the fractional parts of nu_j, j in S; nu is integral off
+    S.  Both sums are read on the int form (den, ints) nu carries."""
     nu = newton_point(datum, nu)
-    levi_datum, to_levi = datum.levi(nu.levi)
+    if any(not 0 <= j < datum.l for j in nu.levi):
+        raise ValueError("invalid Levi subset")
     den, ints = nu.scaled
-    return (_frac_sum(levi_datum, (den, to_levi(ints)))
-            == _frac_sum(datum, (den, ints)))
+    return sum(ints[j] % den for j in nu.levi) == _frac_sum(datum, nu.scaled)

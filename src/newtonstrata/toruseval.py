@@ -259,45 +259,6 @@ def check_thm_rnu(datum, a):
     }
 
 
-def classical_newton_slopes(d):
-    """Slopes of the Newton polygon of an n-tuple of coefficient valuations.
-
-    d has -inf allowed everywhere except the last slot.  Returns the
-    decreasing slope tuple read off the least concave majorant through
-    (0,0) and (n, d_n).
-    """
-    n = len(d)
-    if n == 0 or d[-1] is NEG_INF:
-        raise ValueError("the last coefficient valuation must be finite")
-    pts = [(0, Q(0))]
-    for i, v in enumerate(d):
-        if v is not NEG_INF:
-            pts.append((i + 1, Q(v)))
-    # upper convex hull, left to right (Andrew's monotone chain)
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it lies on or below the chord
-            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = (y2 - y1) / (x2 - x1)
-        slopes.extend([s] * (x2 - x1))
-    # Unreachable: the hull runs from x = 0 to x = n with x increasing.
-    if len(slopes) != n:
-        raise RuntimeError("Newton polygon does not span all n slots")
-    # Unreachable: each point is appended once the one before lies strictly
-    # above the chord past it, and pops only cut the end: slopes decrease.
-    if any(a < b for a, b in zip(slopes, slopes[1:])):
-        raise RuntimeError("Newton polygon slopes are not decreasing")
-    return tuple(slopes)
-
-
 def random_torus_point(datum, rng, denominator=1):
     """Seeded monomial torus point with collision-prone coefficients."""
     coeffs = [Q(c) for c in (1, -1, 2, -2)]

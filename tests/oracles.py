@@ -76,6 +76,14 @@ rational invariant form is inverted with it, so `retract_closest` shares
 no solver with the library, and it is the reference for the Smith-form
 `exactlinalg.inverse`.
 
+`newton_slopes` is the classical Newton polygon of GL_n (C.-L. Chai,
+*Newton polygons as lattice points*, Amer. J. Math. 122 (2000)): the
+upper convex hull of the coefficient valuations, by Andrew's monotone
+chain on ints over one common scale, with one `Fraction` per hull
+segment.  `chamber.retract` on GL_n must give the partial sums of its
+slopes (criterion 1); it shares no code with the library but
+`rationals.NEG_INF`.
+
 `change_extension` re-chooses the extensions of the fundamental weights
 (acceptance criterion 7) and `slopes_to_coords` turns GL_n slopes into
 omega-coordinates (criterion 1); only the tests use either.
@@ -674,6 +682,35 @@ def change_extension(datum, rows):
         return tuple(out)
 
     return changed, convert
+
+
+def newton_slopes(d):
+    """Slopes of the classical Newton polygon of an n-tuple d of
+    coefficient valuations, -inf allowed in every slot but the last (else
+    ValueError): the decreasing slopes of the least concave majorant of
+    (0, 0) and the points (i, d_i) with d_i finite.
+
+    The points are scaled to ints by one common L, their upper hull is
+    Andrew's monotone chain on ints, and each hull segment gives one
+    `Fraction` dy / (dx L), repeated dx times."""
+    if not d or d[-1] is NEG_INF:
+        raise ValueError("the last coefficient valuation must be finite")
+    xs = [i + 1 for i, v in enumerate(d) if v is not NEG_INF]
+    scale, ys = scale_to_ints([v for v in d if v is not NEG_INF])
+    hull = [(0, 0)]
+    for p in zip(xs, ys):
+        # drop the last hull point while it lies on or below the chord
+        # from the one before it to p
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) > (p[1] - y1) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append(p)
+    slopes = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slopes += [Q(y2 - y1, (x2 - x1) * scale)] * (x2 - x1)
+    return tuple(slopes)
 
 
 def slopes_to_coords(slopes):

@@ -246,9 +246,24 @@ def test_bad_group_exit_2(capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# A SCALAR is "-inf" or ["-"] INT ["/" INT] with a nonzero denominator,
+# INT ASCII digits: an exponent, a decimal point, an underscore, a "+",
+# a non-ASCII digit or a non-ASCII space is refused.
+BAD_SCALARS = ("zzz", "x", "1/0", "1/00", "", "2/", "--1", "inf", "1e3",
+               "1.5", "1_0", "+2", "\u0661", "\u00a01")
+
+
 def test_bad_point_exit_2(capsys):
-    code, _, err = run(capsys, "retract", "--group", "GL2", "--d", "zzz")
-    assert code == 2
+    for bad in BAD_SCALARS:
+        code, out, err = run(capsys, "retract", "--group", "GL2",
+                             f"--d={bad},0")
+        assert code == 2 and out == "" and err.startswith("error: --d ")
+        assert err.count("\n") == 1 and "bad rational" in err
+
+
+def test_ascii_whitespace_around_a_scalar(capsys):
+    spaced = run(capsys, "retract", "--group", "GL2", "--d", " 0 ,\t2 ")
+    assert spaced == run(capsys, "retract", "--group", "GL2", "--d", "0,2")
 
 
 def test_usage_error_exit_2():
@@ -354,7 +369,7 @@ RANK = {spec: build_group(spec).n for spec in GOOD_SPECS}
 NEWTON = {spec: _newton_strings(spec) for spec in GOOD_SPECS}
 COORD = st.sampled_from(
     ["0", "1", "-1", "2", "3", "-3", "1/2", "-2/3", "5/3", "-inf"])
-BAD_SCALAR = st.sampled_from(["x", "1/0", "", "2/", "--1", "inf"])
+BAD_SCALAR = st.sampled_from(BAD_SCALARS)
 
 
 def _point(n, coord=COORD):

@@ -136,6 +136,7 @@ def test_poset_op_work_counts(monkeypatch):
         d_levi_check(g, p)
     assert checks["n"] - 3 <= 2 * len(points)
     assert compares["n"] == 0
+    assert "levi" not in g._memo  # `d_levi_check` builds no Levi datum
 
 
 def test_no_fraction_ordering_on_certified_points(monkeypatch):

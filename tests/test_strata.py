@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from newtonstrata import strata
 from newtonstrata.chamber import (
-    face_of, is_newton_point, newton_points_below, stratum_of)
+    NewtonPoint, face_of, is_newton_point, newton_points_below, stratum_of)
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import build_group
 from newtonstrata.strata import (
@@ -205,6 +205,17 @@ def test_d_levi_check():
         for _ in range(15):
             d = tuple(rng.randint(-3, 3) for _ in range(h.n))
             assert d_levi_check(h, stratum_of(h, d))
+
+
+def test_d_levi_check_reads_the_face():
+    # a hand-built point, fractional off its (empty) face: the face sum
+    # is 0 and d_G is 1/2
+    g = build_group("GL3")
+    nu = NewtonPoint((Q(1, 2), Q(1), Q(3)), frozenset(), (0, 1, 3))
+    assert d_levi_check(g, nu) is False
+    bad = NewtonPoint(nu.point, frozenset({2}), nu.lift)  # 2 is no root
+    with pytest.raises(ValueError, match="invalid Levi subset"):
+        d_levi_check(g, bad)
 
 
 def test_partition_small_box():

@@ -1,10 +1,11 @@
-"""Laurent values, torus evaluation, classical Newton polygons."""
+"""Laurent values, torus evaluation, and the classical Newton polygon
+oracle against `retract`."""
 
 import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtonstrata.chamber import face_of, retract
@@ -19,13 +20,12 @@ from newtonstrata.toruseval import (
     _orbit_skeleton,
     _orbit_sums,
     check_thm_rnu,
-    classical_newton_slopes,
     eval_c,
     nu_a,
     parse_torus_point,
     random_torus_point,
 )
-from oracles import eval_char, slopes_to_coords, weyl_orbit
+from oracles import eval_char, newton_slopes, slopes_to_coords, weyl_orbit
 
 
 def mono(c, v):
@@ -184,12 +184,13 @@ def test_check_thm_rnu_cancellation():
 
 
 def test_classical_slopes():
-    assert classical_newton_slopes((Q(0), Q(1))) == (Q(1, 2), Q(1, 2))
-    assert classical_newton_slopes((Q(1), Q(0), Q(0))) == (
-        1, Q(-1, 2), Q(-1, 2))
-    assert classical_newton_slopes((NEG_INF, Q(2))) == (1, 1)
+    assert newton_slopes((Q(0), Q(1))) == (Q(1, 2), Q(1, 2))
+    assert newton_slopes((Q(1), Q(0), Q(0))) == (1, Q(-1, 2), Q(-1, 2))
+    assert newton_slopes((NEG_INF, Q(2))) == (1, 1)
     with pytest.raises(ValueError):
-        classical_newton_slopes((Q(0), NEG_INF))
+        newton_slopes((Q(0), NEG_INF))
+    with pytest.raises(ValueError):
+        newton_slopes(())
 
 
 def test_slopes_coords_roundtrip():
@@ -197,13 +198,23 @@ def test_slopes_coords_roundtrip():
     assert coords_to_slopes(slopes_to_coords(s)) == s
 
 
-def test_classical_matches_retract_spot():
-    g = build_group("GL3")
-    rng = random.Random(12)
-    for _ in range(60):
-        d = tuple(Q(rng.randint(-3, 3)) for _ in range(3))
-        y, _ = retract(g, d)
-        assert slopes_to_coords(classical_newton_slopes(d)) == y
+GLN = {n: build_group(f"GL{n}") for n in range(1, 10)}
+VALUATION = st.fractions(-20, 20, max_denominator=12)
+
+
+def _valuations(n):
+    """n coefficient valuations, -inf allowed in every slot but the last."""
+    head = st.lists(st.one_of(st.just(NEG_INF), VALUATION),
+                    min_size=n - 1, max_size=n - 1)
+    return st.tuples(head, VALUATION).map(lambda t: (*t[0], t[1]))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(GLN)).flatmap(_valuations))
+def test_newton_polygon_oracle_matches_retract(d):
+    # acceptance criterion 1 on drawn rational vectors, GL1 to GL9
+    y, _face = retract(GLN[len(d)], d)
+    assert slopes_to_coords(newton_slopes(d)) == y
 
 
 def test_classical_inequalities():
@@ -211,7 +222,7 @@ def test_classical_inequalities():
     for _ in range(60):
         n = rng.randint(2, 5)
         d = [Q(rng.randint(-3, 3)) for _ in range(n)]
-        nu = classical_newton_slopes(tuple(d))
+        nu = newton_slopes(tuple(d))
         partial = Q(0)
         for i in range(n):
             partial += nu[i]
