@@ -258,36 +258,46 @@ def defect(datum, nu):
 
 
 def _w_nu_invariants(datum, nu):
-    """(word, rank(w - 1), sorted (d, multiplicity of Phi_d) pairs, fully
-    factored) for w = w_nu.  `section_s` runs for every lift, with all its
-    checks; the rest is built once per matrix of w, which depends only on
-    the class of nu, so the table keeps at most one entry per component
-    class, and a lift whose section went wrong gets an entry of its own."""
+    """(word, rank(w - 1), sorted (d, multiplicity of Phi_d) pairs, whether
+    they count all n eigenvalues) for w = w_nu.  `section_s` runs for every
+    lift, with all its checks; the rest is built once per matrix of w,
+    which depends only on the class of nu, so the table keeps at most one
+    entry per component class, and a lift whose section went wrong gets
+    an entry of its own."""
     w = w_nu(datum, nu)
     return datum.memo("weyl_invariants", w.matrix, _build_weyl_invariants, w)
 
 
 def _build_weyl_invariants(datum, w):
     """`weyl_word` certifies w a Weyl group element, so it has finite
-    order and its characteristic polynomial is a product of Phi_d with
-    phi(d) <= n; phi(d) >= sqrt(d/2) bounds the search by d <= 2n^2.
-    Finite order makes w diagonalisable over C, so rank(w - 1) = n - m_1;
-    the d = 1 step runs first, so m_1 is complete if a later step stops."""
+    order, is diagonalisable over C, and its eigenvalues are roots of
+    unity closed under Galois conjugation.  So dim ker(w^d - 1) counts the
+    eigenvalues whose order divides d; less the counts e_k of the proper
+    divisors k of d, it leaves e_d, those of order exactly d, which come
+    in whole orbits of phi(d): Phi_d has multiplicity e_d / phi(d) in the
+    characteristic polynomial (T. A. Springer, Invent. Math. 25 (1974)).
+    phi(d) <= n and phi(d) >= sqrt(d/2) bound the search by d <= 2n^2,
+    and rank(w - 1) = n - e_1."""
     word = tuple(weyl_word(datum, w))
-    poly = exactlinalg.charpoly(w.matrix)
-    mults = {}
-    for d in range(1, 2 * datum.n ** 2 + 1):
-        if poly == [1]:
+    n = datum.n
+    exact, mults = {}, {}  # order d -> e_d, and -> e_d / phi(d) if not 0
+    power = w.matrix
+    for d in range(1, 2 * n ** 2 + 1):
+        fixed = len(exactlinalg.integer_kernel(
+            [[a - (i == j) for j, a in enumerate(row)]
+             for i, row in enumerate(power)]))
+        exact[d] = fixed - sum(e for k, e in exact.items() if d % k == 0)
+        mult, rem = divmod(exact[d],
+                           sum(math.gcd(k, d) == 1 for k in range(d)))
+        if rem:
+            raise RuntimeError(
+                f"eigenvalues of order {d} are not whole Galois orbits")
+        if mult:
+            mults[d] = mult
+        if sum(exact.values()) >= n:
             break
-        phi_d = exactlinalg.cyclotomic(d)
-        while len(phi_d) <= len(poly):  # phi(d) <= the remaining degree
-            q, r = exactlinalg.poly_divmod(poly, phi_d)
-            if any(r):
-                break
-            poly = q
-            mults[d] = mults.get(d, 0) + 1
-    corank = datum.n - mults.get(1, 0)
-    return word, corank, tuple(sorted(mults.items())), poly == [1]
+        power = exactlinalg.mat_mul(power, w.matrix)
+    return word, n - exact[1], tuple(mults.items()), sum(exact.values()) == n
 
 
 def _chis(datum, nu):
@@ -319,10 +329,10 @@ def verify_defect_identity(datum, nu):
 def reflection_char_multiset_check(datum, nu):
     """Galois-invariant form of the character decomposition.
 
-    Reads the factorisation of the characteristic polynomial of w_nu into
-    cyclotomics from `_w_nu_invariants` and matches, order by order, the
-    multiplicities against the denominators of the characters chi_i,
-    requiring full unit-group orbits.
+    Reads the multiplicities of the cyclotomic factors of the
+    characteristic polynomial of w_nu from `_w_nu_invariants` and matches
+    them, order by order, against the denominators of the characters
+    chi_i, requiring full unit-group orbits.
     """
     _word, _corank, mults, fully_factored = _w_nu_invariants(datum, nu)
     mults = dict(mults)

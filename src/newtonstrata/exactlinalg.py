@@ -1,12 +1,12 @@
-"""Exact linear algebra over the integers.
+"""Exact linear algebra over the integers: matrices only.
 
 Matrices are row-major sequences of rows of ints (integral rationals
 are accepted).  There is one elimination routine, the Smith normal
 form: `inverse`, `integer_kernel` and `unimodular_inverse` all read
-it.  No floating point anywhere.
+it.  No polynomials and no floating point anywhere: eigenvalue counts
+are kernel dimensions (`affine._build_weyl_invariants`).
 """
 
-import functools
 import operator
 
 
@@ -17,28 +17,6 @@ def identity(n):
 def mat_mul(a, b):
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
-
-
-def charpoly(mat):
-    """Characteristic polynomial det(T*I - M) of an integer matrix.
-
-    Returns integer coefficients [c0, c1, ..., cn] with cn = 1
-    (Faddeev-LeVerrier on ints: each c_k = -tr(A_k) / k divides exactly).
-    """
-    n = len(mat)
-    m = [list(row) for row in mat]
-    coeffs = [1]  # leading coefficient
-    a = [row[:] for row in m]
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                a[i][i] += coeffs[-1]
-            a = mat_mul(m, a)
-        ck, rem = divmod(-sum(a[i][i] for i in range(n)), k)
-        if rem:
-            raise RuntimeError("characteristic polynomial is not integral")
-        coeffs.append(ck)
-    return coeffs[::-1]  # constant term first
 
 
 # ---------------------------------------------------------------------------
@@ -158,46 +136,3 @@ def unimodular_inverse(v):
     if den != 1:
         raise RuntimeError("matrix is not unimodular")
     return adj
-
-
-# ---------------------------------------------------------------------------
-# Integer polynomial helpers (coefficient lists, constant term first)
-
-
-def poly_divmod(a, b):
-    """Exact division of integer polynomials with monic-ish divisor."""
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        if a[-1] % b[-1] != 0:
-            break
-        f = a[-1] // b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, y in enumerate(b):
-            a[shift + i] -= f * y
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-@functools.cache
-def cyclotomic(d):
-    """d-th cyclotomic polynomial over Z, constant term first.  The list
-    is cached and shared: callers must not change it."""
-    num = [0] * d + [1]
-    num[0] = -1  # x^d - 1
-    for e in divisors(d)[:-1]:
-        num, rem = poly_divmod(num, cyclotomic(e))
-        if rem != [0]:
-            raise RuntimeError(f"cyclotomic division left a remainder at d={d}")
-    return num

@@ -58,12 +58,16 @@ past their guard.
 `weyl_orbit` is the breadth-first orbit walk with a visited set, the
 reference for the reverse search `RootDatum.orbit_tree`; `eval_char`
 evaluates one character at a torus point, the reference for the orbit
-sums that `toruseval` carries down that walk.  `charpoly` is the
-`Fraction` Faddeev-LeVerrier form of the integer `exactlinalg.charpoly`,
-and `det` a cofactor expansion to check both against.  `mat_mul`, the
-triple-loop product that `charpoly`, `compose` and `matrix_order` use,
-is the reference for `exactlinalg.mat_mul`, so no oracle multiplies
-with the kernel it checks.
+sums that `toruseval` carries down that walk.  `charpoly` is
+det(T*I - M) by Faddeev-LeVerrier over `Fraction`, with `det` a cofactor
+expansion to check it against, and `cyclotomic` builds Phi_d by integer
+long division: the library counts the eigenvalues of w_nu from kernel
+dimensions and never forms a polynomial, so the product of its Phi_d to
+their multiplicities must give `charpoly`, and n less the multiplicity
+of its root 1 the defect.  `mat_mul`, the triple-loop product that
+`charpoly`, `compose` and `matrix_order` use, is the reference for
+`exactlinalg.mat_mul`, so no oracle multiplies with the kernel it
+checks.
 
 `scale_to_ints` is the two-expression form of `rationals.scale_to_ints`:
 the lcm over the denominators read once, then each numerator scaled with
@@ -643,6 +647,33 @@ def charpoly(mat):
             a = mat_mul(m, a)
         coeffs.append(-sum(a[i][i] for i in range(n)) / k)
     return coeffs[::-1]
+
+
+def poly_mul(a, b):
+    """Product of two polynomials, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def cyclotomic(d):
+    """Phi_d over Z, constant term first: x^d - 1 divided, by integer long
+    division, by Phi_k for each proper divisor k of d."""
+    num = [-1] + [0] * (d - 1) + [1]
+    for k in range(1, d):
+        if d % k == 0:
+            den = cyclotomic(k)  # monic
+            quo = [0] * (len(num) - len(den) + 1)
+            for i in reversed(range(len(quo))):
+                quo[i] = num[i + len(den) - 1]
+                for j, c in enumerate(den):
+                    num[i + j] -= quo[i] * c
+            if any(num):
+                raise RuntimeError(f"Phi_{k} leaves a remainder at d={d}")
+            num = quo
+    return num
 
 
 def det(m):

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtonstrata import affine, dynkin, exactlinalg
@@ -24,10 +24,10 @@ from newtonstrata.rationals import Q, scale_to_ints
 from newtonstrata.rootdata import (
     OrbitGuardError, RootDatum, WeylElement, build_group)
 from newtonstrata.verify import random_lift
-from oracles import charpoly as charpoly_fraction
 from oracles import (
-    affine_generator, compose, fraction_inverse, highest_root, matrix_order,
-    positive_roots, section_closed_form, translation, weyl_product)
+    affine_generator, charpoly, compose, cyclotomic, fraction_inverse,
+    highest_root, matrix_order, poly_mul, positive_roots,
+    section_closed_form, translation, weyl_product)
 
 
 def _gcd(a, b):
@@ -161,14 +161,6 @@ def test_defect_and_character_checks_build_three_weyl_elements(
         assert len(calls) == builds
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 SIMPLE_TYPES = [f"{letter}{rank}"
                 for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
                 for rank in range(lo, hi + 1)]
@@ -180,22 +172,47 @@ def _minus_one(matrix):
             for i, row in enumerate(matrix)]
 
 
+def _root_one_multiplicity(poly):
+    """How often (x - 1) divides poly (constant term first), by synthetic
+    division."""
+    mult = 0
+    while True:
+        partial = list(itertools.accumulate(reversed(poly)))
+        if partial[-1]:  # the remainder, poly(1)
+            return mult
+        poly = partial[-2::-1]
+        mult += 1
+
+
+def _check_weyl_invariants(g, matrix, invariants):
+    # the oracles' view of one table entry: the word's product is w, the
+    # cyclotomic factors multiply out to the Fraction charpoly, and the
+    # corank is n less the multiplicity of the root 1 of that charpoly
+    word, corank, mults, full = invariants
+    assert weyl_product(g, word).matrix == matrix
+    product = [1]
+    for d, mult in mults:
+        for _ in range(mult):
+            product = poly_mul(product, cyclotomic(d))
+    poly = charpoly(matrix)
+    assert full and product == poly
+    assert corank == g.n - _root_one_multiplicity(poly)
+
+
 def test_weyl_invariants_are_read_once_per_class(monkeypatch):
     # the criterion 5 and 6 loop (every class, three lifts, both reports
-    # and the defect): `charpoly` runs once per table entry, the table
-    # keeps at most one entry per component class, and each entry is what
-    # the oracles give: the word's product is w, the cyclotomic factors
-    # multiply out to the Fraction charpoly, and the corank is rank(w - 1),
-    # n less the rank of the integer kernel of w - 1
-    polys = []
-    charpoly = exactlinalg.charpoly
-    monkeypatch.setattr(exactlinalg, "charpoly",
-                        lambda m: polys.append(m) or charpoly(m))
+    # and the defect): the table is built once per entry, keeps at most
+    # one entry per component class, and each entry is what the oracles
+    # give
+    builds = []
+    build = affine._build_weyl_invariants
+    monkeypatch.setattr(affine, "_build_weyl_invariants",
+                        lambda g, w: builds.append(w) or build(g, w))
     rng = random.Random(55)
     for spec in ("GL8", "Gext(E6)", "Gext(E7)"):
         g = build_group(spec)
         classes = g.component_classes()
-        polys.clear()
+        builds.clear()
         for cls in classes:
             for lift in (cls, random_lift(g, cls, rng),
                          random_lift(g, cls, rng)):
@@ -204,28 +221,58 @@ def test_weyl_invariants_are_read_once_per_class(monkeypatch):
                 assert reflection_char_multiset_check(g, lift)["pass"]
                 assert defect(g, lift) == rep["defect"]
         table = g._memo["weyl_invariants"]
-        assert len(polys) == len(table) <= len(classes)
-        for matrix, (word, corank, mults, full) in table.items():
-            assert weyl_product(g, word).matrix == matrix
-            product = [1]
-            for d, mult in mults:
-                for _ in range(mult):
-                    product = _poly_mul(product, exactlinalg.cyclotomic(d))
-            assert full and product == charpoly_fraction(matrix)
-            assert corank == g.n - len(
-                exactlinalg.integer_kernel(_minus_one(matrix)))
+        assert len(builds) == len(table) <= len(classes)
+        for matrix, invariants in table.items():
+            _check_weyl_invariants(g, matrix, invariants)
+
+
+SIMPLE_GROUPS = {s: build_group(s) for s in SIMPLE_TYPES}
+
+
+@pytest.mark.parametrize("spec", SIMPLE_TYPES)
+@settings(max_examples=10)
+@given(st.data())
+def test_weyl_invariants_beyond_w_nu(spec, data):
+    # the build on any Weyl element, not only on a w_nu (whose orders are
+    # at most 9): the Coxeter element (order up to 30, on E8) and a drawn
+    # word
+    g = SIMPLE_GROUPS[spec]
+    drawn = data.draw(st.lists(st.integers(0, g.l - 1), max_size=3 * g.l))
+    for word in (range(g.l), drawn):
+        w = weyl_product(g, word)
+        _check_weyl_invariants(g, w.matrix,
+                               affine._build_weyl_invariants(g, w))
+
+
+def test_weyl_invariants_refuse_a_partial_galois_orbit(monkeypatch):
+    # one vector short in ker(w^3 - 1) for the A2 Coxeter element (of
+    # order 3) leaves e_3 = 1, not a multiple of phi(3) = 2: a real
+    # raise, not an assert that python -O would strip
+    g = build_group("A2")
+    w = weyl_product(g, (0, 1))
+    kernel = exactlinalg.integer_kernel
+
+    def short_at_three(m):
+        # w^3 - 1 is the one zero matrix the count meets
+        found = kernel(m)
+        return found if any(map(any, m)) else found[1:]
+
+    monkeypatch.setattr(exactlinalg, "integer_kernel", short_at_three)
+    with pytest.raises(RuntimeError, match="eigenvalues of order 3 are not"
+                       " whole Galois orbits"):
+        affine._build_weyl_invariants(g, w)
 
 
 @pytest.mark.parametrize("spec", SIMPLE_TYPES
                          + [f"Gext({x})" for x in SIMPLE_TYPES]
                          + [f"GL{n}" for n in range(2, 10)])
 def test_defect_is_the_rank_of_w_minus_one(spec):
-    # the library reads the defect off the cyclotomic factorisation; here
-    # rank(w_nu - 1) is counted independently, from an integer kernel
+    # the library counts the defect from kernel dimensions; here rank(w_nu
+    # - 1) is n less the multiplicity of the root 1 of the Fraction charpoly
     g = build_group(spec)
     for cls in g.component_classes():
-        kernel = exactlinalg.integer_kernel(_minus_one(w_nu(g, cls).matrix))
-        assert defect(g, cls) == g.n - len(kernel)
+        poly = charpoly(w_nu(g, cls).matrix)
+        assert defect(g, cls) == g.n - _root_one_multiplicity(poly)
         assert verify_defect_identity(g, cls)["pass"]
         assert reflection_char_multiset_check(g, cls)["pass"]
 
