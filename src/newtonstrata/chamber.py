@@ -202,14 +202,15 @@ def is_newton_point(datum, y):
 
 def _certify(datum, form):
     """The `_newton_point` of a point y's int form (L, L y), reduced as by
-    `scale_to_ints`, or None.  RuntimeError unless p_M(lift) = y."""
+    `scale_to_ints`, or None.  RuntimeError unless p_M(lift) = y, on ints."""
     scale, ints = form
     face, negative = face_of(datum, ints)
     if negative or any(v % scale for i, v in enumerate(ints) if i not in face):
         return None
     lift = tuple([v // scale for v in ints])
     np = _newton_point(form, face, lift)
-    if datum.p_M(lift, face) != np.point:
+    _idx, den, _c, y = datum.solve(face, lift, datum.pairings(lift))
+    if any(v * scale != den * w for v, w in zip(y, ints)):
         raise RuntimeError(f"lift {lift!r} does not project to {np.point!r}")
     return np
 

@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 
 
 class _NegInf:
-    """Singleton for val(0): below every rational, absorbing under addition."""
+    """Singleton for val(0): below every rational.  It only compares; it
+    defines no arithmetic, so NEG_INF + 1 raises TypeError."""
 
     __slots__ = ()
 

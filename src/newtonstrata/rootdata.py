@@ -405,13 +405,16 @@ class RootDatum:
         """(z, (L, L z)): the `central_part` z and its int form, as
         `scale_to_ints` gives it, from the one memo entry of z."""
         key = tuple(torus_coords)
-        if not all(type(c) is int or type(c) is Q for c in key):
+        if len(key) != self.n - self.l or not all(
+                type(c) is int or type(c) is Q for c in key):
             self.point((0,) * self.l + key)
         return self.memo("central", key, RootDatum._build_central, key)
 
     def _build_central(self, key):
-        z = tuple(Q(c) for c in self.p_M((0,) * self.l + key,
-                                          frozenset(range(self.l))))
+        scale, x = scale_to_ints((0,) * self.l + key)
+        _idx, den, _c, y = self.solve(frozenset(range(self.l)), x,
+                                      self.pairings(x))
+        z = tuple([Q(v, den * scale) for v in y])
         return z, scale_to_ints(z)
 
     def levi(self, subset):

@@ -71,40 +71,35 @@ def _frac_sum(datum, form):
 
 
 def codim(datum, nu, mu):
-    """Codimension of the closed stratum of nu inside that of mu, on the
-    int forms of `RootDatum.scaled`: each point is scaled once, for the
-    order check and for the floors."""
-    nu, mu = datum.scaled(nu), datum.scaled(mu)
-    if not datum.leq_scaled(nu, mu):
-        raise ValueError("codim requires nu <= mu")
-    c = _floor_sum(datum, mu) - _floor_sum(datum, nu)
-    if c < 0:
-        raise RuntimeError(f"negative codimension {c} for nu <= mu")
-    return c
+    """Codimension of the closed stratum of nu inside that of mu: `_codim`
+    of the int forms of `RootDatum.scaled`, each point scaled once."""
+    return _codim(datum, datum.scaled(nu), datum.scaled(mu), "codim")
 
 
 def codim_chai(datum, nu, mu):
     """Ceiling form of the codimension, for integral dominant mu.
 
     Uses the rational fundamental weights (zero on the center), so the
-    pairing with mu - nu only sees the semisimple part.  mu and nu are
-    scaled once each (`RootDatum.scaled`), and their forms serve the
-    dominance and order checks and the sum.
+    pairing with mu - nu only sees the semisimple part, and
+    ceil(mu_i - nu_i) = mu_i - floor(nu_i) for an int mu_i: `codim`'s
+    floor sums, on the int forms of `RootDatum.scaled`.
     """
     mu = datum.scaled(mu)
     if mu[0] != 1:
         raise ValueError("expected an integral point")
     if any(p < 0 for p in datum.pairings(mu[1])):
         raise ValueError("codim_chai needs an integral dominant mu")
-    nu = datum.scaled(nu)
+    return _codim(datum, datum.scaled(nu), mu, "codim_chai")
+
+
+def _codim(datum, nu, mu, name):
+    """The codimension for two int forms; the order check names `name`."""
     if not datum.leq_scaled(nu, mu):
-        raise ValueError("codim_chai requires nu <= mu")
-    # <varpi_i, mu - nu> = <omega_i, mu - nu> since mu - nu has no central
-    # part, and ceil(mu_i - nu_i) = mu_i - floor(nu_i) for an int mu_i
-    total = sum(mu[1][:datum.l]) - _floor_sum(datum, nu)
-    if total < 0:
-        raise RuntimeError(f"negative codimension {total} for nu <= mu")
-    return total
+        raise ValueError(f"{name} requires nu <= mu")
+    c = _floor_sum(datum, mu) - _floor_sum(datum, nu)
+    if c < 0:
+        raise RuntimeError(f"negative codimension {c} for nu <= mu")
+    return c
 
 
 def d_G(datum, nu):

@@ -14,20 +14,24 @@ from .rootdata import record
 
 
 class LaurentPoly:
-    """Finite exponent -> coefficient map over a valued field with pi^(1/N)."""
+    """Finite exponent -> coefficient map over a valued field with pi^(1/N),
+    each an int or a `Fraction`: a float or a string is a ValueError."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         t = {}
         for v, c in dict(terms).items():
+            if not (isinstance(v, (int, Q)) and isinstance(c, (int, Q))):
+                raise ValueError(f"term {c!r}*pi^({v!r}) is not over ints"
+                                 " or Fractions")
             if c != 0:
                 t[Q(v)] = Q(c)
         self.terms = t
 
     @classmethod
     def monomial(cls, coeff, exponent):
-        return cls({Q(exponent): Q(coeff)})
+        return cls({exponent: coeff})
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -101,7 +105,10 @@ def parse_torus_point(s):
 
 
 def nu_a(datum, a):
-    """The rational cocharacter tracking all valuations of character values."""
+    """The rational cocharacter tracking all valuations of character values.
+    ValueError unless a has n coordinates."""
+    if len(a.values) != datum.n:
+        raise ValueError("torus point has wrong length")
     return tuple(-next(iter(v.terms)) for v in a.values)
 
 

@@ -30,6 +30,7 @@ from newtonstrata.strata import (
 )
 from newtonstrata.toruseval import check_thm_rnu
 from newtonstrata.verify import random_lift
+import oracles
 from oracles import (
     change_extension,
     d_levi,
@@ -205,7 +206,9 @@ def test_criterion_6_character_multisets():
 
 def test_criterion_7_extension_independence():
     """d_G, codim, codim_chai are unchanged under extension changes,
-    and the two codimension formulas agree."""
+    and the two codimension formulas agree.  The library reads Chai's
+    ceiling sum as `codim`'s floor sums, so each pair is also checked
+    against the oracle's ceiling sum on the rational differences."""
     rng = random.Random(300)
     for spec in ("GL2", "GL3", "GL4", "Gext(E6)"):
         g = build_group(spec)
@@ -238,10 +241,14 @@ def test_criterion_7_extension_independence():
                     assert codim(g2, nu2, mu2) == codim(g, nu.point, mu)
                     assert codim_chai(g2, nu2, mu2) == codim_chai(
                         g, nu.point, mu)
+                    assert codim_chai(g2, nu2, mu2) == oracles.codim_chai(
+                        g2, nu2, mu2)
         pairs = 0
         for mu, below in cases:
             for nu in below:
                 assert codim_chai(g, nu.point, mu) == codim(g, nu.point, mu)
+                assert codim_chai(g, nu.point, mu) == oracles.codim_chai(
+                    g, nu.point, mu)
                 pairs += 1
                 if pairs >= 500:
                     break

@@ -149,9 +149,11 @@ def test_is_newton_point_regular_integral():
 
 def test_is_newton_point_certificate_raises(monkeypatch):
     # a lift that misses the point under p_M is a bug, not a "no"; a real
-    # raise, not an assert that python -O would strip
+    # raise, not an assert that python -O would strip.  The certificate
+    # projects the lift with `solve`, here patched to give (9, 9) / 1
     g = build_group("GL2")
-    monkeypatch.setattr(RootDatum, "p_M", lambda self, x, subset: (Q(9),) * 2)
+    monkeypatch.setattr(RootDatum, "solve",
+                        lambda self, subset, x, pairings: ([], 1, [], [9, 9]))
     with pytest.raises(RuntimeError, match="does not project"):
         is_newton_point(g, (Q(1, 2), 1))
 

@@ -114,10 +114,11 @@ def _count_calls(monkeypatch, owner, names):
 
 def test_poset_op_work_counts(monkeypatch):
     # one perfbench `poset` op on a plain mu, on a fresh datum.  The
-    # enumeration and `hasse` check three points whatever the poset: mu
-    # in `is_newton_point`, the lift of its certificate in `p_M`, and the
-    # torus part in the `p_M` that builds `central_part`.  The readers
-    # check mu once each in `codim` and `codim_chai`, and no NewtonPoint.
+    # enumeration and `hasse` check one point whatever the poset: mu in
+    # `is_newton_point`.  The lift of its certificate and the torus part
+    # of `central_part` are projected on ints with `solve`, unchecked.
+    # The readers check mu once each in `codim` and `codim_chai`, and no
+    # NewtonPoint.
     # No step compares two `Fraction`s by order.
     g = build_group("F4")
     mu = g.dominant_rep(tuple(Q(c) for c in (1, -1, 2, -1)))[0]
@@ -127,16 +128,26 @@ def test_poset_op_work_counts(monkeypatch):
                             ["__lt__", "__le__", "__gt__", "__ge__"])
     points = newton_points_below(g, mu)
     hasse(g, points)
-    assert len(points) == 111 and checks["n"] == 3
+    assert len(points) == 111 and checks["n"] == 1
     for p in points:
         stratum_conditions(g, p, closed=True)
         dim_leq(g, p)
         codim(g, p, mu)
         codim_chai(g, p, mu)
         d_levi_check(g, p)
-    assert checks["n"] - 3 <= 2 * len(points)
+    assert checks["n"] - 1 <= 2 * len(points)
     assert compares["n"] == 0
     assert "levi" not in g._memo  # `d_levi_check` builds no Levi datum
+
+
+def test_stratum_of_checks_its_input_twice(monkeypatch):
+    # the integral read in `stratum_of` and the -inf read in `_finite`;
+    # the central part and the lift of the certificate are projected on
+    # ints with `solve`, and go back through `point` no more
+    g = build_group("Gext(E6)")
+    checks = _count_calls(monkeypatch, RootDatum, ["point"])
+    np = stratum_of(g, (2, NEG_INF, 1, 0, -1, 3, 1))
+    assert np.point[6] == 1 and checks["n"] == 2
 
 
 def test_no_fraction_ordering_on_certified_points(monkeypatch):

@@ -179,9 +179,7 @@ RAISES = {
         "test_rootdata.py::test_orbit_tree_fundamental_weights" + GUARD,
     ("rootdata", "_component_smith", "component group is not finite"):
         "test_rootdata.py::test_component_group_not_finite_raises[dependent]",
-    ("strata", "codim", "negative codimension ... for nu <= mu"):
-        "test_strata.py::test_codim_self_checks_raise",
-    ("strata", "codim_chai", "negative codimension ... for nu <= mu"):
+    ("strata", "_codim", "negative codimension ... for nu <= mu"):
         "test_strata.py::test_codim_self_checks_raise",
     ("toruseval", "_orbit_sums", "scaled orbit coefficient is not integral"): (
         "test_toruseval.py::"
@@ -202,24 +200,32 @@ def _message(node):
     return "..."
 
 
-def _raise_sites(node, module, function=None):
-    """(module, function, message) of each raise of a `RAISED` error under
-    node, in source order; function is the innermost enclosing def."""
+def _sites(node, hit, function=None):
+    """(function, n) for each node n under node that `hit` accepts, in
+    source order; function is the innermost enclosing def."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.FunctionDef):
-            yield from _raise_sites(child, module, child.name)
+            yield from _sites(child, hit, child.name)
             continue
-        if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                and getattr(child.exc.func, "id", None) in RAISED):
-            yield module, function, _message(child.exc.args[0])
-        yield from _raise_sites(child, module, function)
+        if hit(child):
+            yield function, child
+        yield from _sites(child, hit, function)
+
+
+def _raise_sites(node, module):
+    """(module, function, message) of each raise of a `RAISED` error under
+    node, in source order (`_sites`)."""
+    for function, child in _sites(node, lambda n: (
+            isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+            and getattr(n.exc.func, "id", None) in RAISED)):
+        yield module, function, _message(child.exc.args[0])
 
 
 def test_every_raise_site_is_reached_or_argued_unreachable():
     sites = collections.Counter(
         site for path in sorted(SRC.glob("*.py"))
         for site in _raise_sites(ast.parse(path.read_text()), path.stem))
-    assert sum(sites.values()) == 29
+    assert sum(sites.values()) == 28
     listed = collections.Counter(
         {key: 1 if isinstance(reach, str) else len(reach)
          for key, reach in RAISES.items()})
@@ -236,6 +242,26 @@ def test_every_raise_site_is_reached_or_argued_unreachable():
                        if isinstance(node, ast.FunctionDef)}
             assert name in defined, entry  # a named test that does not exist
             assert not param or f'"{param[:-1]}"' in source, entry
+
+
+def _callers(node, attr):
+    """The enclosing def of each call `x.<attr>(...)` under node
+    (`_sites`)."""
+    return [function for function, _call in _sites(node, lambda n: (
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == attr))]
+
+
+def test_p_M_is_called_only_by_the_reference_face_test():
+    # every projection the library computes runs on the int solver
+    # `RootDatum.solve`; its `Fraction` front door `p_M` serves the
+    # reference `_accepts` of `retract_exhaustive`, and callers outside
+    # src/
+    assert _callers(ast.parse("def f():\n    g(x.p_M(y))\n"
+                              "def h():\n    x.p_M\n"), "p_M") == ["f"]
+    found = [(path.stem, function) for path in sorted(SRC.glob("*.py"))
+             for function in _callers(ast.parse(path.read_text()), "p_M")]
+    assert found == [("chamber", "_accepts")]
 
 
 def _public_defs(tree, module):
@@ -391,12 +417,12 @@ def test_every_memo_table_is_listed_with_its_bound():
 # certificate's RuntimeError (its message holds `expect`), and
 # __debug__: the certificate is a raise, not an assert.
 BROKEN_CERTIFICATES = {
-    "is_newton_point p_M": """
+    "is_newton_point solve": """
 from newtonstrata.chamber import is_newton_point
 from newtonstrata.rationals import Q
 from newtonstrata.rootdata import RootDatum, build_group
 g = build_group("GL2")
-RootDatum.p_M = lambda self, x, subset: (Q(9),) * self.n
+RootDatum.solve = lambda self, subset, x, pairings: ([], 1, [], [9] * self.n)
 call = lambda: is_newton_point(g, (Q(1, 2), 1))
 expect = "does not project"
 """,

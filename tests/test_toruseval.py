@@ -42,6 +42,24 @@ def test_val_cancellation():
     assert (p + mono(-2, -3) + mono(-1, 5)).val() is NEG_INF
 
 
+@pytest.mark.parametrize("terms", [
+    {0: 0.1}, {0.5: 1}, {0.5: 0}, {"1/2": "3"}, {1: "3"}, {"1": 3}])
+def test_laurent_poly_refuses_floats_and_strings(terms):
+    # the rule of `RootDatum.point`: an int or a Fraction, since
+    # Q(0.1) is 3602879701896397/36028797018963968 and Q("1/2") parses
+    with pytest.raises(ValueError, match="not over ints or Fractions"):
+        LaurentPoly(terms)
+    (v, c), = terms.items()
+    with pytest.raises(ValueError, match="not over ints or Fractions"):
+        LaurentPoly.monomial(c, v)
+
+
+def test_neg_inf_only_compares():
+    # val(0) orders below every value, but is no number
+    with pytest.raises(TypeError):
+        NEG_INF + 1
+
+
 @given(st.lists(st.one_of(st.just(NEG_INF), st.fractions(max_denominator=9)),
                 max_size=12))
 def test_neg_inf_orders_below_every_fraction(values):
@@ -126,6 +144,16 @@ def test_nu_a():
     # unit coefficients never matter
     b = parse_torus_point("-2*pi^(-1),7*pi^(-1)")
     assert nu_a(g, b) == nu_a(g, a)
+
+
+def test_nu_a_refuses_a_point_of_the_wrong_length():
+    # as `_orbit_sums` does, rather than read as many coordinates as given
+    g = build_group("GL3")
+    for text in ("1*pi^(1),1*pi^(2)", "1*pi^(1),1*pi^(2),1*pi^(0),1*pi^(0)"):
+        with pytest.raises(ValueError, match="torus point has wrong length"):
+            nu_a(g, parse_torus_point(text))
+    assert nu_a(g, parse_torus_point("1*pi^(1),1*pi^(2),1*pi^(0)")) == (
+        -1, -2, 0)
 
 
 def test_nu_a_defining_identity():
