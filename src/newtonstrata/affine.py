@@ -6,7 +6,7 @@ import math
 import operator
 
 from . import dynkin, exactlinalg
-from .rationals import Q, frac_part
+from .rationals import Q
 from .rootdata import OrbitGuardError, WeylElement, record
 from .strata import d_G
 
@@ -93,19 +93,29 @@ def _build_affine_tables(datum):
 
 def _weyl_element(datum, image):
     """(w, word, y): `dominant_rep` descends the image to the dominant y
-    along `word`, and w = s_{word[0]} ... s_{word[-1]} is built from the
-    identity, each s_j changing row j, so that w(y) = image; w is fixed
-    when y is regular.  RuntimeError if w misses the image."""
+    along `word`, and w = s_{word[0]} ... s_{word[-1]}, so that
+    w(y) = image; w is fixed when y is regular.  RuntimeError if w misses
+    the image.
+
+    Row i of w is the weight e_i s_{word[0]} ... s_{word[-1]}, pulled
+    back letter by letter: s_j moves a weight mu to mu - mu_j alpha_j, so
+    a row changes at j only when its j-th entry is not 0, and then only
+    on the support of alpha_j.  A row i >= l is 0 at every j < l and stays
+    e_i."""
     y, word = datum.dominant_rep(image)
-    coords = [datum.root_coords(j) for j in range(datum.l)]
-    rows = exactlinalg.identity(datum.n)
-    for j in reversed(word):
-        row = rows[j]
-        for c, r in zip(coords[j], rows):
-            if c:
-                row = [a - c * b for a, b in zip(row, r)]
-        rows[j] = row
-    w = WeylElement(tuple(map(tuple, rows)))
+    n, support = datum.n, datum._root_support
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        if i < datum.l:
+            for j in word:
+                m = row[j]
+                if m:
+                    for t, a in support[j]:
+                        row[t] -= m * a
+        rows.append(tuple(row))
+    w = WeylElement(tuple(rows))
     if w.act(y) != tuple(image):
         raise RuntimeError("rebuilt Weyl element misses the image")
     return w, word, y
@@ -176,8 +186,7 @@ def _translation_length(datum, nu):
     the descent of nu to dom(nu) as sum_j k_j <alpha_j, dom(nu)>."""
     _roots, den, _p0, _vertices, weights = _affine_tables(datum)
     dom = datum.dominant_rep(nu)[0]
-    return Q(sum(k * datum.root_pairing(j, dom)
-                 for j, k in enumerate(weights)), den)
+    return Q(sum(map(operator.mul, weights, datum.pairings(dom))), den)
 
 
 def section_s(datum, nu):
@@ -209,8 +218,7 @@ def section_s(datum, nu):
     reaches the guard."""
     nu = datum.point(nu, integral=True)
     _roots, den, p0, vertices, weights = _affine_tables(datum)
-    bound = sum(k * abs(datum.root_pairing(j, nu))
-                for j, k in enumerate(weights))
+    bound = sum(k * abs(p) for k, p in zip(weights, datum.pairings(nu)))
     if (bound >= ALCOVE_GUARD * den
             and _translation_length(datum, nu) >= ALCOVE_GUARD):
         raise OrbitGuardError(f"alcove reduction exceeds guard {ALCOVE_GUARD}")
@@ -301,8 +309,11 @@ def _build_weyl_invariants(datum, w):
 
 
 def _chis(datum, nu):
-    """The characters chi_i at the class of the lift nu, each in [0, 1)."""
-    return [frac_part(c) for c in datum.central_part(nu[datum.l:])]
+    """The characters chi_i at the class of the lift nu, each in [0, 1):
+    the fractional parts of the central part z, read off its int form
+    (L, L z) as (L z_i mod L) / L."""
+    scale, ints = datum.central_forms(nu[datum.l:])[1]
+    return [Q(v % scale, scale) for v in ints]
 
 
 def chi(datum, i, nu):

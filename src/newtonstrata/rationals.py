@@ -55,11 +55,6 @@ def scale_to_ints(xs):
     return den, tuple([x.numerator * (den // d) for x, d in zip(xs, dens)])
 
 
-def frac_part(x):
-    """Fractional part of x in [0, 1)."""
-    return x - qfloor(x)
-
-
 _SCALAR = re.compile(r"\s*(-inf|-?\d+(?:/0*[1-9]\d*)?)\s*", re.ASCII)
 
 

@@ -286,20 +286,28 @@ class RootDatum:
         of simple reflection indices in the order applied, so that
         y = s_{word[-1]} ... s_{word[0]} x.  Each step reflects by the first
         simple root that pairs negatively with the current point.  Only
-        the length of x is checked: ValueError unless it is n."""
+        the length of x is checked: ValueError unless it is n.
+
+        The pairings are read once; s_j moves only y_j, by -p for its
+        pairing p, so each <alpha_k, y> then moves by -p alpha[j][k]
+        along row j of alpha."""
         y = list(x)
         if len(y) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(y)}")
+        alpha = self.alpha
+        pairs = self.pairings(y)
         word = []
         while True:
-            for j in range(self.l):
-                p = self.root_pairing(j, y)
+            for j, p in enumerate(pairs):
                 if p < 0:
-                    y[j] -= p  # s_j in coordinates
-                    word.append(j)
                     break
             else:
                 return tuple(y), tuple(word)
+            y[j] -= p  # s_j in coordinates
+            word.append(j)
+            for k, a in enumerate(alpha[j]):
+                if a:
+                    pairs[k] -= p * a
 
     def orbit_tree(self, lam):
         """Walk the Weyl orbit of a weight lam by reverse search, yielding

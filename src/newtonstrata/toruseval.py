@@ -164,37 +164,56 @@ def _orbit_sums(datum, a):
     mu_j <alpha_j, D v>, and the coefficient times a scale K that makes
     it integral on the whole orbit, multiplied by r_j^(-mu_j) with
     r_j = prod_i c_i^(alpha_j)_i.
+
+    No `Fraction` is built: each c_i is read once as its int pair
+    (numerator, denominator), r_j is formed over the support of alpha_j
+    as one int pair, reduced by its gcd with a positive denominator, and
+    its powers r_j^-p by repeated int products, which stay reduced.  K
+    and K c_k come from int products and a `divmod`.
     """
     n, l = datum.n, datum.l
     if len(a.values) != n:
         raise ValueError("torus point has wrong length")
     monos = [next(iter(x.terms.items())) for x in a.values]
     den, exps = scale_to_ints([v for v, _c in monos])
-    coeffs = [c for _v, c in monos]
+    nums = [c.numerator for _v, c in monos]
+    dens = [c.denominator for _v, c in monos]
     bounds = datum.memo("orbit_coordinate_bounds", None,
                         _coordinate_bounds)
     # moves[j][p] for 0 < p <= top: the exponent step -p <alpha_j, D v>
     # and r_j^-p as (numerator, denominator)
     top = max(map(max, bounds), default=0)
     moves = []
-    for j in range(l):
-        step = datum.root_pairing(j, exps)
-        ratio = math.prod(c ** e for c, e in zip(coeffs, datum.root_coords(j))
-                          if e)
+    for step, support in zip(datum.pairings(exps), datum._root_support):
+        over, under = 1, 1  # r_j^-1 = under / over
+        for i, e in support:
+            if e > 0:
+                over *= nums[i] ** e
+                under *= dens[i] ** e
+            else:
+                over *= dens[i] ** -e
+                under *= nums[i] ** -e
+        g = math.gcd(over, under)
+        if over < 0:
+            g = -g
+        over //= g
+        under //= g
         row = [None]
+        num, rden = 1, 1
         for p in range(1, top + 1):
-            r = ratio ** -p
-            row.append((-p * step, r.numerator, r.denominator))
+            num *= under
+            rden *= over
+            row.append((-p * step, num, rden))
         moves.append(row)
     orbits = []
     for k in range(l):
         js, ps, depths, height = _orbit_skeleton(datum, k)
-        scale = math.prod((abs(c.numerator) * c.denominator) ** b
-                          for c, b in zip(coeffs, bounds[k]))
-        q = scale * coeffs[k]
-        if q.denominator != 1:
+        scale = math.prod((abs(c) * d) ** b
+                          for c, d, b in zip(nums, dens, bounds[k]))
+        c, rem = divmod(scale * nums[k], dens[k])
+        if rem:
             raise RuntimeError("scaled orbit coefficient is not integral")
-        e, c = exps[k], q.numerator  # the root: omega_k is dominant
+        e = exps[k]  # the root: omega_k is dominant
         es, cs, sums = [e] * (height + 1), [c] * (height + 1), {e: c}
         least, hits = e, 1
         for j, p, depth in zip(js, ps, depths):

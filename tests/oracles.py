@@ -55,8 +55,11 @@ shares no code with `affine` (it tries every vertex on `Fraction`s and
 multiplies reflection matrices), so it checks both, and it reaches lifts
 past their guard.
 
-`weyl_orbit` is the breadth-first orbit walk with a visited set, the
-reference for the reverse search `RootDatum.orbit_tree`; `eval_char`
+`dominant_rep` is the descent that rescans every pairing after each
+reflection, the reference for `RootDatum.dominant_rep`, which updates
+them from a row of alpha.  `weyl_orbit` is the breadth-first orbit walk
+with a visited set, the reference for the reverse search
+`RootDatum.orbit_tree`; `eval_char`
 evaluates one character at a torus point, the reference for the orbit
 sums that `toruseval` carries down that walk.  `charpoly` is
 det(T*I - M) by Faddeev-LeVerrier over `Fraction`, with `det` a cofactor
@@ -101,7 +104,7 @@ from newtonstrata import dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError
 from newtonstrata import rootdata
-from newtonstrata.rationals import NEG_INF, Q, frac_part, qceil, qfloor
+from newtonstrata.rationals import NEG_INF, Q, qceil, qfloor
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, WeylElement
 from newtonstrata.toruseval import LaurentPoly
 
@@ -444,7 +447,7 @@ def section_closed_form(datum, lift):
     for f, ms in zip(datum.factors, marks):
         for j, m in zip(f.indices, ms):
             p0 = [a + b / (m * (f.rank + 1)) for a, b in zip(p0, coweights[j])]
-    y, word = datum.dominant_rep([a - b for a, b in zip(p0, p)])
+    y, word = dominant_rep(datum, [a - b for a, b in zip(p0, p)])
     for f, ms in zip(datum.factors, marks):
         pairs = [datum.root_pairing(j, y) for j in f.indices]
         if min(pairs) <= 0 or sum(m * c for m, c in zip(ms, pairs)) >= 1:
@@ -579,6 +582,11 @@ def codim(datum, nu, mu):
     return dim_leq(datum, mu) - dim_leq(datum, nu)
 
 
+def frac_part(x):
+    """Fractional part of the `Fraction` x, in [0, 1)."""
+    return x - qfloor(x)
+
+
 def d_G(datum, nu):
     """Sum of the fractional parts of the first l coordinates of the point
     nu, each as a `Fraction`."""
@@ -596,6 +604,24 @@ def d_levi(datum, nu, levi):
     roots `levi` equals `d_G` of nu, both as `Fraction` sums."""
     levi_datum, to_levi = datum.levi(levi)
     return d_G(levi_datum, to_levi(nu)) == d_G(datum, nu)
+
+
+def dominant_rep(datum, x):
+    """The restart-scan descent: each step reads the pairings afresh with
+    `root_pairing`, from the first simple root, and reflects by the first
+    negative one.  The reference for `RootDatum.dominant_rep`, which reads
+    the pairings once and updates them."""
+    y = list(x)
+    word = []
+    while True:
+        for j in range(datum.l):
+            p = datum.root_pairing(j, y)
+            if p < 0:
+                y[j] -= p
+                word.append(j)
+                break
+        else:
+            return tuple(y), tuple(word)
 
 
 def weyl_orbit(datum, lam):

@@ -25,8 +25,8 @@ from newtonstrata.rootdata import (
     OrbitGuardError, RootDatum, WeylElement, build_group)
 from newtonstrata.verify import random_lift
 from oracles import (
-    affine_generator, charpoly, compose, cyclotomic, fraction_inverse,
-    highest_root, matrix_order, poly_mul, positive_roots,
+    affine_generator, charpoly, compose, cyclotomic, frac_part,
+    fraction_inverse, highest_root, matrix_order, poly_mul, positive_roots,
     section_closed_form, translation, weyl_product)
 
 
@@ -227,6 +227,24 @@ def test_weyl_invariants_are_read_once_per_class(monkeypatch):
 
 
 SIMPLE_GROUPS = {s: build_group(s) for s in SIMPLE_TYPES}
+WEYL_GROUPS = dict(SIMPLE_GROUPS, **{s: build_group(s) for s in (
+    "Gext(A3)", "Gext(B4)", "Gext(C3)", "Gext(D5)", "Gext(E6)", "Gext(E7)",
+    "GL2", "GL5", "GL8")})
+
+
+@pytest.mark.parametrize("spec", sorted(WEYL_GROUPS))
+@settings(max_examples=8)
+@given(st.data())
+def test_weyl_element_rows_are_the_word_product(spec, data):
+    # the rows pulled back along the descent give the product of the full
+    # reflection matrices over the descent's own word
+    g = WEYL_GROUPS[spec]
+    image = data.draw(st.lists(st.integers(-9, 9), min_size=g.n,
+                               max_size=g.n))
+    w, word, y = affine._weyl_element(g, image)
+    assert (y, word) == g.dominant_rep(image)
+    assert w == weyl_product(g, word)
+    assert w.act(y) == tuple(image)
 
 
 @pytest.mark.parametrize("spec", SIMPLE_TYPES)
@@ -294,16 +312,39 @@ def test_reports_share_nothing_with_the_table():
 
 
 def test_weyl_element_certifies_its_rows(monkeypatch):
-    # a wrong row rebuild (here a wrong alpha_0, once the affine tables are
-    # built) misses the image; a real raise, not an assert that python -O
+    # a wrong row rebuild misses the image: here the support of alpha_0
+    # that the rows are pulled back along is off by one in every
+    # coordinate, planted once the descent has returned, so only the
+    # rebuild reads it.  A real raise, not an assert that python -O
     # would strip
     g = build_group("GL3")
     section_s(g, (0, 0, 1))
-    coords = RootDatum.root_coords
-    monkeypatch.setattr(RootDatum, "root_coords", lambda self, j: tuple(
-        c + (j == 0) for c in coords(self, j)))
+    wrong = ((tuple((i, g.alpha[i][0] + 1) for i in range(g.n)),)
+             + g._root_support[1:])
+    dominant_rep = RootDatum.dominant_rep
+
+    def planted(self, x):
+        found = dominant_rep(self, x)
+        monkeypatch.setattr(self, "_root_support", wrong)
+        return found
+
+    monkeypatch.setattr(RootDatum, "dominant_rep", planted)
     with pytest.raises(RuntimeError, match="misses the image"):
         section_s(g, (0, 0, 1))
+    assert g._root_support == wrong
+
+
+@pytest.mark.parametrize("spec", ["GL5", "Gext(D5)", "Gext(E6)",
+                                  "GL4*Gext(B3)"])
+def test_chis_are_the_fractional_parts_of_the_central_part(spec):
+    # read off the int form of the central part, as the `Fraction` floor
+    # gives them
+    g = build_group(spec)
+    rng = random.Random(5)
+    for cls in g.component_classes():
+        lift = random_lift(g, cls, rng)
+        assert repr(affine._chis(g, lift)) == repr(
+            [frac_part(c) for c in g.central_part(lift[g.l:])])
 
 
 def test_chi_gl2():

@@ -98,7 +98,9 @@ LOADS = [
     ("defect --group GL3 --nu 0,0,1", BASE | {"affine", "chamber", "strata"}),
     ("eval --group GL2 --a 1*pi^(-1),-1*pi^(-2)",
      BASE | {"chamber", "toruseval"}),
-    ("verify --group GL2 --suite rnu --count 3", set(MODULES)),
+    ("verify --group GL2 --suite rnu --count 3",
+     BASE | {"chamber", "toruseval", "verify"}),
+    ("verify --group GL2 --suite defect", set(MODULES)),
 ]
 
 

@@ -11,8 +11,8 @@ from newtonstrata import dynkin, rootdata
 from newtonstrata.rationals import NEG_INF, Q
 from newtonstrata.rootdata import GroupSpecError, OrbitGuardError, build_group
 from oracles import (
-    change_extension, positive_roots, simple_reflection, weyl_orbit,
-    weyl_product)
+    change_extension, dominant_rep, positive_roots, simple_reflection,
+    weyl_orbit, weyl_product)
 
 
 def test_gl2_datum():
@@ -291,6 +291,29 @@ def test_dominant_rep_orbit_constant(case, word):
     g, x = case
     word = [j % g.l for j in word]
     assert g.dominant_rep(_reflect(g, x, word))[0] == g.dominant_rep(x)[0]
+
+
+# every simple type, extended semisimple groups and GL_n
+WEYL_GROUPS = {s: build_group(s) for s in [
+    f"{letter}{rank}" for letter, (lo, hi) in dynkin.RANK_BOUNDS.items()
+    for rank in range(lo, hi + 1)] + [
+    "Gext(A3)", "Gext(B4)", "Gext(C3)", "Gext(D5)", "Gext(E6)", "Gext(E7)",
+    "GL1", "GL2", "GL5", "GL8"]}
+
+
+@pytest.mark.parametrize("spec", sorted(WEYL_GROUPS))
+@settings(max_examples=8)
+@given(st.data())
+def test_dominant_rep_matches_the_restart_scan(spec, data):
+    # the updated pairings give the restart scan's point and word, types
+    # included, on int and on `Fraction` points
+    g = WEYL_GROUPS[spec]
+    ints = data.draw(st.lists(st.integers(-9, 9), min_size=g.n,
+                              max_size=g.n))
+    fracs = data.draw(st.lists(st.fractions(-9, 9, max_denominator=4),
+                               min_size=g.n, max_size=g.n))
+    for x in (ints, fracs):
+        assert repr(g.dominant_rep(x)) == repr(dominant_rep(g, x))
 
 
 def test_weyl_orbit_sizes():

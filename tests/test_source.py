@@ -90,6 +90,9 @@ KEPT = {
     "chamber.finite_ize": "the d -> d' map of the retraction; perfbench's"
     " retract check calls it (workloads.py Retract.check), and"
     " test_chamber.py checks it against the oracle `finite_ize`",
+    "rationals.qfloor": "the floor of a `Fraction`; perfbench's poset"
+    " workload sizes its boxes with it (workloads.py Poset.box), and the"
+    " test oracles floor with it",
     "rootdata.RootDatum.weyl_orbit": "perfbench hooks its span"
     " (layers.py HOOKS, weyl_orbit.elements)",
     "strata.d_levi_check": "the poset workload calls it"
@@ -431,9 +434,14 @@ from newtonstrata.affine import section_s
 from newtonstrata.rootdata import RootDatum, build_group
 g = build_group("GL3")
 section_s(g, (0, 0, 1))
-coords = RootDatum.root_coords
-RootDatum.root_coords = lambda self, j: tuple(
-    c + (j == 0) for c in coords(self, j))
+wrong = (tuple((i, g.alpha[i][0] + 1) for i in range(g.n)),
+         ) + g._root_support[1:]
+descend = RootDatum.dominant_rep
+def planted(self, x):
+    found = descend(self, x)
+    self._root_support = wrong  # read by the row rebuild alone
+    return found
+RootDatum.dominant_rep = planted
 call = lambda: section_s(g, (0, 0, 1))
 expect = "misses the image"
 """,

@@ -437,7 +437,9 @@ def test_orbit_sums_refuse_a_fractional_root_coefficient():
     # the coefficient 1/2: the check at the orbit's root fires, before
     # the walk binds a depth
     frame = _understated([[0, 0]], "1/2*pi^(-1),1*pi^(-1)")
-    assert frame["q"] == Q(1, 2) and "depth" not in frame
+    # K c_1 = 1 * 1/2 is read as the int pair (K n_1, d_1) = (1, 2)
+    assert (frame["scale"] * frame["nums"][0], frame["dens"][0],
+            frame["rem"]) == (1, 2, 1) and "depth" not in frame
 
 
 def test_orbit_sums_refuse_a_fractional_walk_coefficient():
@@ -446,6 +448,43 @@ def test_orbit_sums_refuse_a_fractional_walk_coefficient():
     # (2, 1): the check inside the walk fires, at depth 1
     frame = _understated([[0, 1]], "2*pi^(-1),1*pi^(-1)")
     assert frame["depth"] == 1 and frame["rem"] != 0
+
+
+# every simple type whose fundamental orbits total at most 1,278
+# elements (E6's; all but B, C and D of rank 7 and 8, E7 and E8, which
+# the `Fraction` oracle walks too slowly), extended semisimple groups and
+# GL_n
+ORBIT_GROUPS = {s: build_group(s) for s in [
+    f"{letter}{rank}" for letter, (lo, hi) in RANK_BOUNDS.items()
+    for rank in range(lo, min(hi, 6 if letter in "BCDE" else 8) + 1)] + [
+    "Gext(A3)", "Gext(C3)", "Gext(D5)", "Gext(E6)", "GL2", "GL5", "GL8"]}
+# coefficients off the {1, -1, 2, -2} of `random_torus_point`
+COEFFICIENTS = st.sampled_from([Q(3, 4), Q(-5, 7), Q(9), Q(-1, 6), Q(7, 2),
+                                Q(1), Q(-2)])
+
+
+@pytest.mark.parametrize("spec", sorted(ORBIT_GROUPS))
+@settings(max_examples=4)
+@given(st.data())
+def test_orbit_sums_match_eval_char(spec, data):
+    # each orbit sum, and whether one term has the least exponent, against
+    # the sum of `eval_char` over the breadth-first orbit
+    g = ORBIT_GROUPS[spec]
+    a = TorusPoint(tuple(
+        LaurentPoly.monomial(data.draw(COEFFICIENTS),
+                             data.draw(st.fractions(-3, 3, max_denominator=3)))
+        for _ in range(g.n)))
+    den, orbits = _orbit_sums(g, a)
+    for k, (scale, sums, unique) in enumerate(orbits):
+        terms = [eval_char(g, mu, a)
+                 for mu in weyl_orbit(g, [int(i == k) for i in range(g.n)])]
+        expect = LaurentPoly()
+        for term in terms:
+            expect = expect + term
+        assert LaurentPoly({Q(e, den): Q(c, scale)
+                            for e, c in sums.items()}) == expect
+        exps = [min(t.terms) for t in terms]
+        assert unique == (exps.count(min(exps)) == 1)
 
 
 # fixed torus points; the GL2 one cancels to 0 in its orbit sum
