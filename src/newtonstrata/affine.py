@@ -167,16 +167,21 @@ def stabilizes_base_alcove(datum, x):
     """True iff x permutes the set of simple affine roots, tested on the
     roots pulled back along x: (lam, k) -> (lam o linear, <lam, t> + k).
     lam o linear is the combination of the rows of the matrix with the
-    nonzero coefficients of lam."""
+    nonzero coefficients of lam: one pass over them starts the row at the
+    first, adds each later one, and adds c t_i to k as it goes."""
     roots = _affine_tables(datum)[0]
     rows, t = x.linear.matrix, x.translation
     pulled = set()
     for lam, k, _g, _h in roots:
-        row = (0,) * datum.n
-        for c, r in zip(lam, rows):
+        row = None
+        for c, r, s in zip(lam, rows, t):
             if c:
-                row = [a + c * b for a, b in zip(row, r)]
-        pulled.add((tuple(row), sum(c * s for c, s in zip(lam, t) if c) + k))
+                k += c * s
+                if row is None:
+                    row = [c * b for b in r]
+                else:
+                    row = [a + c * b for a, b in zip(row, r)]
+        pulled.add((tuple(row), k))
     return pulled == {(lam, k) for lam, k, _g, _h in roots}
 
 
@@ -226,12 +231,17 @@ def section_s(datum, nu):
     big = scale * den
     p = None
     for v in vertices:
-        sums = [c * den + a * scale for c, a in zip(central, v)]
-        if all(x % big == 0 for x in sums):
+        vertex = []
+        for c, a in zip(central, v):
+            q, r = divmod(c * den + a * scale, big)
+            if r:
+                break
+            vertex.append(q)
+        else:
             if p is not None:
                 raise RuntimeError("two integral vertices of the base alcove"
                                    " in the class of nu")
-            p = tuple(x // big for x in sums)
+            p = tuple(vertex)
     if p is None:
         raise RuntimeError("no integral vertex of the base alcove in the"
                            " class of nu")
@@ -309,30 +319,40 @@ def _build_weyl_invariants(datum, w):
 
 
 def _chis(datum, nu):
-    """The characters chi_i at the class of the lift nu, each in [0, 1):
-    the fractional parts of the central part z, read off its int form
-    (L, L z) as (L z_i mod L) / L."""
+    """The characters chi_i at the class of the lift nu, on ints: (L,
+    [L z_i mod L]) from the int form (L, L z) of the central part z, so
+    that chi_i = (L z_i mod L) / L, the fractional part of z_i, in
+    [0, 1)."""
     scale, ints = datum.central_forms(nu[datum.l:])[1]
-    return [Q(v % scale, scale) for v in ints]
+    return scale, [v % scale for v in ints]
 
 
 def chi(datum, i, nu):
-    """The i-th character at the class of the lift nu, in [0, 1)."""
-    return _chis(datum, datum.point(nu, integral=True))[i]
+    """The i-th character at the class of the lift nu, in [0, 1).
+    ValueError unless i is an int in range(n)."""
+    if not isinstance(i, int) or i not in range(datum.n):
+        raise ValueError(
+            f"character index {i!r} is not an int in range({datum.n})")
+    scale, chis = _chis(datum, datum.point(nu, integral=True))
+    return Q(chis[i], scale)
 
 
 def verify_defect_identity(datum, nu):
-    """Report comparing d_G, half the defect, and the character sum."""
+    """Report comparing d_G, half the defect, and the character sum.
+
+    Twice the character sum is read on ints, as 2 sum_i (L z_i mod L)
+    over L; `d_G` reads the central part on its own."""
     word, dfct, _mults, _full = _w_nu_invariants(datum, nu)
     dg = d_G(datum, datum.central_part(nu[datum.l:]))
-    chi_sum = sum(_chis(datum, nu), Q(0))
-    ok = dg == Q(dfct, 2) and 2 * chi_sum == dfct
+    scale, chis = _chis(datum, nu)
+    twice = 2 * sum(chis)
+    ok = dg == Q(dfct, 2) and twice == dfct * scale
     return {
         "nu": [int(c) for c in nu[datum.l:]],
         "w_word": [j + 1 for j in word],
         "defect": dfct,
         "d_G": dg,
-        "chi_sum_twice": 2 * chi_sum,
+        "chi_sum_twice": Q(twice, scale),
         "pass": ok,
     }
 
@@ -343,19 +363,24 @@ def reflection_char_multiset_check(datum, nu):
     Reads the multiplicities of the cyclotomic factors of the
     characteristic polynomial of w_nu from `_w_nu_invariants` and matches
     them, order by order, against the denominators of the characters
-    chi_i, requiring full unit-group orbits.
+    chi_i, requiring full unit-group orbits.  On ints: chi_i = v / L in
+    lowest terms is k / d with d = L / gcd(v, L) and k = v / gcd(v, L),
+    and the k of each d must be the units mod d, each as many times as
+    Phi_d divides.
     """
     _word, _corank, mults, fully_factored = _w_nu_invariants(datum, nu)
     mults = dict(mults)
+    scale, chis = _chis(datum, nu)
     by_denom = {}
-    for c in _chis(datum, nu):
-        by_denom.setdefault(c.denominator, []).append(c)
+    for v in chis:
+        g = math.gcd(v, scale)
+        by_denom.setdefault(scale // g, []).append(v // g)
     details = []
     for d in sorted(set(mults) | set(by_denom)):
         mult = mults.get(d, 0)
         have = sorted(by_denom.get(d, []))
         match = have == sorted(
-            [Q(k, d) for k in range(d) if math.gcd(k, d) == 1] * mult)
+            [k for k in range(d) if math.gcd(k, d) == 1] * mult)
         details.append(
             {"order": d, "cyclotomic_multiplicity": mult,
              "char_count": len(have), "full_orbits": match}

@@ -169,7 +169,10 @@ def _orbit_sums(datum, a):
     (numerator, denominator), r_j is formed over the support of alpha_j
     as one int pair, reduced by its gcd with a positive denominator, and
     its powers r_j^-p by repeated int products, which stay reduced.  K
-    and K c_k come from int products and a `divmod`.
+    and K c_k come from int products and a `divmod`.  A step divides by
+    the denominator of r_j^-p, and checks the remainder, only where that
+    denominator is not 1: an integral r_j^-p keeps the coefficient
+    integral by construction.
     """
     n, l = datum.n, datum.l
     if len(a.values) != n:
@@ -219,16 +222,21 @@ def _orbit_sums(datum, a):
         for j, p, depth in zip(js, ps, depths):
             step, num, rden = moves[j][p]
             e = es[depth - 1] + step
-            c, rem = divmod(cs[depth - 1] * num, rden)
-            if rem:
-                raise RuntimeError("scaled orbit coefficient is not integral")
+            if rden == 1:
+                c = cs[depth - 1] * num
+            else:
+                c, rem = divmod(cs[depth - 1] * num, rden)
+                if rem:
+                    raise RuntimeError(
+                        "scaled orbit coefficient is not integral")
             es[depth] = e
             cs[depth] = c
             sums[e] = sums.get(e, 0) + c
-            if e < least:
-                least, hits = e, 1
-            elif e == least:
-                hits += 1
+            if e <= least:
+                if e < least:
+                    least, hits = e, 1
+                else:
+                    hits += 1
         orbits.append((scale, sums, hits == 1))
     return den, orbits
 

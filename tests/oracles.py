@@ -37,6 +37,15 @@ on int forms (`RootDatum.scaled`): a `Fraction` comparison, pairing,
 floor or `frac_part` per coordinate, and ceil(mu_i - nu_i) on the
 rational difference.  They take plain points and check nothing.
 
+`defect_identity_report` and `char_multiset_report` are the `Fraction`
+forms of the two character reports of `affine`: each character is the
+`frac_part` of a coordinate of `central_part`, the character sum a
+`Fraction` sum, d_G this module's, and the characters are grouped by
+their `Fraction` denominators.  The library reads the characters on the
+int form (L, L z mod L) instead; the two must give the same reprs.  Both
+read w_nu's word, defect and cyclotomic multiplicities off the library's
+`_w_nu_invariants`, which other tests check against `charpoly`.
+
 `simple_reflection`, `weyl_product`, `compose`, `affine_generator` and
 `translation` build Weyl and affine Weyl elements as full matrices and
 multiply them.
@@ -100,7 +109,7 @@ import functools
 import itertools
 import math
 
-from newtonstrata import dynkin, exactlinalg
+from newtonstrata import affine, dynkin, exactlinalg
 from newtonstrata.affine import AffineWeylElement
 from newtonstrata.chamber import NewtonPoint, RetractionError
 from newtonstrata import rootdata
@@ -591,6 +600,52 @@ def d_G(datum, nu):
     """Sum of the fractional parts of the first l coordinates of the point
     nu, each as a `Fraction`."""
     return sum((frac_part(Q(nu[i])) for i in range(datum.l)), Q(0))
+
+
+def defect_identity_report(datum, nu):
+    """`affine.verify_defect_identity` with the characters as `Fraction`s:
+    `frac_part` of each coordinate of the central part, summed as
+    `Fraction`s."""
+    word, dfct, _mults, _full = affine._w_nu_invariants(datum, nu)
+    dg = d_G(datum, datum.central_part(nu[datum.l:]))
+    chi_sum = sum((frac_part(c) for c in datum.central_part(nu[datum.l:])),
+                  Q(0))
+    return {
+        "nu": [int(c) for c in nu[datum.l:]],
+        "w_word": [j + 1 for j in word],
+        "defect": dfct,
+        "d_G": dg,
+        "chi_sum_twice": 2 * chi_sum,
+        "pass": dg == Q(dfct, 2) and 2 * chi_sum == dfct,
+    }
+
+
+def char_multiset_report(datum, nu):
+    """`affine.reflection_char_multiset_check` with the characters as
+    `Fraction`s, grouped by denominator and compared with the sorted
+    `Fraction`s k / d, k a unit mod d, repeated by the multiplicity of
+    Phi_d."""
+    _word, _corank, mults, full = affine._w_nu_invariants(datum, nu)
+    mults = dict(mults)
+    by_denom = {}
+    for c in datum.central_part(nu[datum.l:]):
+        c = frac_part(c)
+        by_denom.setdefault(c.denominator, []).append(c)
+    details = []
+    for d in sorted(set(mults) | set(by_denom)):
+        mult = mults.get(d, 0)
+        have = sorted(by_denom.get(d, []))
+        match = have == sorted(
+            [Q(k, d) for k in range(d) if math.gcd(k, d) == 1] * mult)
+        details.append(
+            {"order": d, "cyclotomic_multiplicity": mult,
+             "char_count": len(have), "full_orbits": match})
+    return {
+        "nu": [int(c) for c in nu[datum.l:]],
+        "char_poly_fully_cyclotomic": full,
+        "orders": details,
+        "pass": full and all(o["full_orbits"] for o in details),
+    }
 
 
 def codim_chai(datum, nu, mu):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,10 @@ from newtonstrata.rootdata import (
     OrbitGuardError, RootDatum, WeylElement, build_group)
 from newtonstrata.verify import random_lift
 from oracles import (
-    affine_generator, charpoly, compose, cyclotomic, frac_part,
-    fraction_inverse, highest_root, matrix_order, poly_mul, positive_roots,
-    section_closed_form, translation, weyl_product)
+    affine_generator, char_multiset_report, charpoly, compose, cyclotomic,
+    defect_identity_report, frac_part, fraction_inverse, highest_root,
+    matrix_order, poly_mul, positive_roots, section_closed_form,
+    simple_reflection, translation, weyl_product)
 
 
 def _gcd(a, b):
@@ -337,14 +339,82 @@ def test_weyl_element_certifies_its_rows(monkeypatch):
 @pytest.mark.parametrize("spec", ["GL5", "Gext(D5)", "Gext(E6)",
                                   "GL4*Gext(B3)"])
 def test_chis_are_the_fractional_parts_of_the_central_part(spec):
-    # read off the int form of the central part, as the `Fraction` floor
-    # gives them
+    # read off the int form (L, L z) of the central part as the ints
+    # L z_i mod L in [0, L): over L, what the `Fraction` floor gives
     g = build_group(spec)
     rng = random.Random(5)
     for cls in g.component_classes():
         lift = random_lift(g, cls, rng)
-        assert repr(affine._chis(g, lift)) == repr(
+        scale, chis = affine._chis(g, lift)
+        assert all(type(v) is int and 0 <= v < scale for v in chis)
+        assert repr([Q(v, scale) for v in chis]) == repr(
             [frac_part(c) for c in g.central_part(lift[g.l:])])
+
+
+# every simple type as X and as Gext(X), GL_n, and products with tori
+EVERY_GROUP = {s: build_group(s) for s in (
+    SIMPLE_TYPES + [f"Gext({x})" for x in SIMPLE_TYPES]
+    + [f"GL{n}" for n in range(1, 10)]
+    + ["T2", "A2*T1", "B2*T1", "G2*T2", "GL3*T1", "D5*T1", "C3*T2",
+       "Gext(E6)*T1", "GL2*Gext(A3)*T1"])}
+
+
+@pytest.mark.parametrize("spec", sorted(EVERY_GROUP))
+def test_character_reports_match_their_fraction_forms(spec):
+    # every class and two seeded random lifts of it: the int reports
+    # against the `Fraction` forms built from `frac_part` of the central
+    # part, repr for repr
+    g = EVERY_GROUP[spec]
+    rng = random.Random(35)
+    for cls in g.component_classes():
+        for lift in (cls, random_lift(g, cls, rng), random_lift(g, cls, rng)):
+            assert repr(verify_defect_identity(g, lift)) == repr(
+                defect_identity_report(g, lift))
+            assert repr(reflection_char_multiset_check(g, lift)) == repr(
+                char_multiset_report(g, lift))
+
+
+def test_character_reports_build_two_fractions(monkeypatch):
+    # on a warm datum, one class op (both reports) builds two `Fraction`s
+    # in `affine`: half the defect and twice the character sum, which is
+    # read on ints; the characters themselves stay ints
+    g = build_group("Gext(E7)")
+    lift = (1, -2, 0, 3, -1, 2, 0, 1)
+    rep = (verify_defect_identity(g, lift),
+           reflection_char_multiset_check(g, lift))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Q(*args)
+
+    monkeypatch.setattr(affine, "Q", counted)
+    assert (verify_defect_identity(g, lift),
+            reflection_char_multiset_check(g, lift)) == rep
+    assert rep[0]["pass"] and rep[1]["pass"]
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("spec", sorted(EVERY_GROUP))
+@settings(max_examples=3)
+@given(st.data())
+def test_base_alcove_check_refuses_the_neighbours_of_the_section(spec, data):
+    # the section's x0 fixes the base alcove; x0 s_j moves it across its
+    # wall j, and t_{e_j} x0 translates it by the simple coroot e_j, so
+    # the check refuses both, for every j
+    g = EVERY_GROUP[spec]
+    lift = data.draw(st.lists(st.integers(-6, 6), min_size=g.n,
+                              max_size=g.n))
+    x0 = section_s(g, lift)
+    assert stabilizes_base_alcove(g, x0)
+    for j in range(g.l):
+        turned = affine.AffineWeylElement(
+            x0.translation, compose(x0.linear, simple_reflection(g, j)))
+        assert not stabilizes_base_alcove(g, turned)
+        shifted = affine.AffineWeylElement(
+            tuple(t + (i == j) for i, t in enumerate(x0.translation)),
+            x0.linear)
+        assert not stabilizes_base_alcove(g, shifted)
 
 
 def test_chi_gl2():
@@ -352,6 +422,17 @@ def test_chi_gl2():
     assert chi(g, 0, (0, 1)) == Q(1, 2)
     assert chi(g, 1, (0, 1)) == 0
     assert chi(g, 0, (0, 0)) == 0
+
+
+@pytest.mark.parametrize("i", [-1, -2, 2, 3, 1.0, "0"])
+def test_chi_refuses_an_index_out_of_range(i):
+    # -1 once answered chi_1 (index n - 1), 2 raised a bare IndexError
+    # and 1.0 a bare TypeError
+    g = build_group("GL2")
+    with pytest.raises(ValueError, match=re.escape(
+            f"index {i!r} is not an int in range(2)")) as exc:
+        chi(g, i, (0, 1))
+    assert "\n" not in str(exc.value)
 
 
 def test_chi_gln_powers_of_chi1():

@@ -448,6 +448,7 @@ def test_orbit_sums_refuse_a_fractional_walk_coefficient():
     # (2, 1): the check inside the walk fires, at depth 1
     frame = _understated([[0, 1]], "2*pi^(-1),1*pi^(-1)")
     assert frame["depth"] == 1 and frame["rem"] != 0
+    assert (frame["num"], frame["rden"]) == (1, 4)
 
 
 # every simple type whose fundamental orbits total at most 1,278
@@ -458,9 +459,12 @@ ORBIT_GROUPS = {s: build_group(s) for s in [
     f"{letter}{rank}" for letter, (lo, hi) in RANK_BOUNDS.items()
     for rank in range(lo, min(hi, 6 if letter in "BCDE" else 8) + 1)] + [
     "Gext(A3)", "Gext(C3)", "Gext(D5)", "Gext(E6)", "GL2", "GL5", "GL8"]}
-# coefficients off the {1, -1, 2, -2} of `random_torus_point`
+# coefficients off the {1, -1, 2, -2} of `random_torus_point`, and the
+# units 1, -1, with which every step factor r_j^-p of the walk is an
+# integer, so that the walk divides by nothing
 COEFFICIENTS = st.sampled_from([Q(3, 4), Q(-5, 7), Q(9), Q(-1, 6), Q(7, 2),
                                 Q(1), Q(-2)])
+UNITS = st.sampled_from([Q(1), Q(-1)])
 
 
 @pytest.mark.parametrize("spec", sorted(ORBIT_GROUPS))
@@ -468,12 +472,19 @@ COEFFICIENTS = st.sampled_from([Q(3, 4), Q(-5, 7), Q(9), Q(-1, 6), Q(7, 2),
 @given(st.data())
 def test_orbit_sums_match_eval_char(spec, data):
     # each orbit sum, and whether one term has the least exponent, against
-    # the sum of `eval_char` over the breadth-first orbit
+    # the sum of `eval_char` over the breadth-first orbit, at a point with
+    # unit coefficients and at one with any
     g = ORBIT_GROUPS[spec]
-    a = TorusPoint(tuple(
-        LaurentPoly.monomial(data.draw(COEFFICIENTS),
-                             data.draw(st.fractions(-3, 3, max_denominator=3)))
-        for _ in range(g.n)))
+    for coefficients in (UNITS, COEFFICIENTS):
+        _check_orbit_sums(g, TorusPoint(tuple(
+            LaurentPoly.monomial(
+                data.draw(coefficients),
+                data.draw(st.fractions(-3, 3, max_denominator=3)))
+            for _ in range(g.n))))
+
+
+def _check_orbit_sums(g, a):
+    """`_orbit_sums` at a against `eval_char` summed over each orbit."""
     den, orbits = _orbit_sums(g, a)
     for k, (scale, sums, unique) in enumerate(orbits):
         terms = [eval_char(g, mu, a)
