@@ -167,20 +167,20 @@ def stabilizes_base_alcove(datum, x):
     """True iff x permutes the set of simple affine roots, tested on the
     roots pulled back along x: (lam, k) -> (lam o linear, <lam, t> + k).
     lam o linear is the combination of the rows of the matrix with the
-    nonzero coefficients of lam: one pass over them starts the row at the
-    first, adds each later one, and adds c t_i to k as it goes."""
+    nonzero coefficients of lam: one pass over them adds c r into one
+    zero row in place, at the nonzero entries of each row r, and adds
+    c t_i to k as it goes."""
     roots = _affine_tables(datum)[0]
     rows, t = x.linear.matrix, x.translation
     pulled = set()
     for lam, k, _g, _h in roots:
-        row = None
+        row = [0] * datum.n
         for c, r, s in zip(lam, rows, t):
             if c:
                 k += c * s
-                if row is None:
-                    row = [c * b for b in r]
-                else:
-                    row = [a + c * b for a, b in zip(row, r)]
+                for i, b in enumerate(r):
+                    if b:
+                        row[i] += c * b
         pulled.add((tuple(row), k))
     return pulled == {(lam, k) for lam, k, _g, _h in roots}
 

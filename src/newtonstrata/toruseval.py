@@ -7,6 +7,8 @@ a sum is the negated minimum exponent.
 
 import math
 import re
+from array import array
+from heapq import heappop, heappush
 
 from .chamber import face_of, retract
 from .rationals import NEG_INF, Q, fmt_scalar, scale_to_ints
@@ -126,11 +128,14 @@ def _coordinate_bounds(datum):
 
 def _orbit_skeleton(datum, k):
     """The walk `orbit_tree(omega_k)` less its root omega_k, as three
-    byte columns and the greatest depth: (js, ps, depths, height).
-    Node i is s_j of the last node of depth d - 1 before it (the root
-    has depth 0), with j = js[i], d = depths[i] and ps[i] = -mu_j > 0
-    for its coordinate mu_j.  The walk depends only on the datum and k,
-    so it runs once per datum, under the memo table "orbit_skeleton"; an
+    byte columns, one column of subtree ends and the greatest depth:
+    (js, ps, depths, ends, height).  Node i is s_j of the last node of
+    depth d - 1 before it (the root has depth 0), with j = js[i],
+    d = depths[i] and ps[i] = -mu_j > 0 for its coordinate mu_j.  Its
+    subtree is the nodes i to ends[i] - 1, so its children are i + 1,
+    ends[i + 1], ... up to ends[i], and those of the root 0, ends[0], ...
+    up to the node count.  The walk depends only on the datum and k, so
+    it runs once per datum, under the memo table "orbit_skeleton"; an
     OrbitGuardError from it leaves no entry.
     """
     return datum.memo("orbit_skeleton", k, _build_orbit_skeleton, k)
@@ -147,32 +152,90 @@ def _build_orbit_skeleton(datum, k, column=bytearray):
             depths.append(depth)
     except ValueError:  # a value past a byte: more than 256 simple roots
         return _build_orbit_skeleton(datum, k, list)
-    return js, ps, depths, max(depths, default=0)
+    return js, ps, depths, _subtree_ends(depths), max(depths, default=0)
+
+
+def _subtree_ends(depths):
+    """ends[i], for the nodes of a preorder walk with these depths, all
+    >= 1: the index past the subtree of node i, that is of the first
+    later node no deeper than it, or the node count.  4 bytes a node."""
+    ends = array("I", [0]) * len(depths)
+    path = []  # the nodes whose subtrees are open, path[d - 1] at depth d
+    for i, depth in enumerate(depths):
+        while len(path) >= depth:
+            ends[path.pop()] = i
+        path.append(i)
+    for i in path:
+        ends[i] = len(depths)
+    return ends
+
+
+def _root_ratio(support, nums, dens):
+    """r_j = prod_i c_i^(alpha_j)_i over the support of alpha_j, for
+    c_i = nums[i] / dens[i], as the reduced int pair (over, under) with
+    r_j = over / under and over > 0."""
+    over, under = 1, 1
+    for i, e in support:
+        if e > 0:
+            over *= nums[i] ** e
+            under *= dens[i] ** e
+        else:
+            over *= dens[i] ** -e
+            under *= nums[i] ** -e
+    g = math.gcd(over, under)
+    if over < 0:
+        g = -g
+    return over // g, under // g
+
+
+def _move_table(datum, nums, dens, exps, top):
+    """moves[j][p] for 0 < p <= top: the exponent step -p <alpha_j, E>
+    at the int exponents E, and r_j^-p as the int pair (numerator,
+    denominator), from powers of `_root_ratio`, which stay reduced."""
+    moves = []
+    for step, support in zip(datum.pairings(exps), datum._root_support):
+        over, under = _root_ratio(support, nums, dens)  # r_j^-1 = under/over
+        row = [None]
+        num, rden = 1, 1
+        for p in range(1, top + 1):
+            num *= under
+            rden *= over
+            row.append((-p * step, num, rden))
+        moves.append(row)
+    return moves
+
+
+def _scaled_root(nums, dens, bound, k):
+    """(K, K c_k): the scale K = prod_i (|n_i| d_i)^b_i, for c_i =
+    n_i / d_i and b_i >= |mu_i| on the W-orbit of omega_k, which makes
+    the coefficient prod_i c_i^mu_i of every orbit term integral, and
+    the coefficient of omega_k times K, read by a `divmod`."""
+    scale = math.prod((abs(c) * d) ** b for c, d, b in zip(nums, dens, bound))
+    c, rem = divmod(scale * nums[k], dens[k])
+    if rem:
+        raise RuntimeError("scaled orbit coefficient is not integral")
+    return scale, c
 
 
 def _orbit_sums(datum, a):
     """The orbit sums at a of the fundamental weights, on ints: (D, orbits)
-    with orbits[k] = (K, sums, unique) for k < l.  The sum over the
-    W-orbit of omega_k is the sum of (C / K) * pi^(E / D) over the items
-    E: C of `sums`, and `unique` tells whether a single orbit term has
-    the least exponent before cancellation.
+    with orbits[k] = (K, sums) for k < l.  The sum over the W-orbit of
+    omega_k is the sum of (C / K) * pi^(E / D) over the items E: C of
+    `sums`.
 
     With a_i = c_i * pi^v_i the term of mu is prod_i c_i^mu_i *
     pi^<mu, v>.  Each orbit replays its `_orbit_skeleton` from omega_k
     and carries both parts down it as ints: the exponent times the
     common denominator D of the v_i, by E(s_j mu) = E(mu) -
-    mu_j <alpha_j, D v>, and the coefficient times a scale K that makes
-    it integral on the whole orbit, multiplied by r_j^(-mu_j) with
-    r_j = prod_i c_i^(alpha_j)_i.
+    mu_j <alpha_j, D v>, and the coefficient times the scale K of
+    `_scaled_root`, multiplied by r_j^(-mu_j) with r_j =
+    prod_i c_i^(alpha_j)_i.
 
     No `Fraction` is built: each c_i is read once as its int pair
-    (numerator, denominator), r_j is formed over the support of alpha_j
-    as one int pair, reduced by its gcd with a positive denominator, and
-    its powers r_j^-p by repeated int products, which stay reduced.  K
-    and K c_k come from int products and a `divmod`.  A step divides by
-    the denominator of r_j^-p, and checks the remainder, only where that
-    denominator is not 1: an integral r_j^-p keeps the coefficient
-    integral by construction.
+    (numerator, denominator), and `_move_table` holds the steps and the
+    powers r_j^-p as int pairs.  A step divides by the denominator of
+    r_j^-p, and checks the remainder, only where that denominator is not
+    1: an integral r_j^-p keeps the coefficient integral by construction.
     """
     n, l = datum.n, datum.l
     if len(a.values) != n:
@@ -183,42 +246,14 @@ def _orbit_sums(datum, a):
     dens = [c.denominator for _v, c in monos]
     bounds = datum.memo("orbit_coordinate_bounds", None,
                         _coordinate_bounds)
-    # moves[j][p] for 0 < p <= top: the exponent step -p <alpha_j, D v>
-    # and r_j^-p as (numerator, denominator)
-    top = max(map(max, bounds), default=0)
-    moves = []
-    for step, support in zip(datum.pairings(exps), datum._root_support):
-        over, under = 1, 1  # r_j^-1 = under / over
-        for i, e in support:
-            if e > 0:
-                over *= nums[i] ** e
-                under *= dens[i] ** e
-            else:
-                over *= dens[i] ** -e
-                under *= nums[i] ** -e
-        g = math.gcd(over, under)
-        if over < 0:
-            g = -g
-        over //= g
-        under //= g
-        row = [None]
-        num, rden = 1, 1
-        for p in range(1, top + 1):
-            num *= under
-            rden *= over
-            row.append((-p * step, num, rden))
-        moves.append(row)
+    moves = _move_table(datum, nums, dens, exps,
+                        max(map(max, bounds), default=0))
     orbits = []
     for k in range(l):
-        js, ps, depths, height = _orbit_skeleton(datum, k)
-        scale = math.prod((abs(c) * d) ** b
-                          for c, d, b in zip(nums, dens, bounds[k]))
-        c, rem = divmod(scale * nums[k], dens[k])
-        if rem:
-            raise RuntimeError("scaled orbit coefficient is not integral")
+        js, ps, depths, _ends, height = _orbit_skeleton(datum, k)
+        scale, c = _scaled_root(nums, dens, bounds[k], k)
         e = exps[k]  # the root: omega_k is dominant
         es, cs, sums = [e] * (height + 1), [c] * (height + 1), {e: c}
-        least, hits = e, 1
         for j, p, depth in zip(js, ps, depths):
             step, num, rden = moves[j][p]
             e = es[depth - 1] + step
@@ -232,13 +267,76 @@ def _orbit_sums(datum, a):
             es[depth] = e
             cs[depth] = c
             sums[e] = sums.get(e, 0) + c
-            if e <= least:
-                if e < least:
-                    least, hits = e, 1
-                else:
-                    hits += 1
-        orbits.append((scale, sums, hits == 1))
+        orbits.append((scale, sums))
     return den, orbits
+
+
+def _least_terms(datum, a, dom, word):
+    """For each k < l, the least exponent E of the W-orbit sum of omega_k
+    at a whose summed coefficient is not 0, or None when every level
+    cancels, and the number of orbit terms with the least exponent
+    before cancellation: [(E, first)], with E over the common
+    denominator D of the exponents of a.
+
+    `dom` and `word` are the dominant descent of D nu_a = -D v: the same
+    word moves the point into the antidominant chamber, to the int
+    exponents E = -dom.  Each step s_j sets v_j -= <alpha_j, v> and
+    c_j /= r_j, read on int pairs by `_root_ratio`.  The term of each mu
+    at the new point is that of s_j mu at the old one, so each orbit sum
+    stays the same, and no step of `_move_table` lowers the exponent:
+    -p <alpha_j, E> >= 0 for p > 0.
+    So the exponent never falls along a path of `_orbit_skeleton` from
+    omega_k.  The walk pops the skeleton best-first on a heap keyed by
+    (exponent, node), one whole level at a time, sums the int
+    coefficients of the level (scaled by `_scaled_root`, divided as in
+    `_orbit_sums`), and stops at the first level whose sum is not 0.
+    """
+    coeffs = [next(iter(x.terms.values())) for x in a.values]
+    nums = [c.numerator for c in coeffs]
+    dens = [c.denominator for c in coeffs]
+    support = datum._root_support
+    for j in word:
+        over, under = _root_ratio(support[j], nums, dens)
+        num, rden = nums[j] * under, dens[j] * over
+        g = math.gcd(num, rden)
+        nums[j], dens[j] = num // g, rden // g
+    exps = [-v for v in dom]
+    bounds = datum.memo("orbit_coordinate_bounds", None,
+                        _coordinate_bounds)
+    moves = _move_table(datum, nums, dens, exps,
+                        max(map(max, bounds), default=0))
+    out = []
+    for k in range(datum.l):
+        js, ps, _depths, ends, _height = _orbit_skeleton(datum, k)
+        size = len(js)
+        heap = [(exps[k], -1, _scaled_root(nums, dens, bounds[k], k)[1])]
+        least = first = None
+        while heap:
+            level = heap[0][0]
+            total = count = 0
+            while heap and heap[0][0] == level:
+                e, i, c = heappop(heap)
+                total += c
+                count += 1
+                child, stop = (i + 1, ends[i]) if i >= 0 else (0, size)
+                while child < stop:
+                    step, num, rden = moves[js[child]][ps[child]]
+                    if rden == 1:
+                        term = c * num
+                    else:
+                        term, rem = divmod(c * num, rden)
+                        if rem:
+                            raise RuntimeError(
+                                "scaled orbit coefficient is not integral")
+                    heappush(heap, (e + step, child, term))
+                    child = ends[child]
+            if first is None:
+                first = count
+            if total:
+                least = level
+                break
+        out.append((least, first))
+    return out
 
 
 def eval_c(datum, a):
@@ -248,7 +346,7 @@ def eval_c(datum, a):
     others the torus coordinates of a themselves."""
     den, orbits = _orbit_sums(datum, a)
     values = [LaurentPoly({Q(e, den): Q(c, scale) for e, c in sums.items()})
-              for scale, sums, _unique in orbits]
+              for scale, sums in orbits]
     values += a.values[datum.l:]
     return values, tuple(v.val() for v in values)
 
@@ -258,20 +356,23 @@ def check_thm_rnu(datum, a):
     sums equals the dominant representative of nu_a, with the expected
     inequalities and strictness pattern.
 
-    The valuation vector is read on the int `_orbit_sums`, with no
-    `LaurentPoly`: d_c[k] = -E / D for the least exponent E whose sum C is
-    not 0, or -inf when every sum cancels, for k < l, and the torus part
-    of nu_a after.  The descent of nu_a and I_mu run on its int form."""
-    den, orbits = _orbit_sums(datum, a)
+    nu_a descends to its dominant representative on its int form D nu_a,
+    and I_mu is read there.  The valuation vector is d_c[k] = -E / D for
+    k < l, E the least exponent of `_least_terms` (-inf when every level
+    cancels), and the torus part of nu_a after; no `LaurentPoly` is
+    built.  The walk reads only the orbit terms up to the first level
+    that does not cancel.  That is enough because each orbit sum is
+    W-invariant: it is the same at the point moved by the descent's word
+    into the antidominant chamber, where every step -p <alpha_j, E> of
+    the orbit walk is >= 0 (p > 0, <alpha_j, E> <= 0), so omega_k holds
+    the least exponent and no path from it goes down."""
     nu = nu_a(datum, a)
-    d_c = []
-    for _scale, sums, _unique in orbits:
-        live = [e for e, c in sums.items() if c]
-        d_c.append(Q(-min(live), den) if live else NEG_INF)
-    d_c = tuple(d_c) + nu[datum.l:]
-    y, _face = retract(datum, d_c)
     scale, ints = scale_to_ints(nu)
-    dom, _word = datum.dominant_rep(ints)
+    dom, word = datum.dominant_rep(ints)
+    least = _least_terms(datum, a, dom, word)
+    d_c = tuple([NEG_INF if e is None else Q(-e, scale)
+                 for e, _first in least]) + nu[datum.l:]
+    y, _face = retract(datum, d_c)
     imu = face_of(datum, dom)[0]
     dom = tuple([Q(v, scale) for v in dom])
     # d_c <= dom, with equality off the face (imu holds indices < l only)
@@ -281,7 +382,7 @@ def check_thm_rnu(datum, a):
     )
     # strictness: away from the face, a unique orbit term attains the max
     # of <lam, nu_a>, i.e. the least exponent
-    strict_ok = all(orbits[i][2] for i in range(datum.l) if i not in imu)
+    strict_ok = all(least[i][1] == 1 for i in range(datum.l) if i not in imu)
     ok = y == dom and ineq_ok and strict_ok
     return {
         "d_c": d_c,

@@ -246,6 +246,22 @@ def test_bad_group_exit_2(capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad, message", [
+    # a torus of rank 0, alone or in a product
+    ("T0", "torus rank must be >= 1"),
+    ("GL2*T0", "torus rank must be >= 1"),
+    # a basis index m = +-e_k out of 1..rank
+    ("Gext(A2;m=e3)", "basis index out of range in 'Gext(A2;m=e3)'"),
+    ("Gext(A2;m=-e0)", "basis index out of range in 'Gext(A2;m=-e0)'"),
+])
+def test_parse_refusals_exit_2(capsys, bad, message):
+    # in the grammar, refused by `_parse_factor`'s range checks
+    code, out, err = run(capsys, "describe", "--group", bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 # A SCALAR is "-inf" or ["-"] INT ["/" INT] with a nonzero denominator,
 # INT ASCII digits: an exponent, a decimal point, an underscore, a "+",
 # a non-ASCII digit or a non-ASCII space is refused.

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -68,6 +69,15 @@ def test_gext_preset_row_matches_the_component_groups(letter, rank):
         -int(i == j) for i in range(rank)]
 
 
+# specs in the grammar that `_parse_factor` refuses, with the message
+PARSE_REFUSALS = (
+    ("T0", "torus rank must be >= 1"),
+    ("GL2*T0", "torus rank must be >= 1"),
+    ("Gext(A2;m=e3)", "basis index out of range in 'Gext(A2;m=e3)'"),
+    ("Gext(A2;m=-e0)", "basis index out of range in 'Gext(A2;m=-e0)'"),
+)
+
+
 def test_parse_errors():
     for bad in ("H3", "GL0", "GL10", "Gext(E6;m=1)", "A9", "E5", "",
                 "Gext(A2;m=ex)", "Gext(A2;m=e)", "Gext(A2;m=-e)",
@@ -77,6 +87,10 @@ def test_parse_errors():
                 "Gext( A2 )", "Gext(A2 ;m=e1)", "Gext(A2;m= e1)",
                 "Gext(A2;m=+1,0)", "Gext(A2;m=1, 0)"):
         with pytest.raises(GroupSpecError):
+            build_group(bad)
+    # in the grammar, refused by `_parse_factor`'s range checks
+    for bad, message in PARSE_REFUSALS:
+        with pytest.raises(GroupSpecError, match=re.escape(message)):
             build_group(bad)
 
 

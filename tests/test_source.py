@@ -184,11 +184,17 @@ RAISES = {
         "test_rootdata.py::test_component_group_not_finite_raises[dependent]",
     ("strata", "_codim", "negative codimension ... for nu <= mu"):
         "test_strata.py::test_codim_self_checks_raise",
-    ("toruseval", "_orbit_sums", "scaled orbit coefficient is not integral"): (
+    # the root check both walks share; the best-first walk reaches it too
+    # (test_least_terms_refuse_a_fractional_root_coefficient)
+    ("toruseval", "_scaled_root", "scaled orbit coefficient is not integral"):
         "test_toruseval.py::"
         "test_orbit_sums_refuse_a_fractional_root_coefficient",
+    ("toruseval", "_orbit_sums", "scaled orbit coefficient is not integral"):
         "test_toruseval.py::"
-        "test_orbit_sums_refuse_a_fractional_walk_coefficient"),
+        "test_orbit_sums_refuse_a_fractional_walk_coefficient",
+    ("toruseval", "_least_terms", "scaled orbit coefficient is not integral"):
+        "test_toruseval.py::"
+        "test_least_terms_refuse_a_fractional_walk_coefficient",
 }
 RAISED = {"RuntimeError", "RetractionError", "OrbitGuardError"}
 
@@ -228,7 +234,7 @@ def test_every_raise_site_is_reached_or_argued_unreachable():
     sites = collections.Counter(
         site for path in sorted(SRC.glob("*.py"))
         for site in _raise_sites(ast.parse(path.read_text()), path.stem))
-    assert sum(sites.values()) == 28
+    assert sum(sites.values()) == 29
     listed = collections.Counter(
         {key: 1 if isinstance(reach, str) else len(reach)
          for key, reach in RAISES.items()})
@@ -477,6 +483,14 @@ from newtonstrata.toruseval import eval_c, parse_torus_point
 g = build_group("GL2")
 g.memo("orbit_coordinate_bounds", None, lambda d: [[0, 1]])
 call = lambda: eval_c(g, parse_torus_point("2*pi^(-1),1*pi^(-1)"))
+expect = "not integral"
+""",
+    "_least_terms coefficient": """
+from newtonstrata.rootdata import build_group
+from newtonstrata.toruseval import check_thm_rnu, parse_torus_point
+g = build_group("GL2")
+g.memo("orbit_coordinate_bounds", None, lambda d: [[0, 1]])
+call = lambda: check_thm_rnu(g, parse_torus_point("2*pi^(-1),1*pi^(-1)"))
 expect = "not integral"
 """,
     "weyl_invariants orbits": """

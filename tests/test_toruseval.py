@@ -3,6 +3,7 @@ oracle against `retract`."""
 
 import random
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from newtonstrata.chamber import face_of, retract
 from newtonstrata.cli import coords_to_slopes
-from newtonstrata.rationals import NEG_INF, Q
-from newtonstrata import rootdata
+from newtonstrata.rationals import NEG_INF, Q, parse_point, scale_to_ints
+from newtonstrata import rootdata, toruseval
 from newtonstrata.dynkin import RANK_BOUNDS
 from newtonstrata.rootdata import OrbitGuardError, RootDatum, build_group
 from newtonstrata.toruseval import (
     LaurentPoly,
     TorusPoint,
+    _least_terms,
     _orbit_skeleton,
     _orbit_sums,
     check_thm_rnu,
@@ -317,7 +319,8 @@ def test_eval_c_matches_plain_orbit_sums(case):
     assert values[g.l:] == list(a.values[g.l:])
     assert d_c == tuple(v.val() for v in values)
     # the least-exponent counts of every orbit, the face included
-    assert [unique for _k, _sums, unique in _orbit_sums(g, a)[1]] == strict
+    assert [first == 1
+            for _e, first in _least_terms(g, a, *_descent(g, a))] == strict
     # check_thm_rnu reads the same d_c off the int sums
     rep = check_thm_rnu(g, a)
     assert rep["d_c"] == d_c
@@ -352,7 +355,7 @@ def test_check_thm_rnu_walks_each_orbit_once(monkeypatch):
 
 
 def _skeleton_matches_walk(g, k):
-    js, ps, depths, height = _orbit_skeleton(g, k)
+    js, ps, depths, ends, height = _orbit_skeleton(g, k)
     omega = tuple(int(i == k) for i in range(g.n))
     walk = g.orbit_tree(omega)
     assert next(walk) == (omega, -1, 0)  # the root, left out
@@ -360,9 +363,21 @@ def _skeleton_matches_walk(g, k):
     for node, (mu, j, depth) in zip(zip(js, ps, depths), walk):
         assert node == (j, -mu[j], depth)
         nodes += 1
-    assert nodes == len(js) == len(ps) == len(depths)
+    assert nodes == len(js) == len(ps) == len(depths) == len(ends)
     assert next(walk, None) is None
     assert height == max(depths, default=0)
+    # the subtree of node i is nodes i to ends[i] - 1: its size, summed
+    # up from each node to its parent (the last node one level up), is
+    # ends[i] - i
+    parents, last = [], {}
+    for i, depth in enumerate(depths):
+        parents.append(last.get(depth - 1))  # None under the root
+        last[depth] = i
+    sizes = [1] * nodes
+    for i in reversed(range(nodes)):
+        if parents[i] is not None:
+            sizes[parents[i]] += sizes[i]
+    assert list(ends) == [i + size for i, size in enumerate(sizes)]
     return nodes
 
 
@@ -386,12 +401,17 @@ def test_orbit_skeleton_is_compact():
     # column; the columns' own headers and spare room stay small
     g = build_group("E8")
     skeletons = [_orbit_skeleton(g, k) for k in range(g.l)]
-    nodes = sum(len(js) for js, _ps, _depths, _height in skeletons)
+    nodes = sum(len(js) for js, *_rest in skeletons)
     assert nodes == 881_760 - g.l
     columns = [c for skeleton in skeletons for c in skeleton[:3]]
     assert {type(c) for c in columns} == {bytearray}
     assert sum(sys.getsizeof(c) for c in columns) <= 4 * nodes
     assert max(height for *_columns, height in skeletons) < 256
+    # the subtree ends: 4 bytes a node and an array header, no spare room
+    ends = [skeleton[3] for skeleton in skeletons]
+    assert {(type(e), e.typecode) for e in ends} == {(array, "I")}
+    assert sum(sys.getsizeof(e) for e in ends) == (
+        4 * nodes + g.l * sys.getsizeof(array("I")))
 
 
 def test_orbit_skeleton_past_a_byte():
@@ -420,24 +440,29 @@ def test_orbit_skeleton_guard(monkeypatch):
     assert sorted(g._memo["orbit_skeleton"]) == list(range(g.l))
 
 
-def _understated(bounds, a):
-    """The locals of the frame where `_orbit_sums` raises its RuntimeError
-    at the torus point `a` on a fresh GL2 (true bounds [[1, 1]]) planted
-    with the coordinate bounds `bounds`: both integrality checks raise the
-    same message, so the caller tells them apart by that frame."""
+def _understated(walk, bounds, a):
+    """The name and locals of the frame where `walk` (`_orbit_sums`, or
+    `check_thm_rnu` for `_least_terms`) raises its RuntimeError at the
+    torus point `a` on a fresh GL2 (true bounds [[1, 1]]) planted with
+    the coordinate bounds `bounds`: every integrality check raises the
+    same message, so the caller tells them apart by that frame.  Both
+    points below are antidominant (<alpha_1, v> = -1), so the move into
+    that chamber leaves them as they are."""
     g = build_group("GL2")  # fresh datum: its own memo
     g.memo("orbit_coordinate_bounds", None, lambda d: bounds)
     with pytest.raises(RuntimeError, match="not integral") as info:
-        _orbit_sums(g, parse_torus_point(a))
-    return info.traceback[-1].locals
+        walk(g, parse_torus_point(a))
+    return info.traceback[-1].name, info.traceback[-1].locals
 
 
 def test_orbit_sums_refuse_a_fractional_root_coefficient():
     # bounds [[0, 0]] leave the scale K = 1, so the root omega_1 keeps
     # the coefficient 1/2: the check at the orbit's root fires, before
     # the walk binds a depth
-    frame = _understated([[0, 0]], "1/2*pi^(-1),1*pi^(-1)")
+    name, frame = _understated(_orbit_sums, [[0, 0]],
+                               "1/2*pi^(-1),1*pi^(-1)")
     # K c_1 = 1 * 1/2 is read as the int pair (K n_1, d_1) = (1, 2)
+    assert name == "_scaled_root"
     assert (frame["scale"] * frame["nums"][0], frame["dens"][0],
             frame["rem"]) == (1, 2, 1) and "depth" not in frame
 
@@ -446,9 +471,31 @@ def test_orbit_sums_refuse_a_fractional_walk_coefficient():
     # bounds [[0, 1]] scale the root to the int 2, and the step to
     # s_1 omega_1 multiplies it by r_1^-1 = 1/4 on GL2 with coefficients
     # (2, 1): the check inside the walk fires, at depth 1
-    frame = _understated([[0, 1]], "2*pi^(-1),1*pi^(-1)")
+    name, frame = _understated(_orbit_sums, [[0, 1]], "2*pi^(-1),1*pi^(-1)")
+    assert name == "_orbit_sums"
     assert frame["depth"] == 1 and frame["rem"] != 0
     assert (frame["num"], frame["rden"]) == (1, 4)
+
+
+def test_least_terms_refuse_a_fractional_root_coefficient():
+    # the root check of the best-first walk: it fires before the heap
+    # holds the root
+    name, frame = _understated(check_thm_rnu, [[0, 0]],
+                               "1/2*pi^(-1),1*pi^(-1)")
+    assert name == "_scaled_root"
+    assert (frame["scale"] * frame["nums"][0], frame["dens"][0],
+            frame["rem"]) == (1, 2, 1)
+
+
+def test_least_terms_refuse_a_fractional_walk_coefficient():
+    # popping the root omega_1 pushes its child s_1 omega_1 (node 0),
+    # whose coefficient 2 r_1^-1 = 2/4 fails the check in the heap walk,
+    # though the root's level alone decides d_c
+    name, frame = _understated(check_thm_rnu, [[0, 1]],
+                               "2*pi^(-1),1*pi^(-1)")
+    assert name == "_least_terms"
+    assert frame["child"] == 0 and frame["rem"] != 0
+    assert (frame["c"], frame["num"], frame["rden"]) == (2, 1, 4)
 
 
 # every simple type whose fundamental orbits total at most 1,278
@@ -486,16 +533,109 @@ def test_orbit_sums_match_eval_char(spec, data):
 def _check_orbit_sums(g, a):
     """`_orbit_sums` at a against `eval_char` summed over each orbit."""
     den, orbits = _orbit_sums(g, a)
-    for k, (scale, sums, unique) in enumerate(orbits):
-        terms = [eval_char(g, mu, a)
-                 for mu in weyl_orbit(g, [int(i == k) for i in range(g.n)])]
+    for k, (scale, sums) in enumerate(orbits):
         expect = LaurentPoly()
-        for term in terms:
-            expect = expect + term
+        for mu in weyl_orbit(g, [int(i == k) for i in range(g.n)]):
+            expect = expect + eval_char(g, mu, a)
         assert LaurentPoly({Q(e, den): Q(c, scale)
                             for e, c in sums.items()}) == expect
+
+
+def _descent(g, a):
+    """(dom, word): the dominant descent of the int form of nu_a, which
+    `_least_terms` is given."""
+    return g.dominant_rep(scale_to_ints(nu_a(g, a))[1])
+
+
+def _walk_matches_orbit_sums(g, a, descent):
+    """The least live exponent and the first-level count of the
+    best-first walk, given (dom, word) by `descent`, against `eval_char`
+    summed over the breadth-first orbit of each omega_k."""
+    den = scale_to_ints(nu_a(g, a))[0]
+    for k, (e, first) in enumerate(_least_terms(g, a, *descent(g, a))):
+        terms = [eval_char(g, mu, a)
+                 for mu in weyl_orbit(g, [int(i == k) for i in range(g.n)])]
+        total = LaurentPoly()
+        for term in terms:
+            total = total + term
+        assert (e if e is None else Q(e, den)) == min(total.terms,
+                                                      default=None)
         exps = [min(t.terms) for t in terms]
-        assert unique == (exps.count(min(exps)) == 1)
+        assert first == exps.count(min(exps))
+
+
+# Gext types, GL_n and products with tori, up to Gext(E6)
+WALK_GROUPS = {s: build_group(s) for s in (
+    "GL3", "GL4", "A2*T1", "B2*T1", "G2*T2", "Gext(A3)", "Gext(C3)",
+    "Gext(B3)*T1", "GL2*Gext(A2)*T1", "Gext(D4)", "F4", "Gext(E6)")}
+# mostly units, so that the terms of a level cancel often
+WALK_COEFFICIENTS = st.sampled_from([Q(1), Q(-1)] * 3 + [Q(2), Q(-1, 2)])
+
+
+def _walk_point(g):
+    def build(den):
+        coord = st.builds(lambda c, p: mono(c, Q(p, den)), WALK_COEFFICIENTS,
+                          st.integers(-2 * den, 2 * den))
+        return st.tuples(*[coord] * g.n).map(lambda v: (g, TorusPoint(v)))
+    return st.integers(1, 3).flatmap(build)
+
+
+WALK_CASES = (st.sampled_from(sorted(WALK_GROUPS)).map(WALK_GROUPS.get)
+              .flatmap(_walk_point))
+
+
+@given(WALK_CASES)
+def test_least_terms_match_eval_char(case):
+    _walk_matches_orbit_sums(*case, _descent)
+
+
+def test_the_walk_needs_the_antidominant_move():
+    # a planted fault: the walk from omega_k at the raw point, given the
+    # undescended D nu_a and no word, meets steps that lower the exponent
+    # and stops too early, so the property fails
+    @settings(report_multiple_bugs=False)
+    @given(WALK_CASES)
+    def planted(case):
+        _walk_matches_orbit_sums(
+            *case, lambda g, a: (scale_to_ints(nu_a(g, a))[1], ()))
+
+    with pytest.raises(AssertionError):
+        planted()
+
+
+@pytest.mark.parametrize("spec, a, pops, d_c", [
+    # the RNU_POINTS one: 46 of the 1,278 orbit terms
+    ("Gext(E6)", ",".join(["1*pi^(-1)", "-1*pi^(0)"] * 3 + ["2*pi^(1)"]),
+     [2, 4, 1, 34, 4, 1], "1,2,3,3,3,2,-1"),
+    # eigenvalues (1, -1, pi): the first level of omega_1's sum cancels
+    ("GL3", "1*pi^(0),-1*pi^(0),-1*pi^(1)", [3, 1], "-1,0,-1"),
+    # eigenvalues (1, -1, pi, -pi): both levels of the sums of omega_1
+    # and omega_3 cancel, so their walks pop the whole orbit
+    ("GL4", "1*pi^(0),-1*pi^(0),-1*pi^(1),1*pi^(2)", [4, 1, 4],
+     "-inf,0,-inf,-2"),
+])
+def test_walk_pops_up_to_the_first_live_level(monkeypatch, spec, a, pops,
+                                              d_c):
+    g = build_group(spec)
+    counts = []  # heap pops per orbit; each starts at its root, node -1
+    pop = toruseval.heappop
+
+    def counted(heap):
+        entry = pop(heap)
+        if entry[1] < 0:
+            counts.append(0)
+        counts[-1] += 1
+        return entry
+
+    monkeypatch.setattr(toruseval, "heappop", counted)
+    rep = check_thm_rnu(g, parse_torus_point(a))
+    assert rep["pass"]
+    assert rep["d_c"] == parse_point(d_c)
+    assert counts == pops
+    # where every level cancels, the walk pops the whole orbit
+    for k, v in enumerate(rep["d_c"][:g.l]):
+        if v is NEG_INF:
+            assert pops[k] == len(_orbit_skeleton(g, k)[0]) + 1
 
 
 # fixed torus points; the GL2 one cancels to 0 in its orbit sum
